@@ -6,9 +6,9 @@ alone (the shifted mask lives in [0, sigma]), so the coefficient mass of
 w_A sits near frequency 0 (mod 2^lam).  Damping everything outside a
 window of width ~2^(sigma+t) with a trapezoidal mollifier eta then yields
 a low-degree trigonometric polynomial W_A that tracks w_A in mean square.
-Synthesis is a direct sum over the surviving frequencies, chunked over x;
-the window is tiny compared to 2^lam in the regime of interest, so no
-transform is needed to build W_A.
+W_A enters only through its Fourier coefficients, so putting it on the
+2^lam grid is an inverse DFT: the windowed coefficients are scattered into
+a length-2^lam array and synthesized by one inverse FFT.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 
 from .limits import SYNTHESIS_LAMBDA_CAP, ResourceLimitError
 from .walsh import WalshMask, coefficient_values, magnitude_row, walsh_table
-
-_SYNTH_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,16 @@ def _window_frequencies(lam: int, half_width: int) -> np.ndarray:
     return np.concatenate([low, high])
 
 
+def _synthesize(lam: int, ks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum over k of coef_k e(kx/2^lam) at every x < 2^lam, by scattering
+    the coefficients (distinct ks) into a length-2^lam array and running one
+    inverse FFT."""
+    n = 1 << lam
+    spectrum = np.zeros(n, dtype=np.complex128)
+    spectrum[ks] = coef
+    return np.fft.ifft(spectrum) * n
+
+
 def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledApproximant:
     """Synthesize W_A(x) = sum_k eta(|k|) w^(k) e(kx/2^lam) over x < 2^lam.
 
@@ -130,11 +138,7 @@ def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledAppr
     keep = weights > 0.0
     ks, weights = ks[keep], weights[keep]
     coef = coefficient_values(config.lam, mask.bits, ks) * weights
-    values = np.empty(n, dtype=np.complex128)
-    for lo in range(0, n, _SYNTH_CHUNK):
-        xs = np.arange(lo, min(lo + _SYNTH_CHUNK, n), dtype=np.float64)
-        phases = np.exp((2j * np.pi / n) * np.outer(xs, ks.astype(np.float64)))
-        values[lo : lo + len(xs)] = phases @ coef
+    values = _synthesize(config.lam, ks, coef)
     # the window is symmetric and coefficients come in conjugate pairs, so
     # the synthesis is real up to rounding; anything larger is a kernel bug
     imag_peak = float(np.abs(values.imag).max())
@@ -160,7 +164,7 @@ def band_profile(approx: SampledApproximant) -> dict:
     |k| <= 2^(sigma+t) (support_leak), the largest excess of the
     substitute's coefficients over the exact ones (domination_excess), and
     the sample sup norm.  The synthesized table is analyzed back to
-    frequency space here; synthesis itself never runs a transform.
+    frequency space by a forward FFT.
     """
     cfg = approx.config
     n = 1 << cfg.lam

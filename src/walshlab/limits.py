@@ -14,8 +14,10 @@ import os
 DEFAULT_MAX_MEM_GIB = 2.0
 ENV_MAX_MEM = "WSL_MAX_MEM_GIB"
 
-# Dense complex synthesis is O(2^lam * #frequencies); past this it is not a
-# desk-scale computation regardless of RAM.
+# Synthesis is one length-2^lam inverse FFT, but its complex samples, the
+# forward transform of the band audit and the exact magnitude row it is
+# compared with are not charged to any byte guard yet; this cap bounds them
+# until one does.
 SYNTHESIS_LAMBDA_CAP = 18
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
+from .approximant import _synthesize
 from .fwht import max_correlation
 from .lemmas import CheckReport, _ratio
 from .sieve import ArithmeticSequence, sequence
@@ -157,20 +157,6 @@ def bilinear_sum(config: BilinearConfig) -> float:
     return total
 
 
-def bilinear_signed(config: BilinearConfig) -> float:
-    """|sum_m alpha_m sum_n beta_n w_S(mn)| with concrete alpha.
-
-    Exploration variant; bounds in reports always use bilinear_sum.
-    """
-    m, n = _ranges(config)
-    alpha, beta = config.alpha_table(), config.beta_table()
-    total = 0.0
-    for i, mv in enumerate(m):
-        signs = walsh_signs(config.s_bits, mv * n)
-        total += alpha[i] * float(np.dot(beta, signs.astype(np.float64)))
-    return abs(total)
-
-
 def type1_sum(s_bits: int, mu: int, nu: int) -> float:
     """sum over m ~ M of |sum over n ~ N of w_S(mn)| (all-ones inner table)."""
     return bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu))
@@ -187,28 +173,42 @@ class QuadFormResult:
 def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
     """sum over n ~ N, |l| < L of |sum over m ~ M of w_S(mn) w_S(m(n+l*2^K))|.
 
-    The l = 0 diagonal contributes exactly N*M.  Shifted arguments are
-    always positive under the L*2^K < N precondition; a nonpositive one
-    (unreachable through validated configs) would be skipped and counted in
-    clipped_terms.  The M*N/L prefactor of the enclosing estimate is
-    reported separately, never multiplied in.
+    One int8 sign table covers every row the shifts reach,
+    [N - (L-1)*2^K, 2N + (L-1)*2^K) by m ~ M; each shift l is then a
+    row-wise product-sum of two slices of it.  All arithmetic is integer,
+    so the value is exact.  The l = 0 diagonal contributes exactly N*M.
+    Shifted arguments are always positive under the L*2^K < N
+    precondition; nonpositive ones (unreachable through validated configs)
+    are skipped and counted in clipped_terms.  The M*N/L prefactor of the
+    enclosing estimate is reported separately, never multiplied in.
     """
-    m, n = _ranges(config)
-    big_l = config.shift_count
+    m, _ = _ranges(config)
+    big_n, big_l = config.n_count, config.shift_count
     step = 1 << config.k_shift
-    total = 0.0
+    lo = max(big_n - (big_l - 1) * step, 1)
+    hi = 2 * big_n + (big_l - 1) * step
+    # the table has fewer than 3N rows (1-byte cells); signing N/4 rows at a
+    # time keeps a block's int64 products and masked bits near 4 bytes per
+    # entry of M*N, so the whole stays within the 8 B/entry the CLI charges
+    table = np.empty((hi - lo, len(m)), dtype=np.int8)
+    block = max(big_n // 4, 1)
+    for start in range(lo, hi, block):
+        rows = np.arange(start, min(start + block, hi), dtype=np.int64)
+        table[start - lo : start - lo + len(rows)] = walsh_signs(
+            config.s_bits, np.outer(rows, m)
+        )
+    base = table[big_n - lo : 2 * big_n - lo]
+    total = 0
     clipped = 0
-    for nv in n:
-        base = walsh_signs(config.s_bits, nv * m).astype(np.float64)
-        for ell in range(-big_l + 1, big_l):
-            shifted = nv + ell * step
-            if shifted <= 0:
-                clipped += len(m)
-                continue
-            other = walsh_signs(config.s_bits, shifted * m).astype(np.float64)
-            total += abs(float(np.dot(base, other)))
+    for ell in range(-big_l + 1, big_l):
+        first = big_n + ell * step
+        skip = min(max(1 - first, 0), big_n)  # rows with n + l*2^K <= 0
+        clipped += skip * len(m)
+        rows = table[first + skip - lo : first + big_n - lo]
+        dots = (base[skip:] * rows).sum(axis=1, dtype=np.int64)
+        total += int(np.abs(dots).sum())
     prefactor = config.m_count * config.n_count / big_l
-    return QuadFormResult(total, clipped, prefactor, config)
+    return QuadFormResult(float(total), clipped, prefactor, config)
 
 
 @dataclass(frozen=True)
@@ -375,32 +375,29 @@ def _square_wave_modes(h_param: int) -> list[tuple[int, complex]]:
 def spectral_split(config: SplitConfig) -> SplitResult:
     """Truncate each square-wave factor of the high half to 2^H modes and
     multiply out, returning the product frequency set and its exact mean
-    absolute error against w_{S2}."""
+    absolute error against w_{S2}.
+
+    The 2^(H |S2|) mode tuples form an iterated outer sumset, one factor per
+    S2 position from the lowest up, merged by frequency; a frequency whose
+    merged coefficient cancels to zero stays in the set.  The truncation is
+    put on the 2^lam grid by one inverse FFT."""
     lam = config.lam
     n = 1 << lam
-    positions = [j for j in range(lam) if (config.s2_bits >> j) & 1]
     modes = _square_wave_modes(config.h_param)
-    merged: dict[int, complex] = {}
-    if not positions:
-        merged[0] = 1.0 + 0.0j
-    else:
-        for combo in iter_product(modes, repeat=len(positions)):
-            freq = 0
-            coef = 1.0 + 0.0j
-            for (r, c), j in zip(combo, positions):
-                freq = (freq + (r << (lam - j - 1))) % n
-                coef *= c
-            merged[freq] = merged.get(freq, 0.0 + 0.0j) + coef
-    freqs = np.array(sorted(merged), dtype=np.int64)
-    coeffs = np.array([merged[int(f)] for f in freqs], dtype=np.complex128)
+    rs = np.array([r for r, _ in modes], dtype=np.int64)
+    cs = np.array([c for _, c in modes], dtype=np.complex128)
+    tuple_freqs = np.zeros(1, dtype=np.int64)
+    tuple_coefs = np.ones(1, dtype=np.complex128)
+    for j in range(lam):
+        if (config.s2_bits >> j) & 1:
+            tuple_freqs = np.add.outer(tuple_freqs, rs << (lam - j - 1)).ravel() % n
+            tuple_coefs = np.multiply.outer(tuple_coefs, cs).ravel()
+    freqs, slot = np.unique(tuple_freqs, return_inverse=True)
+    coeffs = np.zeros(len(freqs), dtype=np.complex128)
+    np.add.at(coeffs, slot, tuple_coefs)
+    vals = _synthesize(lam, freqs, coeffs)
     w = walsh_table(WalshMask(config.s2_bits, lam)).astype(np.float64)
-    err = 0.0
-    chunk = 1 << 12
-    for lo in range(0, n, chunk):
-        xs = np.arange(lo, min(lo + chunk, n), dtype=np.float64)
-        phases = np.exp((2j * np.pi / n) * np.outer(xs, freqs.astype(np.float64)))
-        vals = phases @ coeffs
-        err += float(np.abs(vals - w[lo : lo + len(xs)]).sum())
+    err = float(np.abs(vals - w).sum())
     return SplitResult(
         freqs, coeffs, err / n, 1 << (config.h_param * config.s2_weight), config
     )

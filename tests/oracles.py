@@ -9,6 +9,7 @@ objects.  Slow is fine; agreeing by construction is not allowed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -127,6 +128,85 @@ def dft_coefficients(samples: np.ndarray) -> np.ndarray:
     x = np.arange(n)
     e = np.exp(-2j * np.pi * np.outer(np.arange(n), x) / n)
     return (e @ samples.astype(np.complex128)) / n
+
+
+def unit_roots(n: int, dtype=np.clongdouble) -> np.ndarray:
+    """e(r/n) for r < n in the given complex precision; pi is taken from
+    arccos(-1) at the matching real precision."""
+    real = np.finfo(dtype).dtype.type
+    theta = (2 * np.arccos(real(-1)) / n) * np.arange(n, dtype=real)
+    out = np.empty(n, dtype=dtype)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
+
+def direct_synthesis(ks, coef, n: int, dtype=np.clongdouble) -> np.ndarray:
+    """sum over k of coef_k e(+kx/n) for every x < n, by direct exponential
+    sum over exactly reduced phases kx mod n, in the given precision."""
+    roots = unit_roots(n, dtype)
+    ks = np.asarray(ks, dtype=np.int64)
+    coef = np.asarray(coef, dtype=dtype)
+    out = np.empty(n, dtype=dtype)
+    rows = max(1, (1 << 18) // max(len(ks), 1))
+    for lo in range(0, n, rows):
+        xs = np.arange(lo, min(lo + rows, n), dtype=np.int64)
+        out[lo : lo + len(xs)] = roots[np.outer(xs, ks) % n] @ coef
+    return out
+
+
+def dft_at(samples: np.ndarray, ks, dtype=np.clongdouble) -> np.ndarray:
+    """c_k = (1/n) sum over x of samples[x] e(-kx/n) at the given k, by
+    direct exponential sum in the given precision."""
+    n = len(samples)
+    roots = unit_roots(n, dtype).conj()
+    ks = np.asarray(ks, dtype=np.int64)
+    xs = np.arange(n, dtype=np.int64)
+    samples = np.asarray(samples, dtype=dtype)
+    out = np.empty(len(ks), dtype=dtype)
+    rows = max(1, (1 << 18) // n)
+    for lo in range(0, len(ks), rows):
+        part = ks[lo : lo + rows]
+        out[lo : lo + len(part)] = roots[np.outer(part, xs) % n] @ samples
+    return out / n
+
+
+def mollified_samples(lam: int, bits: int, sigma: int, t: int,
+                      dtype=np.clongdouble) -> np.ndarray:
+    """Trapezoid-windowed substitute for w_A on x < 2^lam: coefficients by
+    direct DFT of the Walsh samples, damped by the even trapezoid that is 1
+    below a = 2^(t-1+sigma) and 0 from 2a, then synthesized by direct sum."""
+    n = 1 << lam
+    a = 1 << (t - 1 + sigma)
+    ks = np.arange(n, dtype=np.int64)
+    dist = np.minimum(ks, n - ks)
+    ks, dist = ks[dist < 2 * a], dist[dist < 2 * a]
+    eta = np.clip((2 * a - dist.astype(np.finfo(dtype).dtype)) / a, 0, 1)
+    coef = dft_at(walsh_samples(lam, bits), ks, dtype) * eta
+    return direct_synthesis(ks, coef, n, dtype)
+
+
+def split_spectrum(s2_bits: int, lam: int, h_param: int, dtype=np.complex128):
+    """(sorted frequencies, coefficients) of the product of truncated
+    square-wave factors, one per set bit j of s2_bits at frequency scale
+    2^(lam-j-1), by enumerating every mode tuple and merging in a dict.
+    A factor keeps the 2^H modes 1, -1, 3, -3, ..., mode r weighing
+    -2i/(pi r); pi is arccos(-1) at the precision of dtype."""
+    n = 1 << lam
+    pi = np.arccos(np.finfo(dtype).dtype.type(-1))
+    order = [r for odd in range(1, 2 << h_param, 2) for r in (odd, -odd)]
+    modes = [(r, dtype(-2j) / (pi * r)) for r in order[: 1 << h_param]]
+    positions = [j for j in range(lam) if (s2_bits >> j) & 1]
+    merged = {}
+    for combo in itertools.product(modes, repeat=len(positions)):
+        freq, coef = 0, dtype(1)
+        for (r, c), j in zip(combo, positions):
+            freq = (freq + r * (1 << (lam - j - 1))) % n
+            coef = coef * c
+        merged[freq] = merged.get(freq, dtype(0)) + coef
+    freqs = sorted(merged)
+    return (np.array(freqs, dtype=np.int64),
+            np.array([merged[f] for f in freqs], dtype=dtype))
 
 
 def walsh_samples(lam: int, bits: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from walshlab import (
     ApproximantConfig,
     ResourceLimitError,
@@ -107,11 +108,30 @@ def test_approximant_tracks_walsh_function_pointwise():
 
 
 def test_frozen_rms_anchor_14_4():
-    mask = WalshMask((1 << 10) | (1 << 12), 14)
+    bits = (1 << 10) | (1 << 12)
+    mask = WalshMask(bits, 14)
     errs = [
         l2_error(build_approximant(mask, ApproximantConfig(14, 4, t)))
         for t in (3, 4, 5)
     ]
-    assert errs[0] == 0.15257219256907187
-    assert errs[1] == 0.10792560750291838
-    assert errs[2] == 0.07626393379285495
+    assert errs[0] == 0.1525721925690748
+    assert errs[1] == 0.10792560750291691
+    assert errs[2] == 0.0762639337928517
+    # each pin lies within two float64 spacings of the extended-precision
+    # direct-sum value
+    w = oracles.walsh_samples(14, bits)
+    for t, err in zip((3, 4, 5), errs):
+        exact = oracles.mollified_samples(14, bits, 4, t).real
+        truth = np.sqrt(np.mean((exact - w) ** 2))
+        assert abs(err - truth) <= 2 * np.spacing(err)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_fft_synthesis_matches_direct_sum(t):
+    # every mask of the tail window [6, 10) against a float64 direct sum
+    for top in range(16):
+        bits = top << 6
+        ap = build_approximant(WalshMask(bits, 10), ApproximantConfig(10, 4, t))
+        ref = oracles.mollified_samples(10, bits, 4, t, dtype=np.complex128)
+        assert np.abs(ap.values - ref.real).max() <= 1e-12
+        assert np.abs(ref.imag).max() <= 1e-12

@@ -141,6 +141,24 @@ def test_quadform_matches_naive_loop():
     assert mine.value == ref and mine.clipped_terms == clipped
 
 
+@pytest.mark.parametrize("mu, nu, rho, k_shift", [(3, 6, 2, 2), (3, 5, 3, 0)])
+def test_quadform_wide_shifts_match_naive_loop(mu, nu, rho, k_shift):
+    cfg = BilinearConfig(s_bits=0b1011001, mu=mu, nu=nu, rho=rho, k_shift=k_shift)
+    mine = shifted_quadratic_form(cfg)
+    ref, clipped = oracles.naive_quadform(0b1011001, mu, nu, rho, k_shift)
+    assert mine.value == ref and mine.clipped_terms == clipped
+
+
+def test_quadform_clips_nonpositive_shifts_like_naive_loop():
+    # validation keeps L*2^K < N; forcing K past it makes some n + l*2^K <= 0
+    cfg = BilinearConfig(s_bits=0b1011001, mu=3, nu=4, rho=2, k_shift=0)
+    object.__setattr__(cfg, "k_shift", 3)
+    mine = shifted_quadratic_form(cfg)
+    ref, clipped = oracles.naive_quadform(0b1011001, 3, 4, 2, 3)
+    assert clipped > 0
+    assert mine.value == ref and mine.clipped_terms == clipped
+
+
 def test_quadform_empty_mask_identity():
     # S = {} makes every sign +1: the form is exactly (2L-1) * N * M
     cfg = BilinearConfig(s_bits=0, mu=3, nu=6, rho=2, k_shift=0)
@@ -278,9 +296,32 @@ def test_split_caps():
 def test_split_frozen_anchor():
     rep = split_report(SplitConfig(s_bits=(1 << 12) | (1 << 13), lam=14, mu=1, h_param=4))
     assert rep.passed
-    assert rep.lhs == 0.10754147914205253
-    assert rep.fitted_constant == 1.7206636662728405
+    assert rep.lhs == 0.1075414791420256
+    assert rep.fitted_constant == 1.7206636662724095
     assert rep.params["set_size"] == 46
+    # the pin lies within two float64 spacings of the extended-precision
+    # direct-sum value
+    s2 = (1 << 12) | (1 << 13)
+    freqs, coefs = oracles.split_spectrum(s2, 14, 4, dtype=np.clongdouble)
+    synth = oracles.direct_synthesis(freqs, coefs, 1 << 14)
+    truth = np.mean(np.abs(synth - oracles.walsh_samples(14, s2)))
+    assert abs(rep.lhs - truth) <= 2 * np.spacing(rep.lhs)
+
+
+@pytest.mark.parametrize(
+    "s_bits, mu, cancelled",
+    [(0b101, 1, 0), ((1 << 8) | 0b1, 1, 0), ((1 << 7) | (1 << 9), 2, 2),
+     ((1 << 6) | (1 << 7) | (1 << 9) | 0b11, 2, 0)],
+)
+def test_split_spectrum_matches_tuple_enumeration(s_bits, mu, cancelled):
+    # |S2| = 0, 1, 2, 3; the oracle enumerates every mode tuple into a dict.
+    # Frequencies whose merged coefficients cancel stay in the set.
+    cfg = SplitConfig(s_bits=s_bits, lam=10, mu=mu, h_param=3)
+    res = spectral_split(cfg)
+    freqs, coefs = oracles.split_spectrum(cfg.s2_bits, 10, 3)
+    assert np.array_equal(res.frequencies, freqs)
+    assert np.abs(res.coefficients - coefs).max() <= 1e-15
+    assert (np.abs(res.coefficients) <= 1e-15).sum() == cancelled
 
 
 def test_split_matches_time_domain_truncation():
