@@ -318,7 +318,7 @@ def check_lemma6(lam: int, lo: int, hi: int, mask: WalshMask) -> CheckReport:
 
 def _require_stream_lam(lam: int, mask: WalshMask | None = None):
     if lam > 16:
-        raise ValueError(f"coefficient streaming is capped at lam <= 16, got {lam}")
+        raise ValueError(f"per-mask coefficient rows are capped at lam <= 16, got {lam}")
     if mask is not None and mask.lam != lam:
         raise ValueError(f"mask lam {mask.lam} does not match lam={lam}")
 
@@ -395,7 +395,7 @@ def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]
 
 def _exhaustive_l1_reports(config: ScanConfig, lam: int, which: str) -> list[CheckReport]:
     """All-mask l1 checks through the shared-prefix sweep (identical floats
-    to the streamed per-mask path, hundreds of times faster)."""
+    to the per-mask rows, far fewer multiplies)."""
     norms = all_mask_l1(lam)
     bracket = config.brackets.get("L1", DEFAULT_BRACKETS["L1"])
     out = []

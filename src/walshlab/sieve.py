@@ -223,11 +223,13 @@ def dump_sequence(seq: ArithmeticSequence, path) -> None:
 
 
 def load_sequence(path) -> ArithmeticSequence:
-    """Inverse of dump_sequence, validating magic and length."""
+    """Inverse of dump_sequence, validating header, length and sign entries."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if raw[:4] != _MAGIC or len(raw) < 6:
+        raise ValueError(f"{path}: bad header {raw[:6]!r}, want magic {_MAGIC!r} + 2 bytes")
     lam = raw[4]
+    if lam == 0:
+        raise ValueError(f"{path}: header lambda is 0, tables need lambda >= 1")
     code = raw[5]
     if code not in _CODE_KINDS:
         raise ValueError(f"{path}: unknown kind code {code}")
@@ -240,6 +242,8 @@ def load_sequence(path) -> ArithmeticSequence:
     values = np.frombuffer(body, dtype=dtype)
     if dtype != np.int8:
         values = values.astype(np.float64)
+    elif values.min() < -1 or values.max() > 1:
+        raise ValueError(f"{path}: {kind} sign table holds a byte outside {{-1, 0, 1}}")
     else:
         values = values.copy()
     return ArithmeticSequence(int(lam), kind, values)

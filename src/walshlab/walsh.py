@@ -4,17 +4,18 @@ w_A(x) = prod_{j in A} (1 - 2 x_j) over the binary digits x_j of x, i.e. the
 parity character (-1)^{popcount(A & x)}.  Its coefficient against the
 additive character e(kx/2^lam) is an exact product of lam binomial factors,
 one per bit, with magnitude prod |cos| over bits outside A times prod |sin|
-over bits inside A.  Everything here evaluates those products on demand;
-nothing stores a dense complex spectrum.
+over bits inside A.  The factor for bit j depends only on k mod 2^(lam-j)
+and on whether j is in A, so each lambda caches |cos| and |sin| over one
+period per bit, and a mask's magnitude row is lam broadcast multiplies of
+those tables with no trigonometric call.  No dense spectrum is stored.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class TrigCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# frequency selectors for streamed accumulation
+# frequency selectors
 
 
 @dataclass(frozen=True)
@@ -70,36 +71,23 @@ class Interval:
     hi: int
 
 
-def _selector_count(lam: int, selector) -> int:
+def _selector_slice(lam: int, selector) -> slice:
+    """The selected frequencies as a slice of the full range [0, 2^lam)."""
     if isinstance(selector, FullRange):
-        return 1 << lam
+        return slice(None)
     if isinstance(selector, ResidueClass):
         if selector.r < 0 or selector.r >= lam:
             raise ValueError(f"residue modulus exponent r={selector.r} must satisfy 0 <= r < lam")
         if not 0 <= selector.a < (1 << selector.r):
             raise ValueError(f"residue a={selector.a} must lie below 2^{selector.r}")
-        return 1 << (lam - selector.r)
+        return slice(selector.a, None, 1 << selector.r)
     if isinstance(selector, Interval):
         if not 0 <= selector.lo < selector.hi <= (1 << lam):
             raise ValueError(
                 f"interval [{selector.lo}, {selector.hi}) is empty or out of range"
             )
-        return selector.hi - selector.lo
+        return slice(selector.lo, selector.hi)
     raise ValueError(f"unknown frequency selector {selector!r}")
-
-
-def _selector_chunks(lam: int, selector, chunk: int = CHUNK):
-    """Yield int64 arrays of the selected frequencies, in increasing order."""
-    _selector_count(lam, selector)
-    if isinstance(selector, FullRange):
-        lo, hi, step = 0, 1 << lam, 1
-    elif isinstance(selector, ResidueClass):
-        lo, hi, step = selector.a, 1 << lam, 1 << selector.r
-    else:
-        lo, hi, step = selector.lo, selector.hi, 1
-    span = chunk * step
-    for start in range(lo, hi, span):
-        yield np.arange(start, min(hi, start + span), step, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +109,17 @@ def walsh_eval(mask: WalshMask, x: int) -> int:
 def trig_coefficient(mask: WalshMask, k: int) -> TrigCoefficient:
     """Exact product-formula coefficient of w_A against e(kx/2^lam).
 
-    The magnitude is computed from the |cos|/|sin| factor product rather than
-    from the complex value; both use exactly reduced dyadic angles
+    The magnitude is the |cos|/|sin| factor product at this one k, not |value|
+    and not a 2^lam row; both use exactly reduced dyadic angles
     pi * (k mod 2^(lam-j)) / 2^(lam-j) so no argument error accumulates.
     """
     k = int(k) % (1 << mask.lam)
-    ks = np.array([k], dtype=np.int64)
-    value = coefficient_values(mask.lam, mask.bits, ks)[0]
-    magnitude = magnitude_row(mask.lam, mask.bits, ks)[0]
+    value = coefficient_values(mask.lam, mask.bits, np.array([k], dtype=np.int64))[0]
+    magnitude = 1.0
+    for j in range(mask.lam):
+        mod = 1 << (mask.lam - j)
+        ang = np.pi * ((k & (mod - 1)) / mod)
+        magnitude *= abs(np.sin(ang) if (mask.bits >> j) & 1 else np.cos(ang))
     return TrigCoefficient(k, complex(value), float(magnitude))
 
 
@@ -136,19 +127,41 @@ def trig_coefficient(mask: WalshMask, k: int) -> TrigCoefficient:
 # vectorized kernels
 
 
-def _angles(lam: int, j: int, ks: np.ndarray) -> np.ndarray:
-    mod = 1 << (lam - j)
-    return np.pi * ((ks & (mod - 1)) / mod)
+# cached per lambda (about 2 MiB at lam=16), never per mask
+@functools.cache
+def _period_tables(lam: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Read-only |cos| and |sin| factors of each bit j over its period
+    2^(lam-j), tiled up to min(2^lam, 1024) entries when shorter, because a
+    multiply that broadcasts a 2- or 4-wide factor is slow."""
+    width = min(1 << lam, 1024)
+    cos_t, sin_t = [], []
+    for j in range(lam):
+        period = 1 << (lam - j)
+        ang = np.pi * (np.arange(period, dtype=np.int64) / period)
+        for tables, fn in ((cos_t, np.cos), (sin_t, np.sin)):
+            t = np.tile(np.abs(fn(ang)), max(1, width // period))
+            t.flags.writeable = False
+            tables.append(t)
+    return tuple(cos_t), tuple(sin_t)
+
+
+def _row(lam: int, bits: int) -> np.ndarray:
+    """|coefficient| for one mask at every k in [0, 2^lam), multiplying the
+    factors in bit order j = 0..lam-1."""
+    cos_t, sin_t = _period_tables(lam)
+    acc = np.ones(1 << lam, dtype=np.float64)
+    for j in range(lam):
+        t = sin_t[j] if (bits >> j) & 1 else cos_t[j]
+        view = acc.reshape(-1, len(t))
+        view *= t
+    return acc
 
 
 def magnitude_row(lam: int, bits: int, ks: np.ndarray) -> np.ndarray:
-    """|coefficient| for one mask at many frequencies."""
+    """|coefficient| for one mask at many frequencies (any integers, read
+    mod 2^lam); one full row of 2^lam entries is built whatever len(ks)."""
     ks = np.asarray(ks, dtype=np.int64)
-    acc = np.ones(ks.shape, dtype=np.float64)
-    for j in range(lam):
-        ang = _angles(lam, j, ks)
-        acc *= np.abs(np.sin(ang)) if (bits >> j) & 1 else np.abs(np.cos(ang))
-    return acc
+    return _row(lam, bits)[ks & ((1 << lam) - 1)]
 
 
 def coefficient_values(lam: int, bits: int, ks: np.ndarray) -> np.ndarray:
@@ -184,70 +197,51 @@ def walsh_signs(bits: int, args: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# streamed norms
+# norms over a frequency selector
 
 
 def l1_accumulate(mask: WalshMask, selector=FullRange()) -> float:
     """Sum of coefficient magnitudes over the selected frequencies."""
-    total = 0.0
-    for ks in _selector_chunks(mask.lam, selector):
-        total += float(magnitude_row(mask.lam, mask.bits, ks).sum())
-    return total
+    sel = _selector_slice(mask.lam, selector)
+    return float(_row(mask.lam, mask.bits)[sel].sum())
 
 
 def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
     """Largest coefficient magnitude over the selected frequencies."""
-    best = 0.0
-    for ks in _selector_chunks(mask.lam, selector):
-        best = max(best, float(magnitude_row(mask.lam, mask.bits, ks).max()))
-    return best
+    sel = _selector_slice(mask.lam, selector)
+    return float(_row(mask.lam, mask.bits)[sel].max())
 
 
 # ---------------------------------------------------------------------------
 # exhaustive mask sweeps (product tree over shared factor prefixes)
 
 
-def _factor_tables(lam: int, ks: np.ndarray):
-    cos_t, sin_t = [], []
-    for j in range(lam):
-        ang = _angles(lam, j, ks)
-        cos_t.append(np.abs(np.cos(ang)))
-        sin_t.append(np.abs(np.sin(ang)))
-    return cos_t, sin_t
-
-
 def mask_sweep(lam: int, selector, reduce_fn) -> np.ndarray:
     """Apply reduce_fn to every mask's magnitude row, sharing prefix products.
 
-    Evaluates all 2^lam masks over the selected frequencies in
-    O(2^(lam+1)) vector multiplies instead of 2^lam independent rows.  The
-    factor order matches magnitude_row exactly, so results are bit-identical
-    to the per-mask path.
+    Factor rows of the selected frequencies come from the period tables; a
+    depth-first product tree writes each prefix product in place into one of
+    lam+1 preallocated rows (O(2^(lam+1)) vector multiplies, no allocation
+    per node) in the per-mask factor order, so results are bit-identical.
     """
-    out = None
-    for ks in _selector_chunks(lam, selector, chunk=1 << max(lam, 10)):
-        cos_t, sin_t = _factor_tables(lam, ks)
-        part = np.empty(1 << lam, dtype=np.float64)
+    ks = np.arange(1 << lam, dtype=np.int64)[_selector_slice(lam, selector)]
+    cos_t, sin_t = _period_tables(lam)
+    cos_f = [t[ks & (len(t) - 1)] for t in cos_t]
+    sin_f = [t[ks & (len(t) - 1)] for t in sin_t]
+    depth = [np.ones(len(ks))] + [np.empty(len(ks)) for _ in range(lam)]
+    out = np.empty(1 << lam, dtype=np.float64)
 
-        def rec(j: int, vec: np.ndarray, bits: int):
-            if j == lam:
-                part[bits] = reduce_fn(vec)
-                return
-            rec(j + 1, vec * cos_t[j], bits)
-            rec(j + 1, vec * sin_t[j], bits | (1 << j))
+    def rec(j: int, bits: int):
+        if j == lam:
+            out[bits] = reduce_fn(depth[lam])
+            return
+        np.multiply(depth[j], cos_f[j], out=depth[j + 1])
+        rec(j + 1, bits)
+        np.multiply(depth[j], sin_f[j], out=depth[j + 1])
+        rec(j + 1, bits | (1 << j))
 
-        rec(0, np.ones(len(ks), dtype=np.float64), 0)
-        out = part if out is None else reduce_chunks(out, part, reduce_fn)
+    rec(0, 0)
     return out
-
-
-def reduce_chunks(a: np.ndarray, b: np.ndarray, reduce_fn) -> np.ndarray:
-    # chunked selectors only ever combine by the same associative statistic
-    if reduce_fn is np.sum:
-        return a + b
-    if reduce_fn is np.max:
-        return np.maximum(a, b)
-    raise ValueError("chunk-spanning sweeps support np.sum and np.max only")
 
 
 def all_mask_l1(lam: int, selector=None) -> np.ndarray:

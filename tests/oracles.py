@@ -122,6 +122,19 @@ def naive_fwht(values: np.ndarray) -> np.ndarray:
     return h.astype(np.float64) @ values
 
 
+def trig_magnitudes(lam: int, bits: int, ks) -> np.ndarray:
+    """|w^_A(k)| as the per-frequency product over bits j = 0..lam-1 of
+    |sin| (j in A) or |cos| (j not in A) at the exactly reduced angle
+    pi * (k mod 2^(lam-j)) / 2^(lam-j), evaluated for every k on its own."""
+    ks = np.asarray(ks, dtype=np.int64)
+    acc = np.ones(ks.shape, dtype=np.float64)
+    for j in range(lam):
+        mod = 1 << (lam - j)
+        ang = np.pi * ((ks & (mod - 1)) / mod)
+        acc *= np.abs(np.sin(ang)) if (bits >> j) & 1 else np.abs(np.cos(ang))
+    return acc
+
+
 def dft_coefficients(samples: np.ndarray) -> np.ndarray:
     """c_k with samples[x] = sum_k c_k e(+kx/n), by direct exponential sum."""
     n = len(samples)

@@ -117,6 +117,35 @@ def test_load_rejects_unknown_kind_code(tmp_path):
         load_sequence(path)
 
 
+def test_load_rejects_short_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"AWS1" + bytes([3]))
+    with pytest.raises(ValueError, match="header") as err:
+        load_sequence(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_zero_lambda_header(tmp_path):
+    # lambda 0 with a matching one-entry body used to load as a 1-entry table
+    path = tmp_path / "lam0.bin"
+    path.write_bytes(b"AWS1" + bytes([0, 0]) + bytes([0]))
+    with pytest.raises(ValueError, match="lambda") as err:
+        load_sequence(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_load_rejects_sign_bytes_outside_unit(tmp_path, code):
+    # body 00 01 05 fe used to load as [0, 1, 5, -2]
+    path = tmp_path / "signs.bin"
+    path.write_bytes(b"AWS1" + bytes([2, code]) + bytes([0x00, 0x01, 0x05, 0xFE]))
+    with pytest.raises(ValueError, match="sign table") as err:
+        load_sequence(path)
+    assert str(path) in str(err.value)
+    path.write_bytes(b"AWS1" + bytes([2, code]) + bytes([0x00, 0x01, 0xFF, 0x01]))
+    assert load_sequence(path).values.tolist() == [0, 1, -1, 1]
+
+
 def test_custom_sequence_round_trip(tmp_path):
     vals = np.array([0.5, -1.0, 0.25, 1.0], dtype=np.float64)
     seq = custom_sequence(2, vals)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from walshlab import (
     WalshMask,
     all_mask_l1,
     all_mask_sup,
+    check_lemma1,
     l1_accumulate,
     step_h,
     sup_norm,
@@ -97,10 +100,30 @@ def test_coefficients_match_dft_all_masks(lam):
         assert np.abs(mags - np.abs(truth)).max() < 1e-12
 
 
+@pytest.mark.parametrize("lam", [1, 2, 3, 10, 16])
+def test_magnitude_row_equals_trig_product_oracle(lam):
+    n = 1 << lam
+    rng = np.random.default_rng(lam)
+    # every frequency, plus negative ones and ones at or past 2^lam
+    ks = np.concatenate([np.arange(n), rng.integers(-4 * n, 4 * n, 200), [-1, -n, n, 2 * n + 1]])
+    masks = range(n) if lam <= 3 else [0, 1, n - 1, n >> 1, *rng.integers(0, n, 6)]
+    for bits in map(int, masks):
+        assert np.array_equal(magnitude_row(lam, bits, ks), oracles.trig_magnitudes(lam, bits, ks))
+
+
 def test_magnitude_agrees_with_value():
     tc = trig_coefficient(WalshMask(0b0110000000, 10), 37)
     assert abs(abs(tc.value) - tc.magnitude) < 1e-15
     assert tc.k == 37
+
+
+def test_trig_coefficient_at_large_lambda_builds_no_row():
+    # a 2^40 row could not be allocated; one frequency costs lam factors
+    mask = WalshMask((1 << 39) | 0b1011, 40)
+    for k in (0, 3, 123456789, (1 << 40) - 5):
+        tc = trig_coefficient(mask, k)
+        assert tc.magnitude == oracles.trig_magnitudes(40, mask.bits, [k])[0]
+        assert abs(abs(tc.value) - tc.magnitude) < 1e-15
 
 
 def test_synthesis_from_coefficients_reconstructs_walsh():
@@ -149,6 +172,34 @@ def test_interval_selector_matches_manual_subset():
     assert got == pytest.approx(mags[17:130].sum(), abs=1e-12)
 
 
+_NORM_CASES = [
+    (10, FullRange()), (10, ResidueClass(0, 1)), (10, ResidueClass(3, 2)),
+    (10, ResidueClass(21, 7)), (10, ResidueClass(511, 9)), (10, Interval(0, 1)),
+    (10, Interval(17, 130)), (10, Interval(300, 1024)),
+    (16, FullRange()), (16, ResidueClass(5, 3)), (16, Interval(1001, 60000)),
+]
+
+
+def _selected(lam, selector):
+    ks = np.arange(1 << lam)
+    if isinstance(selector, ResidueClass):
+        return ks[ks % (1 << selector.r) == selector.a]
+    if isinstance(selector, Interval):
+        return ks[(ks >= selector.lo) & (ks < selector.hi)]
+    return ks
+
+
+@pytest.mark.parametrize("lam,selector", _NORM_CASES, ids=repr)
+def test_norms_equal_oracle_subset(lam, selector):
+    ks = _selected(lam, selector)
+    n = 1 << lam
+    for bits in (0, 1, n - 1, 0b1011001 & (n - 1), n >> 1, 0x5A5A & (n - 1)):
+        mags = oracles.trig_magnitudes(lam, bits, ks)
+        mask = WalshMask(bits, lam)
+        assert l1_accumulate(mask, selector) == float(mags.sum())
+        assert sup_norm(mask, selector) == float(mags.max())
+
+
 def test_selector_validation_on_use():
     mask = WalshMask(0b11, 6)
     with pytest.raises(ValueError):
@@ -193,6 +244,34 @@ def test_sweep_with_selector():
     out = mask_sweep(lam, FullRange(), lambda v: float(v.sum()))
     for bits in (0, 1, 0b111, 0b101010):
         assert out[bits] == l1_accumulate(WalshMask(bits, lam))
+
+
+@pytest.mark.parametrize(
+    "selector", [ResidueClass(3, 2), ResidueClass(0, 5), Interval(5, 200), Interval(0, 256)],
+    ids=repr,
+)
+def test_sweep_with_residue_and_interval_selectors(selector):
+    lam = 8
+    l1 = all_mask_l1(lam, selector)
+    sup = all_mask_sup(lam, selector)
+    for bits in range(1 << lam):
+        assert l1[bits] == l1_accumulate(WalshMask(bits, lam), selector)
+        assert sup[bits] == sup_norm(WalshMask(bits, lam), selector)
+
+
+def test_per_mask_norms_keep_no_rows():
+    # one lambda=16 row is 512 KiB; caching rows across masks would pass 32 MiB
+    lam = 16
+    rng = np.random.default_rng(64)
+    masks = [WalshMask(int(b), lam) for b in rng.choice(1 << lam, 64, replace=False)]
+    tracemalloc.start()
+    try:
+        for mask in masks:
+            check_lemma1(lam, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_sweep_determinism():
