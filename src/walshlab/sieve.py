@@ -2,7 +2,10 @@
 
 Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
 a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
-is bounded by the output table plus one segment regardless of lam.
+is bounded by the output table plus one segment regardless of lam.  Moebius
+and Liouville share one factor pass that tracks the product of each entry's
+small prime factors instead of dividing them out.  A table on [0, 2^lam)
+holds every smaller table as its prefix.
 """
 
 from __future__ import annotations
@@ -62,45 +65,56 @@ def _first_multiple(lo: int, step: int) -> int:
     return ((lo + step - 1) // step) * step
 
 
+def _factor_pass(lam: int, squarefree: bool, segment: int) -> np.ndarray:
+    """Liouville signs on [0, 2^lam), or Moebius signs when squarefree.
+
+    Each segment keeps a signed product of its entries' small prime factors:
+    every prime-power level p^j dividing n multiplies it by -p, so its sign
+    is (-1)^Omega over the primes p <= sqrt(max) and its magnitude is the
+    part of n made of those primes.  A magnitude below n leaves one prime
+    factor above sqrt(max), which flips the sign once more.  For Moebius the p^2 level
+    multiplies by 0 instead, so non-squarefree n end at 0 and higher levels
+    are skipped; on squarefree n Moebius and Liouville agree.
+    """
+    n = 1 << lam
+    # products never exceed n, so int32 holds them up to lam = 31
+    dtype = np.int32 if n <= 1 << 31 else np.int64
+    primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
+    out = np.zeros(n, dtype=np.int8)
+    for lo in range(0, n, segment):
+        hi = min(lo + segment, n)
+        prod = np.ones(hi - lo, dtype=dtype)
+        for p in primes:
+            pk, factor = p, -p
+            while pk < hi:
+                start = _first_multiple(max(lo, pk), pk)
+                if start < hi:
+                    hits = prod[start - lo :: pk]
+                    np.multiply(hits, factor, out=hits)
+                if factor == 0:
+                    break
+                pk *= p
+                if squarefree:
+                    factor = 0
+        seg = out[lo:hi]
+        np.sign(prod, out=seg, casting="unsafe")
+        big = np.abs(prod) < np.arange(lo, hi, dtype=dtype)
+        np.negative(seg, out=seg, where=big)
+    out[0] = 0
+    if n > 1:
+        out[1] = 1
+    return out
+
+
 def sieve_moebius(
     lam: int,
     segment: int = DEFAULT_SEGMENT,
     max_mem_gib: float | None = None,
 ) -> ArithmeticSequence:
-    """Moebius table on [0, 2^lam).
-
-    Per segment: flip sign once per prime divisor p <= sqrt(max), divide a
-    working remainder by each such p once, and zero multiples of p^2.  A
-    remainder > 1 afterwards is a single prime factor above sqrt(max) and
-    contributes one more sign flip.
-    """
+    """Moebius table on [0, 2^lam): the shared factor pass with the p^2
+    level zeroing every non-squarefree entry."""
     require_table_bytes(lam, 8, max_mem_gib, what="moebius table")
-    n = 1 << lam
-    primes = _primes_upto(math.isqrt(n - 1))
-    out = np.zeros(n, dtype=np.int8)
-    for lo in range(0, n, segment):
-        hi = min(lo + segment, n)
-        sign = np.ones(hi - lo, dtype=np.int8)
-        sqfree = np.ones(hi - lo, dtype=bool)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in primes:
-            p = int(p)
-            start = _first_multiple(max(lo, p), p)
-            if start < hi:
-                sl = slice(start - lo, hi - lo, p)
-                sign[sl] = -sign[sl]
-                rem[sl] //= p
-            p2 = p * p
-            start2 = _first_multiple(max(lo, p2), p2)
-            if start2 < hi:
-                sqfree[start2 - lo : hi - lo : p2] = False
-        big = rem > 1
-        sign[big] = -sign[big]
-        np.copyto(out[lo:hi], np.where(sqfree, sign, 0).astype(np.int8))
-    out[0] = 0
-    if n > 1:
-        out[1] = 1
-    return ArithmeticSequence(lam, "moebius", out)
+    return ArithmeticSequence(lam, "moebius", _factor_pass(lam, True, segment))
 
 
 def sieve_liouville(
@@ -108,39 +122,10 @@ def sieve_liouville(
     segment: int = DEFAULT_SEGMENT,
     max_mem_gib: float | None = None,
 ) -> ArithmeticSequence:
-    """Liouville table: (-1)^Omega(n) with multiplicity.
-
-    One sign flip per prime-power level p^j dividing n counts the exponent of
-    p; dividing the remainder by p at each level strips the full p-part, so a
-    remainder > 1 is again a single large prime.
-    """
+    """Liouville table: (-1)^Omega(n) with multiplicity, from the shared
+    factor pass with every prime-power level counted."""
     require_table_bytes(lam, 8, max_mem_gib, what="liouville table")
-    n = 1 << lam
-    primes = _primes_upto(math.isqrt(n - 1))
-    out = np.zeros(n, dtype=np.int8)
-    for lo in range(0, n, segment):
-        hi = min(lo + segment, n)
-        sign = np.ones(hi - lo, dtype=np.int8)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in primes:
-            p = int(p)
-            pk = p
-            while pk < hi:
-                start = _first_multiple(max(lo, pk), pk)
-                if start < hi:
-                    sl = slice(start - lo, hi - lo, pk)
-                    sign[sl] = -sign[sl]
-                    rem[sl] //= p
-                if pk > (hi - 1) // p:
-                    break
-                pk *= p
-        big = rem > 1
-        sign[big] = -sign[big]
-        np.copyto(out[lo:hi], sign)
-    out[0] = 0
-    if n > 1:
-        out[1] = 1
-    return ArithmeticSequence(lam, "liouville", out)
+    return ArithmeticSequence(lam, "liouville", _factor_pass(lam, False, segment))
 
 
 def sieve_von_mangoldt(
@@ -214,12 +199,12 @@ def custom_sequence(lam: int, values) -> ArithmeticSequence:
 def dump_sequence(seq: ArithmeticSequence, path) -> None:
     """Binary dump: magic 'AWS1', lam (uint8), kind code (uint8), then raw
     little-endian entries (int8 for the sign tables, float64 otherwise)."""
-    path = Path(path)
-    header = _MAGIC + bytes([seq.lam, KIND_CODES[seq.kind]])
-    arr = seq.values
-    if arr.dtype != np.int8:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-    path.write_bytes(header + arr.tobytes())
+    dtype = np.int8 if seq.values.dtype == np.int8 else "<f8"
+    arr = np.ascontiguousarray(seq.values, dtype=dtype)
+    # header, then the table's own memory: no joined copy of the body
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + bytes([seq.lam, KIND_CODES[seq.kind]]))
+        fh.write(memoryview(arr))
 
 
 def load_sequence(path) -> ArithmeticSequence:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximant import _synthesize
-from .fwht import max_correlation
+from .fwht import max_correlation, prefix_max_correlations
 from .lemmas import CheckReport, _ratio
 from .sieve import ArithmeticSequence, sequence
 from .walsh import magnitude_row, sup_norm, walsh_signs, walsh_table, WalshMask
@@ -235,22 +235,29 @@ def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     tau = config.k_shift + config.mu + config.rho + config.epsilon * config.rho
     first_bad = math.floor(tau) + 1
     low_mask = (1 << config.k_shift) - 1
-    step = 1 << config.k_shift
-    big_l = config.shift_count
+    # XORs of nonnegative products have no sign bit, so a set bit at or
+    # above first_bad (capped at the sign bit) or below K is a bad triple
+    outside = low_mask | ~((1 << min(first_bad, 63)) - 1)
+    steps = [ell << config.k_shift
+             for ell in range(-config.shift_count + 1, config.shift_count) if ell]
+    # blocks of about 1 MiB per buffer, all allocated once
+    rows = max((1 << 17) // len(n), 1)
+    mn = np.empty((rows, len(n)), dtype=np.int64)
+    diff = np.empty_like(mn)
+    hits = np.empty_like(mn)
     bad = 0
     low = 0
-    total = 0
-    mn = np.outer(m, n)
-    for ell in range(-big_l + 1, big_l):
-        if ell == 0:
-            continue
-        shifted = np.outer(m, n + ell * step)
-        diff = np.bitwise_xor(mn, shifted)
-        high_moved = (diff >> first_bad) != 0
-        low_moved = (diff & low_mask) != 0
-        bad += int((high_moved | low_moved).sum())
-        low += int(low_moved.sum())
-        total += diff.size
+    for lo in range(0, len(m), rows):
+        mb = m[lo : lo + rows, None]
+        base, d, h = mn[: len(mb)], diff[: len(mb)], hits[: len(mb)]
+        np.multiply(mb, n, out=base)
+        for step in steps:
+            # m*(n + step) = m*n + m*step
+            np.add(base, mb * step, out=d)
+            np.bitwise_xor(d, base, out=d)
+            low += int(np.count_nonzero(np.bitwise_and(d, low_mask, out=h)))
+            bad += int(np.count_nonzero(np.bitwise_and(d, outside, out=h)))
+    total = len(m) * len(n) * len(steps)
     if total == 0:
         return CarryResult(0.0, 0.0, 0, 0, 0, first_bad)
     return CarryResult(bad / total, low / total, bad, low, total, first_bad)
@@ -413,14 +420,16 @@ def correlation_report(seq: ArithmeticSequence) -> CheckReport:
     Records the argmax mask, its weight, and the empirical exponent
     log2 |value| / lam (None for an identically-zero table).
     """
-    mask, value = max_correlation(seq)
-    lam = seq.lam
+    return _correlation_check(seq.lam, seq.kind, *max_correlation(seq))
+
+
+def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> CheckReport:
     rhs = 2.0 ** (lam - lam**0.1)
     lhs = float(abs(value))
     exponent = math.log2(lhs) / lam if value else None
     params = {
         "lambda": lam,
-        "kind": seq.kind,
+        "kind": kind,
         "mask": mask.bits,
         "weight": mask.weight,
         "value": int(value),
@@ -432,13 +441,21 @@ def correlation_report(seq: ArithmeticSequence) -> CheckReport:
 def theorem_scan(
     kind: str, lambdas, max_mem_gib: float | None = None
 ) -> list[CheckReport]:
-    """Correlation scan over a lam range for a sieved sign table."""
+    """correlation_report for each lam, in the order given.
+
+    One sieve at the largest lam serves them all, since its table holds
+    every smaller table as its prefix, and one transform of it yields every
+    prefix's peak (fwht.prefix_max_correlations).
+    """
     if kind not in ("moebius", "liouville"):
         raise ValueError(f"theorem_scan supports moebius and liouville, got {kind!r}")
-    return [
-        correlation_report(sequence(kind, lam, max_mem_gib=max_mem_gib))
-        for lam in lambdas
-    ]
+    lambdas = list(lambdas)
+    if not lambdas:
+        return []
+    steps = sorted(set(lambdas))
+    seq = sequence(kind, steps[-1], max_mem_gib=max_mem_gib)
+    peaks = dict(zip(steps, prefix_max_correlations(seq, steps)))
+    return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
 
 
 def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:

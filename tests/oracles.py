@@ -85,6 +85,25 @@ def liouville_values(limit: int) -> np.ndarray:
     return out
 
 
+def trial_division_signs(n: int) -> tuple[int, int]:
+    """(moebius(n), liouville(n)) of one n >= 1 by trial division."""
+    omega_total = 0
+    squarefree = True
+    p = 2
+    while p * p <= n:
+        mult = 0
+        while n % p == 0:
+            n //= p
+            mult += 1
+        omega_total += mult
+        squarefree &= mult <= 1
+        p += 1
+    if n > 1:
+        omega_total += 1
+    liouville = -1 if omega_total % 2 else 1
+    return (liouville if squarefree else 0), liouville
+
+
 def von_mangoldt_values(limit: int) -> np.ndarray:
     """log p on prime powers, via direct enumeration of p^k <= limit."""
     out = np.zeros(limit, dtype=np.float64)

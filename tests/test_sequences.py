@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,41 @@ def test_liouville_complete_multiplicativity():
         assert vals[2 * n] == -vals[n]
         if 3 * n < (1 << 12):
             assert vals[3 * n] == -vals[n]
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 14, 16])
+def test_factor_pass_matches_oracle(lam):
+    n = 1 << lam
+    assert np.array_equal(sequence("moebius", lam).values, oracles.moebius_values(n))
+    assert np.array_equal(sequence("liouville", lam).values, oracles.liouville_values(n))
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_factor_pass_across_segment_boundaries(kind):
+    # 2^14 entries in 16 segments of 2^10; primes run to 127, so p^2 and
+    # prime-power levels straddle the boundaries
+    ref = {"moebius": oracles.moebius_values, "liouville": oracles.liouville_values}
+    seq = sequence(kind, 14, segment=1 << 10)
+    assert np.array_equal(seq.values, ref[kind](1 << 14))
+
+
+def test_factor_pass_spot_check_lambda_24():
+    rng = np.random.default_rng(24)
+    ns = np.concatenate([rng.integers(2, 1 << 24, size=300), [(1 << 24) - 1, 4093**2, 4099]])
+    mu = sequence("moebius", 24).values
+    lio = sequence("liouville", 24).values
+    for n in ns:
+        assert (mu[n], lio[n]) == oracles.trial_division_signs(int(n)), int(n)
+
+
+def test_dump_streams_without_copying_the_table(tmp_path):
+    seq = sequence("von_mangoldt", 20)
+    tracemalloc.start()
+    dump_sequence(seq, tmp_path / "vm.bin")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert np.array_equal(load_sequence(tmp_path / "vm.bin").values, seq.values)
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -227,6 +229,35 @@ def test_carry_low_rate_always_zero():
             s_bits=1, mu=mu, nu=mu + 4, rho=rho, epsilon=0.5, k_shift=k
         )
         assert carry_truncation_rate(cfg).low_rate == 0.0
+
+
+@pytest.mark.parametrize(
+    "mu,nu,rho,k_shift,epsilon",
+    [(3, 6, 2, 0, 0.5), (3, 7, 1, 3, 1.0), (4, 7, 0, 4, 0.5), (3, 6, 1, 0, 40.0)],
+)
+def test_carry_matches_naive_loop_grid(mu, nu, rho, k_shift, epsilon):
+    # epsilon 40 puts the first checked bit above the int64 sign bit
+    cfg = BilinearConfig(s_bits=1, mu=mu, nu=nu, rho=rho, epsilon=epsilon,
+                         k_shift=k_shift)
+    res = carry_truncation_rate(cfg)
+    if rho == 0:
+        assert res.total == 0
+        return
+    rate, low = oracles.naive_carry_rate(mu, nu, rho, epsilon, k_shift)
+    assert (res.rate, res.low_rate) == (rate, low)
+    assert res.total == (1 << (mu + nu)) * (2 * (1 << rho) - 2)
+
+
+def test_carry_blocked_anchor_and_bounded_memory():
+    # 128 m-rows in blocks of 8; counts are the whole-table implementation's
+    cfg = BilinearConfig(s_bits=0x6, mu=7, nu=14, rho=3, epsilon=0.5)
+    tracemalloc.start()
+    res = carry_truncation_rate(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (res.bad_count, res.low_count, res.total) == (5490688, 0, 29360128)
+    assert res.first_checked_bit == 12
+    assert peak < 4 << 20, peak
 
 
 def test_carry_report_bracket():

@@ -5,15 +5,21 @@ from hypothesis import strategies as st
 
 import oracles
 from walshlab import (
+    ArithmeticSequence,
     ResourceLimitError,
+    Spectrum,
     WalshMask,
+    correlation_report,
     custom_sequence,
     fwht_in_place,
     max_correlation,
+    prefix_max_correlations,
     sequence,
     spectrum,
+    theorem_scan,
     walsh_table,
 )
+from walshlab.fwht import _CHUNK
 
 
 def test_delta_transforms_to_all_ones():
@@ -149,3 +155,102 @@ def test_spot_consistency_with_walsh_eval(bits):
         )
     )
     assert spec.entries[bits] == direct
+
+
+# ---------------------------------------------------------------------------
+# int32 sign transform, chunked peak and the prefix scan
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 14])
+def test_int32_matches_int64_on_random_sign_tables(lam, rng):
+    for _ in range(4):
+        vals = rng.integers(-1, 2, size=1 << lam)
+        wide = vals.astype(np.int64)
+        narrow = vals.astype(np.int32)
+        fwht_in_place(wide)
+        fwht_in_place(narrow, block=8)
+        assert np.array_equal(narrow, wide)
+    if lam <= 10:
+        assert np.array_equal(narrow, oracles.naive_fwht(vals))
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_sign_spectrum_is_int32_and_equals_int64_at_lambda_20(kind):
+    seq = sequence(kind, 20)
+    spec = spectrum(seq)
+    wide = fwht_in_place(seq.values.astype(np.int64))
+    assert spec.entries.dtype == np.int32
+    assert np.array_equal(spec.entries, wide)
+    mask, value = max_correlation(seq)
+    idx = int(np.argmax(np.abs(wide)))
+    assert (mask.bits, value) == (idx, int(wide[idx]))
+
+
+def test_int32_overflow_precheck():
+    buf = np.full(1 << 4, 1 << 28, dtype=np.int32)
+    with pytest.raises(ResourceLimitError, match="32-bit"):
+        fwht_in_place(buf)
+
+
+def test_large_integer_tables_stay_int64():
+    vals = np.zeros(1 << 6, dtype=np.int64)
+    vals[3] = 1 << 40
+    spec = spectrum(ArithmeticSequence(6, "custom", vals))
+    assert spec.entries.dtype == np.int64
+    assert np.array_equal(spec.entries, oracles.naive_fwht(vals))
+
+
+def _tied_entries(lam, dtype, rng):
+    entries = rng.integers(-50, 51, size=1 << lam).astype(dtype)
+    # equal |values| of both signs, in several chunks, the first not the
+    # first in its chunk
+    ties = [_CHUNK + 17, 5, 3 * _CHUNK, _CHUNK + 16, (1 << lam) - 1]
+    for i, pos in enumerate(ties):
+        entries[pos] = 99 if i % 2 else -99
+    return entries
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_chunked_peak_matches_argmax_with_ties(dtype, rng):
+    lam = 18
+    entries = _tied_entries(lam, dtype, rng)
+    mask, value = Spectrum(lam, False, entries).peak()
+    expect = int(np.argmax(np.abs(entries)))
+    assert mask.bits == expect == 5
+    assert value == entries[expect] == 99
+    # a tie that sits only in later chunks still goes to the smallest mask
+    entries[5] = 0
+    mask, _ = Spectrum(lam, False, entries).peak()
+    assert mask.bits == int(np.argmax(np.abs(entries))) == _CHUNK + 16
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_prefix_scan_equals_per_lambda_reports(kind):
+    lambdas = list(range(2, 17))
+    scanned = theorem_scan(kind, lambdas)
+    direct = [correlation_report(sequence(kind, lam)) for lam in lambdas]
+    assert scanned == direct
+
+
+def test_prefix_scan_keeps_the_given_order():
+    lambdas = [13, 3, 9, 3, 17]
+    scanned = theorem_scan("moebius", lambdas)
+    assert [r.params["lambda"] for r in scanned] == lambdas
+    assert scanned == [correlation_report(sequence("moebius", lam)) for lam in lambdas]
+    assert theorem_scan("moebius", []) == []
+
+
+def test_prefix_max_correlations_reads_each_prefix():
+    seq = sequence("liouville", 12)
+    got = prefix_max_correlations(seq, [1, 4, 5, 12])
+    for lam, (mask, value) in zip([1, 4, 5, 12], got):
+        prefix = seq.values[: 1 << lam].astype(np.int64)
+        ref = oracles.naive_fwht(prefix)
+        idx = int(np.argmax(np.abs(ref)))
+        assert (mask.lam, mask.bits, value) == (lam, idx, int(ref[idx]))
+
+
+@pytest.mark.parametrize("lambdas", [[4, 4], [5, 3], [0, 3], [3, 13]])
+def test_prefix_max_correlations_rejects_bad_lambdas(lambdas):
+    with pytest.raises(ValueError, match="increase"):
+        prefix_max_correlations(sequence("moebius", 12), lambdas)
