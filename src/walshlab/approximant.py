@@ -56,11 +56,6 @@ class ApproximantConfig:
         return 1 << (self.t - 1)
 
     @property
-    def rho_internal(self) -> float:
-        # error bookkeeping splits the window at 2^((t-1)/2)
-        return (self.t - 1) / 2
-
-    @property
     def in_asymptotic_regime(self) -> bool:
         lo = self.regime_constant * math.log(self.lam) ** 2
         return lo < self.t < (self.lam - self.sigma) / 2

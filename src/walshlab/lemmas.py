@@ -9,8 +9,10 @@ Two regimes, matching what each inequality actually pins down:
   it stays inside an empirically frozen bracket.  The bracket defaults were
   confirmed against exhaustive sweeps before being frozen here.
 
-Checkers return CheckReport rows; run_scan drives seeded grids of them and
-appends one summary row.
+Each checker is a measurement (scalars taken from one mask's magnitude
+row) followed by a pure verdict that builds the CheckReport.  run_scan
+drives seeded grids: it builds each mask's row once per lam, hands every
+selected lemma its scalars, and appends one summary row.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .approximant import (
     l2_error,
 )
 from .walsh import (
-    FullRange,
     Interval,
     ResidueClass,
     WalshMask,
+    _row,
     all_mask_l1,
     all_mask_sup,
     l1_accumulate,
@@ -142,6 +144,9 @@ class ScanConfig:
             raise ValueError(
                 "exhaustive mask enumeration is only permitted for lam <= 14"
             )
+        _require_stream_lam(self.lambda_max)
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
         bad = [x for x in self.lemmas if x not in (1, 2, 3, 4, 5, 6)]
         if bad:
             raise ValueError(f"unknown lemma selectors {bad}")
@@ -173,22 +178,68 @@ def mask_family(config: ScanConfig, lam: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the six checkers
+# verdicts: pure functions of the measured scalars, shared by the per-mask
+# checkers and the scans (per-mask rows and exhaustive sweeps alike)
+
+
+def _l1_verdict(lam: int, bits: int, lhs: float, bracket: float | None) -> CheckReport:
+    bracket = DEFAULT_BRACKETS["L1"] if bracket is None else bracket
+    w = bits.bit_count()
+    params = {"lambda": lam, "mask": bits, "weight": w}
+    if w == 0:
+        # l1 of the constant character is 1; the bound degenerates to 1^0
+        params["degenerate"] = True
+        return CheckReport("L1", params, lhs, 1.0, _ratio(lhs, 1.0), None, True)
+    fitted = lhs ** (1.0 / w) / lam
+    rhs = (bracket * lam) ** w
+    return CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+
+
+def _l2_verdict(lam: int, bits: int, lhs: float, floor: float | None) -> CheckReport:
+    floor = DEFAULT_BRACKETS["L2"] if floor is None else floor
+    w = bits.bit_count()
+    params = {"lambda": lam, "mask": bits, "weight": w}
+    if bits in _CHARACTER_MASKS:
+        params["degenerate"] = True
+        fitted = None if w == 0 else -math.log2(lhs) / w
+        return CheckReport("L2", params, lhs, 1.0, _ratio(lhs, 1.0), fitted, True)
+    fitted = -math.log2(lhs) / w
+    rhs = 2.0 ** (-floor * w)
+    return CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted >= floor)
+
+
+def _l3_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
+    rhs = EXPLICIT_BASE ** (lam / 4.0)
+    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count()}
+    return CheckReport("L3", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+
+
+def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float,
+                bracket: float | None) -> CheckReport:
+    bracket = DEFAULT_BRACKETS["L4"] if bracket is None else bracket
+    scale = EXPLICIT_BASE ** ((lam - r) / 4.0)
+    fitted = lhs / scale
+    rhs = bracket * scale
+    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(), "r": r, "a": a}
+    return CheckReport("L4", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+
+
+def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckReport:
+    m = max(0, (hi - lo - 1).bit_length())  # ceil(log2 |J|), 0 for singletons
+    rhs = EXPLICIT_BASE ** (m / 4.0)
+    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(),
+              "j_lo": lo, "j_hi": hi, "m": m}
+    return CheckReport("L6", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+
+
+# ---------------------------------------------------------------------------
+# the six checkers: one measurement each, then the verdict
 
 
 def check_lemma1(lam: int, mask: WalshMask, bracket: float | None = None) -> CheckReport:
     """Full-range l1 norm against (C*lam)^|A| with fitted C."""
     _require_stream_lam(lam, mask)
-    bracket = DEFAULT_BRACKETS["L1"] if bracket is None else bracket
-    lhs = l1_accumulate(mask)
-    params = {"lambda": lam, "mask": mask.bits, "weight": mask.weight}
-    if mask.weight == 0:
-        # l1 of the constant character is 1; the bound degenerates to 1^0
-        params["degenerate"] = True
-        return CheckReport("L1", params, lhs, 1.0, _ratio(lhs, 1.0), None, True)
-    fitted = lhs ** (1.0 / mask.weight) / lam
-    rhs = (bracket * lam) ** mask.weight
-    return CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+    return _l1_verdict(lam, mask.bits, l1_accumulate(mask), bracket)
 
 
 def check_lemma2(lam: int, mask: WalshMask, floor: float | None = None) -> CheckReport:
@@ -199,25 +250,13 @@ def check_lemma2(lam: int, mask: WalshMask, floor: float | None = None) -> Check
     by convention with a degenerate flag, mirroring the empty-mask skip.
     """
     _require_stream_lam(lam, mask)
-    floor = DEFAULT_BRACKETS["L2"] if floor is None else floor
-    lhs = sup_norm(mask)
-    params = {"lambda": lam, "mask": mask.bits, "weight": mask.weight}
-    if mask.bits in _CHARACTER_MASKS:
-        params["degenerate"] = True
-        fitted = None if mask.weight == 0 else -math.log2(lhs) / mask.weight
-        return CheckReport("L2", params, lhs, 1.0, _ratio(lhs, 1.0), fitted, True)
-    fitted = -math.log2(lhs) / mask.weight
-    rhs = 2.0 ** (-floor * mask.weight)
-    return CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted >= floor)
+    return _l2_verdict(lam, mask.bits, sup_norm(mask), floor)
 
 
 def check_lemma3(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against the explicit bound (2+sqrt(2))^(lam/4)."""
     _require_stream_lam(lam, mask)
-    lhs = l1_accumulate(mask)
-    rhs = EXPLICIT_BASE ** (lam / 4.0)
-    params = {"lambda": lam, "mask": mask.bits, "weight": mask.weight}
-    return CheckReport("L3", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+    return _l3_verdict(lam, mask.bits, l1_accumulate(mask))
 
 
 def check_lemma4(
@@ -225,13 +264,8 @@ def check_lemma4(
 ) -> CheckReport:
     """Residue-class l1 norm, implied constant against (2+sqrt(2))^((lam-r)/4)."""
     _require_stream_lam(lam, mask)
-    bracket = DEFAULT_BRACKETS["L4"] if bracket is None else bracket
     lhs = l1_accumulate(mask, ResidueClass(a, r))
-    scale = EXPLICIT_BASE ** ((lam - r) / 4.0)
-    fitted = lhs / scale
-    rhs = bracket * scale
-    params = {"lambda": lam, "mask": mask.bits, "weight": mask.weight, "r": r, "a": a}
-    return CheckReport("L4", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+    return _l4_verdict(lam, r, a, mask.bits, lhs, bracket)
 
 
 def check_lemma5(
@@ -249,10 +283,15 @@ def check_lemma5(
     synthesized substitute keeps spectral support inside 2^(sigma+t), never
     exceeds the exact coefficients, and stays below sup norm 3.
     """
+    _require_stream_lam(config.lam, mask)
+    return _lemma5_audit(config, mask, l1_accumulate(mask), bracket, t_grid)
+
+
+def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
+                  bracket: float | None, t_grid: tuple) -> CheckReport:
+    """Lemma 5's report from the measured l1 norm; synthesizes the substitute."""
     bracket = DEFAULT_BRACKETS["L5"] if bracket is None else bracket
     lam, sigma = config.lam, config.sigma
-    _require_stream_lam(lam, mask)
-    lhs = l1_accumulate(mask)
     scale = (2.0**sigma) ** 0.25
     log_sq = math.log(lam) ** 2
     fitted = math.exp(math.log(max(lhs, 1e-300) / scale) / log_sq)
@@ -301,19 +340,7 @@ def check_lemma6(lam: int, lo: int, hi: int, mask: WalshMask) -> CheckReport:
     _require_stream_lam(lam, mask)
     if not 1 <= lo < hi <= (1 << lam):
         raise ValueError(f"interval [{lo}, {hi}) must be nonempty inside [1, 2^{lam})")
-    size = hi - lo
-    m = max(0, (size - 1).bit_length())  # ceil(log2 size), 0 for singletons
-    lhs = l1_accumulate(mask, Interval(lo, hi))
-    rhs = EXPLICIT_BASE ** (m / 4.0)
-    params = {
-        "lambda": lam,
-        "mask": mask.bits,
-        "weight": mask.weight,
-        "j_lo": lo,
-        "j_hi": hi,
-        "m": m,
-    }
-    return CheckReport("L6", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+    return _l6_verdict(lam, lo, hi, mask.bits, l1_accumulate(mask, Interval(lo, hi)))
 
 
 def _require_stream_lam(lam: int, mask: WalshMask | None = None):
@@ -342,100 +369,78 @@ def _fit_slope(grid, errors) -> float | None:
 # batch scans
 
 
-def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]:
-    masks = [WalshMask(b, lam) for b in mask_family(config, lam)]
-    reports: list[CheckReport] = []
-    if lemma == 1:
-        if config.mask_family == "all":
-            return _exhaustive_l1_reports(config, lam, "L1")
-        return [check_lemma1(lam, m, config.brackets.get("L1")) for m in masks]
-    if lemma == 2:
-        if config.mask_family == "all":
-            return _exhaustive_sup_reports(config, lam)
-        return [check_lemma2(lam, m, config.brackets.get("L2")) for m in masks]
-    if lemma == 3:
-        if config.mask_family == "all":
-            return _exhaustive_l1_reports(config, lam, "L3")
-        return [check_lemma3(lam, m) for m in masks]
-    if lemma == 4:
+def _draw_interval(rng, lam: int) -> tuple[int, int]:
+    lo = int(rng.integers(1, 1 << lam))
+    return lo, int(rng.integers(lo + 1, (1 << lam) + 1))
+
+
+def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
+    """The reports of each lemma in config.lemmas at one lam, in that order.
+
+    Measure once, judge many: each mask occurrence gets at most one row, and
+    every lemma takes its scalars from it (full sum for L1, L3 and L5, max
+    for L2, residue-class and interval slice sums for L4 and L6); only the
+    scalars outlive the mask.  The exhaustive family reads full sums and
+    maxima from the shared-prefix sweeps (the same floats).  The L4 and L6
+    draws come first, in the order of one check per (lemma, mask).
+    """
+    want = set(config.lemmas)
+    family = mask_family(config, lam)
+    # generators only where drawn: importing numpy.random adds ~5 MiB of RSS
+    rs, residues, intervals = [], [], [()] * len(family)
+    if 4 in want:
         rng = np.random.default_rng([config.seed, lam, 4])
-        for r in config.r_values:
-            if r >= lam:
-                continue
-            for m in masks:
-                a = int(rng.integers(0, 1 << r))
-                reports.append(check_lemma4(lam, r, a, m, config.brackets.get("L4")))
-        return reports
-    if lemma == 5:
-        sigma = min(4, lam - 6)
-        if sigma < 1:
-            return []
-        t = config.t_grid[len(config.t_grid) // 2]
-        acfg = ApproximantConfig(lam, sigma, t)
-        tail = [m for m in masks if not m.bits & ~acfg.tail_window_mask]
-        if config.mask_family != "all":
-            # scans cap the tail sweep at a canonical quartet
-            keep = {0, 1 << (lam - 1), (1 << (lam - 1)) | (1 << (lam - sigma)),
-                    acfg.tail_window_mask}
-            tail = [m for m in tail if m.bits in keep]
-        return [
-            check_lemma5(acfg, m, config.brackets.get("L5"), config.t_grid)
-            for m in tail
-        ]
-    if lemma == 6:
+        rs = [r for r in config.r_values if r < lam]
+        residues = [[int(rng.integers(0, 1 << r)) for _ in family] for r in rs]
+    if 6 in want:
         rng = np.random.default_rng([config.seed, lam, 6])
-        for m in masks:
-            for _ in range(config.intervals_per_mask):
-                lo = int(rng.integers(1, 1 << lam))
-                hi = int(rng.integers(lo + 1, (1 << lam) + 1))
-                reports.append(check_lemma6(lam, lo, hi, m))
-        return reports
-    raise ValueError(f"unknown lemma {lemma}")
+        intervals = [[_draw_interval(rng, lam) for _ in range(config.intervals_per_mask)]
+                     for _ in family]
+    acfg, tail, sigma = None, set(), min(4, lam - 6)
+    if 5 in want and sigma >= 1:
+        acfg = ApproximantConfig(lam, sigma, config.t_grid[len(config.t_grid) // 2])
+        # every tail mask in the exhaustive family, else a canonical quartet
+        high = 1 << (lam - 1)
+        tail = ({sub << (lam - sigma) for sub in range(1 << sigma)} if config.mask_family == "all"
+                else {0, high, high | (1 << (lam - sigma)), acfg.tail_window_mask})
+
+    br = config.brackets
+    sweep, want_full, want_top = config.mask_family == "all", bool(want & {1, 3}), 2 in want
+    fulls = all_mask_l1(lam).tolist() if sweep and want_full else [None] * len(family)
+    tops = all_mask_sup(lam).tolist() if sweep and want_top else [None] * len(family)
+    l4 = [[] for _ in rs]
+    l6 = []
+    for i, bits in enumerate(family):
+        full = fulls[i] is None and (want_full or bits in tail)
+        top = tops[i] is None and want_top
+        if not (full or top or rs or intervals[i]):
+            continue
+        row = _row(lam, bits)
+        if full:
+            fulls[i] = float(row.sum())
+        if top:
+            tops[i] = float(row.max())
+        for k, r in enumerate(rs):
+            a = residues[k][i]
+            l4[k].append(_l4_verdict(lam, r, a, bits, float(row[a::1 << r].sum()), br.get("L4")))
+        for lo, hi in intervals[i]:
+            l6.append(_l6_verdict(lam, lo, hi, bits, float(row[lo:hi].sum())))
+
+    judge = {
+        1: lambda: [_l1_verdict(lam, b, fulls[i], br.get("L1")) for i, b in enumerate(family)],
+        2: lambda: [_l2_verdict(lam, b, tops[i], br.get("L2")) for i, b in enumerate(family)],
+        3: lambda: [_l3_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
+        4: lambda: [rep for reps in l4 for rep in reps],
+        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i], br.get("L5"), config.t_grid)
+                    for i, b in enumerate(family) if b in tail],
+        6: lambda: list(l6),
+    }
+    return [judge[lemma]() for lemma in config.lemmas]
 
 
-def _exhaustive_l1_reports(config: ScanConfig, lam: int, which: str) -> list[CheckReport]:
-    """All-mask l1 checks through the shared-prefix sweep (identical floats
-    to the per-mask rows, far fewer multiplies)."""
-    norms = all_mask_l1(lam)
-    bracket = config.brackets.get("L1", DEFAULT_BRACKETS["L1"])
-    out = []
-    for bits in range(1 << lam):
-        lhs = float(norms[bits])
-        w = bits.bit_count()
-        params = {"lambda": lam, "mask": bits, "weight": w}
-        if which == "L3":
-            rhs = EXPLICIT_BASE ** (lam / 4.0)
-            out.append(CheckReport("L3", params, lhs, rhs, _ratio(lhs, rhs), None,
-                                   lhs <= rhs + EXPLICIT_TOL))
-        elif w == 0:
-            params["degenerate"] = True
-            out.append(CheckReport("L1", params, lhs, 1.0, _ratio(lhs, 1.0), None, True))
-        else:
-            fitted = lhs ** (1.0 / w) / lam
-            rhs = (bracket * lam) ** w
-            out.append(CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted,
-                                   fitted <= bracket))
-    return out
-
-
-def _exhaustive_sup_reports(config: ScanConfig, lam: int) -> list[CheckReport]:
-    sups = all_mask_sup(lam)
-    floor = config.brackets.get("L2", DEFAULT_BRACKETS["L2"])
-    out = []
-    for bits in range(1 << lam):
-        lhs = float(sups[bits])
-        w = bits.bit_count()
-        params = {"lambda": lam, "mask": bits, "weight": w}
-        if bits in _CHARACTER_MASKS:
-            params["degenerate"] = True
-            fitted = None if w == 0 else -math.log2(lhs) / w
-            out.append(CheckReport("L2", params, lhs, 1.0, _ratio(lhs, 1.0), fitted, True))
-        else:
-            fitted = -math.log2(lhs) / w
-            rhs = 2.0 ** (-floor * w)
-            out.append(CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted,
-                                   fitted >= floor))
-    return out
+def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]:
+    """One lemma's reports at one lam."""
+    return _scan_at(replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,)), lam)[0]
 
 
 def summarize(reports: list[CheckReport]) -> CheckReport:
@@ -454,11 +459,11 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
 
 
 def run_scan(config: ScanConfig) -> list[CheckReport]:
-    """Run every selected lemma over the grid; deterministic order; a
-    summary row is appended last."""
+    """Run every selected lemma over the grid; lam-major, then the order of
+    config.lemmas; a summary row is appended last."""
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
-        for lemma in config.lemmas:
-            reports.extend(scan_lemma_at(config, lemma, lam))
+        for part in _scan_at(config, lam):
+            reports.extend(part)
     reports.append(summarize(reports))
     return reports

@@ -94,8 +94,8 @@ def manifest_from_json(text: str) -> RunManifest:
     )
 
 
-def _compact_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_jsonable)
+# one encoder for every CSV row: json.dumps builds one per call given these arguments
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_jsonable).encode
 
 
 def emit_csv(reports) -> str:

@@ -113,11 +113,6 @@ class BilinearConfig:
             return np.ones(self.n_count, dtype=np.float64)
         return np.asarray(self.beta, dtype=np.float64)
 
-    def alpha_table(self) -> np.ndarray:
-        if self.alpha is None:
-            return np.ones(self.m_count, dtype=np.float64)
-        return np.asarray(self.alpha, dtype=np.float64)
-
 
 _COEFF_ROLES = {"alpha": 1, "beta": 2}
 
@@ -324,6 +319,8 @@ class SplitConfig:
             raise ValueError(f"mask {self.s_bits:#x} out of range for lam={self.lam}")
         if self.lam > 16:
             raise ValueError(f"split evaluation is capped at lam <= 16, got {self.lam}")
+        if self.mu < 1:
+            raise ValueError(f"mu must be >= 1, got {self.mu}")
         if self.h_param < 1:
             raise ValueError("h_param must be >= 1")
         if self.s2_weight > self.s2_cap:

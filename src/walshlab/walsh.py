@@ -246,9 +246,9 @@ def mask_sweep(lam: int, selector, reduce_fn) -> np.ndarray:
 
 def all_mask_l1(lam: int, selector=None) -> np.ndarray:
     """l1 norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange(), np.sum)
+    return mask_sweep(lam, selector or FullRange(), np.add.reduce)
 
 
 def all_mask_sup(lam: int, selector=None) -> np.ndarray:
     """Sup norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange(), np.max)
+    return mask_sweep(lam, selector or FullRange(), np.maximum.reduce)

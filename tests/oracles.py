@@ -14,6 +14,19 @@ import math
 
 import numpy as np
 
+from walshlab import (
+    ApproximantConfig,
+    WalshMask,
+    check_lemma1,
+    check_lemma2,
+    check_lemma3,
+    check_lemma4,
+    check_lemma5,
+    check_lemma6,
+    summarize,
+)
+from walshlab.lemmas import mask_family
+
 
 # ---------------------------------------------------------------------------
 # arithmetic functions via smallest-prime-factor factorization
@@ -321,3 +334,55 @@ def naive_carry_rate(mu: int, nu: int, rho: int, epsilon: float, k_shift: int):
                 if lowm:
                     low_bad += 1
     return bad / count, low_bad / count
+
+
+# ---------------------------------------------------------------------------
+# lemma scans, one public check per (lemma, mask): the arithmetic is the
+# package's own checkers, what this reference fixes is the scan's structure
+# (one row per check, the draw order, the report order)
+
+
+def per_mask_scan(config) -> list:
+    """run_scan's reports the slow way: every (lemma, mask) pair calls its
+    public check_lemmaN, which builds its own coefficient row, and the L4
+    and L6 draws come from fresh generators per (lam, lemma), drawn
+    r-major for L4 and mask-major for L6."""
+    reports = []
+    for lam in range(config.lambda_min, config.lambda_max + 1):
+        masks = [WalshMask(b, lam) for b in mask_family(config, lam)]
+        for lemma in config.lemmas:
+            if lemma == 1:
+                reports += [check_lemma1(lam, m, config.brackets.get("L1")) for m in masks]
+            elif lemma == 2:
+                reports += [check_lemma2(lam, m, config.brackets.get("L2")) for m in masks]
+            elif lemma == 3:
+                reports += [check_lemma3(lam, m) for m in masks]
+            elif lemma == 4:
+                rng = np.random.default_rng([config.seed, lam, 4])
+                for r in config.r_values:
+                    if r >= lam:
+                        continue
+                    for m in masks:
+                        a = int(rng.integers(0, 1 << r))
+                        reports.append(check_lemma4(lam, r, a, m, config.brackets.get("L4")))
+            elif lemma == 5:
+                sigma = min(4, lam - 6)
+                if sigma < 1:
+                    continue
+                acfg = ApproximantConfig(lam, sigma, config.t_grid[len(config.t_grid) // 2])
+                tail = [m for m in masks if not m.bits & ~acfg.tail_window_mask]
+                if config.mask_family != "all":
+                    keep = {0, 1 << (lam - 1), (1 << (lam - 1)) | (1 << (lam - sigma)),
+                            acfg.tail_window_mask}
+                    tail = [m for m in tail if m.bits in keep]
+                reports += [check_lemma5(acfg, m, config.brackets.get("L5"), config.t_grid)
+                            for m in tail]
+            elif lemma == 6:
+                rng = np.random.default_rng([config.seed, lam, 6])
+                for m in masks:
+                    for _ in range(config.intervals_per_mask):
+                        lo = int(rng.integers(1, 1 << lam))
+                        hi = int(rng.integers(lo + 1, (1 << lam) + 1))
+                        reports.append(check_lemma6(lam, lo, hi, m))
+    reports.append(summarize(reports))
+    return reports

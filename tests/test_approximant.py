@@ -30,7 +30,6 @@ def test_config_validation():
 def test_config_derived_quantities():
     cfg = ApproximantConfig(14, 4, 5)
     assert cfg.k1 == 16  # 2^(t-1)
-    assert cfg.rho_internal == 2.0
     assert cfg.tail_window_mask == (0b1111 << 10)
 
 

@@ -74,6 +74,30 @@ def test_value_error_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mu", ["0", "-2"])
+def test_split_rejects_nonpositive_mu(capsys, mu):
+    # mu < 1 puts the split at or above lam: S2 is empty and the check vacuous
+    code, out, err = run_cli(capsys, "split", "--mask", "0x3000", "--lambda", "14",
+                             "--mu", mu, "--h", "4")
+    assert code == 2 and out == ""
+    assert "mu must be >= 1" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_count_exits_two(capsys, count):
+    for argv in (("lemma-check", "--lemma", "1", "--lambda", "12"),
+                 ("scan", "--lambda-min", "8", "--lambda-max", "9")):
+        code, out, err = run_cli(capsys, *argv, "--count", count)
+        assert code == 2 and out == ""
+        assert f"count must be >= 1, got {count}" in err
+
+
+def test_scan_lambda_cap_exits_two(capsys):
+    code, out, err = run_cli(capsys, "scan", "--lambda-min", "12", "--lambda-max", "17")
+    assert code == 2 and out == ""
+    assert "per-mask coefficient rows are capped at lam <= 16, got 17" in err
+
+
 def test_resource_limit_exits_three(capsys):
     code, _, err = run_cli(capsys, "sieve", "--lambda", "99")
     assert code == 3

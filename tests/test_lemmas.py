@@ -1,8 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
+import walshlab.lemmas
+import walshlab.walsh
 from walshlab import (
     ApproximantConfig,
     CheckReport,
@@ -177,13 +181,13 @@ def test_mask_family_structured_includes_adversaries():
 
 
 def test_exhaustive_scan_matches_per_mask_checks():
-    cfg = ScanConfig(6, 6, mask_family="all", lemmas=(1,))
-    sweep = scan_lemma_at(cfg, 1, 6)
-    assert len(sweep) == 64
-    for rep in sweep[:8]:
-        direct = check_lemma1(6, WalshMask(rep.params["mask"], 6))
-        assert rep.lhs == direct.lhs
-        assert rep.passed == direct.passed
+    # whole reports for every mask, the degenerate and character masks included
+    for lam in (6, 8):
+        for lemma, check in ((1, check_lemma1), (2, check_lemma2), (3, check_lemma3)):
+            cfg = ScanConfig(lam, lam, mask_family="all", lemmas=(lemma,))
+            sweep = scan_lemma_at(cfg, lemma, lam)
+            direct = [check(lam, WalshMask(bits, lam)) for bits in range(1 << lam)]
+            assert sweep == direct, (lam, lemma)
 
 
 def test_exhaustive_scan_rejects_large_lambda():
@@ -201,6 +205,49 @@ def test_run_scan_appends_summary_and_is_deterministic():
     assert a[-1].lhs == 0.0  # failure count
     body = a[:-1]
     assert {r.lemma_id for r in body} == {"L1", "L3", "L6"}
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("family, lam_max, lemmas", [
+    ("random", 10, (1, 2, 3, 4, 5, 6)),
+    ("structured", 10, (1, 2, 3, 4, 5, 6)),
+    ("all", 7, (1, 2, 3, 4, 5, 6)),
+    ("random", 8, (6, 1, 4, 1, 2)),  # any order, repeats allowed
+])
+def test_run_scan_matches_per_mask_oracle(seed, family, lam_max, lemmas):
+    # count 64 at lam=6 repeats masks, and r=6 is skipped at lam=6
+    cfg = ScanConfig(6, lam_max, mask_family=family, count=64, seed=seed, lemmas=lemmas)
+    if family == "random":
+        assert len(set(mask_family(cfg, 6))) < 64
+    assert run_scan(cfg) == oracles.per_mask_scan(cfg)
+
+
+def _count_rows(monkeypatch) -> Counter:
+    built = Counter()
+    row = walshlab.walsh._row
+
+    def counting_row(lam, bits):
+        built[lam] += 1
+        return row(lam, bits)
+
+    monkeypatch.setattr(walshlab.walsh, "_row", counting_row)
+    monkeypatch.setattr(walshlab.lemmas, "_row", counting_row, raising=False)
+    return built
+
+
+def test_scan_builds_one_row_per_mask_occurrence(monkeypatch):
+    built = _count_rows(monkeypatch)
+    cfg = ScanConfig(8, 10, count=16, seed=5, lemmas=(1, 2, 3, 4, 6))
+    reports = run_scan(cfg)
+    assert built == {8: 16, 9: 16, 10: 16}
+    assert len(reports) == 3 * 16 * (3 + 3 + 4) + 1
+
+
+def test_scan_rejects_oversized_lambda_before_any_row(monkeypatch):
+    built = _count_rows(monkeypatch)
+    with pytest.raises(ValueError, match="lam <= 16, got 17"):
+        run_scan(ScanConfig(12, 17))
+    assert not built
 
 
 def test_summarize_counts_failures():
@@ -222,6 +269,11 @@ def test_scan_config_validation():
         ScanConfig(8, 8, mask_family="everything")
     with pytest.raises(ValueError):
         ScanConfig(8, 8, lemmas=(7,))
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="count"):
+            ScanConfig(8, 8, count=count)
+    with pytest.raises(ValueError, match="lam <= 16"):
+        ScanConfig(12, 17)
 
 
 def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():

@@ -322,6 +322,10 @@ def test_split_caps():
         SplitConfig(s_bits=(1 << 14) - 1, lam=14, mu=7, h_param=1, s2_cap=8)
     with pytest.raises(ValueError, match="2\\^20"):
         SplitConfig(s_bits=1 << 13, lam=14, mu=1, h_param=21)
+    # mu < 1 would put the whole mask in S1 and pass vacuously
+    for mu in (0, -2):
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            SplitConfig(s_bits=1 << 13, lam=14, mu=mu, h_param=4)
 
 
 def test_split_frozen_anchor():
