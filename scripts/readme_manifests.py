@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Run the README's example commands and keep every output they make.
+
+Each `walshlab ...` line of the README's command block (plus any --also
+command) runs in this process through `walshlab.cli.dispatch`, in its own
+directory OUT_DIR/NN, which then holds the command line (`argv`), the exit
+code (`code`), stdout (`stdout`), stderr (`stderr`) and whatever file the
+command wrote with a relative --out.  Two runs of different checkouts are
+byte-identical in every output when `diff -r` between their OUT_DIRs is
+empty:
+
+    PYTHONPATH=src python3 scripts/readme_manifests.py /tmp/new --seed 7919 \\
+        --also "scan --lambda-min 6 --lambda-max 9 --masks all"
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import shlex
+import sys
+from pathlib import Path
+
+from walshlab.cli import dispatch
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands(text: str) -> list[str]:
+    """The `walshlab` lines of the first code block under "Command line",
+    without the program name and trailing comments."""
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line.split("#", 1)[0].strip()[len("walshlab "):]
+            for line in block.splitlines() if line.startswith("walshlab ")]
+
+
+def run(command: str, workdir: Path) -> None:
+    workdir.mkdir(parents=True)
+    argv = shlex.split(command)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    finally:
+        os.chdir(cwd)
+    (workdir / "argv").write_text(command + "\n")
+    (workdir / "code").write_text(f"{code}\n")
+    (workdir / "stdout").write_text(out.getvalue())
+    (workdir / "stderr").write_text(err.getvalue())
+    print(f"{code}  {command}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out_dir", type=Path)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="append --seed N to every command")
+    ap.add_argument("--also", action="append", default=[], metavar="COMMAND",
+                    help="one more command to run after the README's (repeatable)")
+    args = ap.parse_args()
+    if args.out_dir.exists():
+        sys.exit(f"{args.out_dir} already exists")
+    commands = readme_commands(README.read_text()) + args.also
+    suffix = "" if args.seed is None else f" --seed {args.seed}"
+    for i, command in enumerate(commands):
+        run(command + suffix, args.out_dir.resolve() / f"{i:02d}")
+
+
+if __name__ == "__main__":
+    main()

@@ -28,15 +28,14 @@ class ApproximantConfig:
 
     t sets the cutoff scale K1 = 2^(t-1); the mollifier passes frequencies
     below K1*2^sigma untouched and zeroes them from 2*K1*2^sigma on.  The
-    asymptotic analysis wants regime_constant*(ln lam)^2 < t < (lam-sigma)/2,
-    which no desk-scale lam satisfies; in_asymptotic_regime records the
+    asymptotic analysis wants C*(ln lam)^2 < t < (lam-sigma)/2, here with
+    C = 1, which no desk-scale lam satisfies; in_asymptotic_regime records the
     verdict instead of enforcing it so small instances stay constructible.
     """
 
     lam: int
     sigma: int
     t: int
-    regime_constant: float = 1.0
 
     def __post_init__(self):
         if self.lam < 1:
@@ -57,8 +56,7 @@ class ApproximantConfig:
 
     @property
     def in_asymptotic_regime(self) -> bool:
-        lo = self.regime_constant * math.log(self.lam) ** 2
-        return lo < self.t < (self.lam - self.sigma) / 2
+        return math.log(self.lam) ** 2 < self.t < (self.lam - self.sigma) / 2
 
     @property
     def tail_window_mask(self) -> int:

@@ -5,8 +5,8 @@ to --out as JSON/CSV picked by --format or the file extension.  `sieve
 --out table.bin` writes the binary sequence dump instead and keeps the
 manifest on stdout.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-3 resource limit.
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (a
+run with nothing to check included), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -123,21 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bilinear_config(args) -> BilinearConfig:
-    return BilinearConfig(
-        s_bits=args.mask,
-        mu=args.mu,
-        nu=args.nu,
-        rho=args.rho,
-        k_shift=args.k_shift,
-        epsilon=args.epsilon,
-        alpha=coefficient_table(args.coef, 1 << args.mu, args.seed, "alpha"),
-        beta=coefficient_table(args.coef, 1 << args.nu, args.seed, "beta"),
-    )
-
-
-def _sieve_reports(args, max_mem):
-    seq = sequence(args.kind, args.lam, max_mem_gib=max_mem)
+def _sieve_reports(args):
+    seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
     total = float(seq.values.sum())
     lhs = abs(total)
     n = float(1 << args.lam)
@@ -149,11 +136,12 @@ def _sieve_reports(args, max_mem):
         "nonzero": int(np.count_nonzero(seq.values)),
     }
     report = CheckReport("SIEVE", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)
-    return seq, [report]
+    dump = args.out is not None and args.out.suffix == ".bin"
+    return [report], seq if dump else None
 
 
-def _spectrum_reports(args, max_mem):
-    seq = sequence(args.kind, args.lam, max_mem_gib=max_mem)
+def _spectrum_reports(args):
+    seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
     mask, value = max_correlation(seq)
     lhs = float(abs(value))
     rhs = float(np.abs(seq.values).sum())
@@ -164,90 +152,78 @@ def _spectrum_reports(args, max_mem):
         "peak_weight": mask.weight,
         "peak_value": float(value),
     }
-    return [CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
+    report = CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)
+    return [report], None
+
+
+def _theorem_scan(args):
+    lo, hi = args.lambda_min, args.lambda_max
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad lambda range [{lo}, {hi}]")
+    return hi, lambda: (
+        theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib), None)
+
+
+def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
+    """lemma-check and scan; a run with nothing to check is an error, not a
+    vacuous pass."""
+    def run():
+        reports = scan(ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
+                                  count=args.count, seed=args.seed, lemmas=lemmas))
+        if all(r.lemma_id == "SUMMARY" for r in reports):
+            raise ValueError(
+                f"lemma {','.join(map(str, lemmas))} has no check on the "
+                f"{args.masks} mask family at lambda {lo}" + (f"..{hi}" if hi > lo else "")
+            )
+        return reports, None
+
+    return hi, run
+
+
+def _bilinear(args, report):
+    # the config is validated before the table guard runs
+    cfg = BilinearConfig(
+        s_bits=args.mask,
+        mu=args.mu,
+        nu=args.nu,
+        rho=args.rho,
+        k_shift=args.k_shift,
+        epsilon=args.epsilon,
+        alpha=coefficient_table(args.coef, 1 << args.mu, args.seed, "alpha"),
+        beta=coefficient_table(args.coef, 1 << args.nu, args.seed, "beta"),
+    )
+    return cfg.lam, lambda: ([report(cfg)], None)
+
+
+# subcommand -> prepare(args), which returns the lambda its table guard
+# charges and a run() giving (reports, AWS1 payload or None)
+_COMMANDS = {
+    "sieve": lambda a: (a.lam, lambda: _sieve_reports(a)),
+    "spectrum": lambda a: (a.lam, lambda: _spectrum_reports(a)),
+    "theorem-scan": _theorem_scan,
+    "lemma-check": lambda a: _lemma_scan(
+        a, a.lam, a.lam, (a.lemma,), lambda c: scan_lemma_at(c, a.lemma, a.lam)),
+    "scan": lambda a: _lemma_scan(a, a.lambda_min, a.lambda_max, a.lemmas, run_scan),
+    "bilinear": lambda a: _bilinear(a, cauchy_schwarz_chain),
+    "quadform": lambda a: _bilinear(a, quadform_report),
+    "carry-rate": lambda a: _bilinear(a, carry_report),
+    "type1": lambda a: (a.mu + a.nu, lambda: ([type1_report(a.mask, a.mu, a.nu)], None)),
+    "split": lambda a: (a.lam, lambda: ([split_report(SplitConfig(
+        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))], None)),
+}
+
+# parsed arguments that route output rather than shape the run
+_NOT_CONFIG = ("command", "out", "format", "max_mem_gib")
 
 
 def _run(args):
     """Returns (manifest, binary_payload or None)."""
-    max_mem = args.max_mem_gib
-    command = args.command
-    config: dict = {"seed": args.seed}
-    binary_out = None
-
-    if command in ("sieve", "spectrum"):
-        require_table_bytes(args.lam, max_mem_gib=max_mem, what=f"{command} table")
-        config.update(lam=args.lam, kind=args.kind)
-        if command == "sieve":
-            seq, reports = _sieve_reports(args, max_mem)
-            if args.out is not None and args.out.suffix == ".bin":
-                binary_out = seq
-        else:
-            reports = _spectrum_reports(args, max_mem)
-    elif command == "theorem-scan":
-        lo, hi = args.lambda_min, args.lambda_max
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad lambda range [{lo}, {hi}]")
-        require_table_bytes(hi, max_mem_gib=max_mem, what="theorem-scan table")
-        config.update(lambda_min=lo, lambda_max=hi, kind=args.kind)
-        reports = theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=max_mem)
-    elif command == "lemma-check":
-        require_table_bytes(args.lam, max_mem_gib=max_mem, what="lemma-check table")
-        config.update(lemma=args.lemma, lam=args.lam, masks=args.masks, count=args.count)
-        scan = ScanConfig(
-            lambda_min=args.lam,
-            lambda_max=args.lam,
-            mask_family=args.masks,
-            count=args.count,
-            seed=args.seed,
-            lemmas=(args.lemma,),
-        )
-        reports = scan_lemma_at(scan, args.lemma, args.lam)
-    elif command == "scan":
-        lo, hi = args.lambda_min, args.lambda_max
-        require_table_bytes(hi, max_mem_gib=max_mem, what="scan table")
-        config.update(
-            lambda_min=lo, lambda_max=hi, masks=args.masks,
-            count=args.count, lemmas=list(args.lemmas),
-        )
-        reports = run_scan(
-            ScanConfig(
-                lambda_min=lo,
-                lambda_max=hi,
-                mask_family=args.masks,
-                count=args.count,
-                seed=args.seed,
-                lemmas=args.lemmas,
-            )
-        )
-    elif command in ("bilinear", "quadform", "carry-rate"):
-        cfg = _bilinear_config(args)
-        require_table_bytes(cfg.lam, max_mem_gib=max_mem, what=f"{command} table")
-        config.update(
-            mask=cfg.s_bits, mu=cfg.mu, nu=cfg.nu, rho=cfg.rho,
-            k_shift=cfg.k_shift, epsilon=cfg.epsilon, coef=args.coef,
-        )
-        if command == "bilinear":
-            reports = [cauchy_schwarz_chain(cfg)]
-        elif command == "quadform":
-            reports = [quadform_report(cfg)]
-        else:
-            reports = [carry_report(cfg)]
-    elif command == "type1":
-        require_table_bytes(args.mu + args.nu, max_mem_gib=max_mem, what="type1 table")
-        config.update(mask=args.mask, mu=args.mu, nu=args.nu)
-        reports = [type1_report(args.mask, args.mu, args.nu)]
-    elif command == "split":
-        require_table_bytes(args.lam, max_mem_gib=max_mem, what="split table")
-        config.update(mask=args.mask, lam=args.lam, mu=args.mu, h_param=args.h_param)
-        reports = [
-            split_report(SplitConfig(s_bits=args.mask, lam=args.lam, mu=args.mu,
-                                     h_param=args.h_param))
-        ]
-    else:  # pragma: no cover - argparse rejects unknown commands first
-        raise ValueError(f"unknown command {command!r}")
-
+    lam, run = _COMMANDS[args.command](args)
+    require_table_bytes(lam, max_mem_gib=args.max_mem_gib, what=f"{args.command} table")
+    reports, binary_out = run()
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     manifest = RunManifest(
-        command=command, config=config, seed=args.seed, reports=tuple(reports)
+        command=args.command, config=config, seed=args.seed, reports=tuple(reports)
     )
     return manifest, binary_out
 

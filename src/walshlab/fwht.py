@@ -27,12 +27,10 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Dense table of correlations (raw) or coefficients (normalized),
-    indexed by mask bits.  Raw entries of an integer table are int32 or
-    int64, as the transform ran."""
+    """Dense table of raw correlations, indexed by mask bits.  Entries of an
+    integer table are int32 or int64, as the transform ran."""
 
     lam: int
-    normalized: bool
     entries: np.ndarray
 
     def peak(self) -> tuple[WalshMask, float]:
@@ -132,13 +130,10 @@ def _transform_buffer(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def spectrum(seq: ArithmeticSequence, normalized: bool = False) -> Spectrum:
+def spectrum(seq: ArithmeticSequence) -> Spectrum:
     """Correlation table of a sequence against every Walsh function."""
     require_table_bytes(seq.lam, 8, what="transform buffer")
-    buf = fwht_in_place(_transform_buffer(seq.values))
-    if normalized:
-        return Spectrum(seq.lam, True, buf / float(1 << seq.lam))
-    return Spectrum(seq.lam, False, buf)
+    return Spectrum(seq.lam, fwht_in_place(_transform_buffer(seq.values)))
 
 
 def _sign_values(seq: ArithmeticSequence) -> np.ndarray:
@@ -161,9 +156,7 @@ def max_correlation(seq: ArithmeticSequence) -> tuple[WalshMask, int]:
     transform is exact integer arithmetic.
     """
     vals = _sign_values(seq)
-    mask, value = spectrum(
-        ArithmeticSequence(seq.lam, seq.kind, vals), normalized=False
-    ).peak()
+    mask, value = spectrum(ArithmeticSequence(seq.lam, seq.kind, vals)).peak()
     return mask, int(value)
 
 
@@ -190,6 +183,6 @@ def prefix_max_correlations(
             )
         _stages(buf, done, lam)
         done = lam
-        mask, value = Spectrum(lam, False, buf[: 1 << lam]).peak()
+        mask, value = Spectrum(lam, buf[: 1 << lam]).peak()
         peaks.append((mask, int(value)))
     return peaks

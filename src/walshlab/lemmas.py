@@ -6,7 +6,7 @@ Two regimes, matching what each inequality actually pins down:
   closed form with no free constant, so pass means lhs <= rhs + 1e-9, hard.
 * fitted-constant checks (lemmas 1, 2, 4, 5): the inequality only claims
   "some constant"; the checker computes the implied constant and passes if
-  it stays inside an empirically frozen bracket.  The bracket defaults were
+  it stays inside an empirically frozen bracket.  The brackets were
   confirmed against exhaustive sweeps before being frozen here.
 
 Each checker is a measurement (scalars taken from one mask's magnitude
@@ -18,7 +18,7 @@ selected lemma its scalars, and appends one summary row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,12 @@ DEFAULT_BRACKETS = {
     "L4": 4.0,    # residue-class implied constant maxes at 0.9228 on the grid
     "L5": 10.0,   # tail-mask fitted C maxes at 1.27 at (lam=14, sigma=4)
 }
+
+# the scan grid: L4 residue moduli 2^r, the L5 audit's t values (the
+# approximant itself uses the middle one), L6 intervals drawn per mask
+R_VALUES = (2, 4, 6)
+T_GRID = (3, 4, 5)
+INTERVALS_PER_MASK = 4
 
 # masks whose Walsh function is itself an additive character: the empty mask
 # (the constant 1) and the lone lowest bit, whose sign function is exactly
@@ -126,10 +132,6 @@ class ScanConfig:
     count: int = 64
     seed: int = 0
     lemmas: tuple = (1, 2, 3, 4, 5, 6)
-    r_values: tuple = (2, 4, 6)
-    t_grid: tuple = (3, 4, 5)
-    intervals_per_mask: int = 4
-    brackets: dict = field(default_factory=lambda: dict(DEFAULT_BRACKETS))
 
     def __post_init__(self):
         if self.lambda_min < 1:
@@ -182,8 +184,7 @@ def mask_family(config: ScanConfig, lam: int) -> list[int]:
 # checkers and the scans (per-mask rows and exhaustive sweeps alike)
 
 
-def _l1_verdict(lam: int, bits: int, lhs: float, bracket: float | None) -> CheckReport:
-    bracket = DEFAULT_BRACKETS["L1"] if bracket is None else bracket
+def _l1_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     w = bits.bit_count()
     params = {"lambda": lam, "mask": bits, "weight": w}
     if w == 0:
@@ -191,12 +192,12 @@ def _l1_verdict(lam: int, bits: int, lhs: float, bracket: float | None) -> Check
         params["degenerate"] = True
         return CheckReport("L1", params, lhs, 1.0, _ratio(lhs, 1.0), None, True)
     fitted = lhs ** (1.0 / w) / lam
-    rhs = (bracket * lam) ** w
-    return CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+    rhs = (DEFAULT_BRACKETS["L1"] * lam) ** w
+    return CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted,
+                       fitted <= DEFAULT_BRACKETS["L1"])
 
 
-def _l2_verdict(lam: int, bits: int, lhs: float, floor: float | None) -> CheckReport:
-    floor = DEFAULT_BRACKETS["L2"] if floor is None else floor
+def _l2_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     w = bits.bit_count()
     params = {"lambda": lam, "mask": bits, "weight": w}
     if bits in _CHARACTER_MASKS:
@@ -204,8 +205,9 @@ def _l2_verdict(lam: int, bits: int, lhs: float, floor: float | None) -> CheckRe
         fitted = None if w == 0 else -math.log2(lhs) / w
         return CheckReport("L2", params, lhs, 1.0, _ratio(lhs, 1.0), fitted, True)
     fitted = -math.log2(lhs) / w
-    rhs = 2.0 ** (-floor * w)
-    return CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted >= floor)
+    rhs = 2.0 ** (-DEFAULT_BRACKETS["L2"] * w)
+    return CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted,
+                       fitted >= DEFAULT_BRACKETS["L2"])
 
 
 def _l3_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
@@ -214,14 +216,13 @@ def _l3_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     return CheckReport("L3", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
 
 
-def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float,
-                bracket: float | None) -> CheckReport:
-    bracket = DEFAULT_BRACKETS["L4"] if bracket is None else bracket
+def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float) -> CheckReport:
     scale = EXPLICIT_BASE ** ((lam - r) / 4.0)
     fitted = lhs / scale
-    rhs = bracket * scale
+    rhs = DEFAULT_BRACKETS["L4"] * scale
     params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(), "r": r, "a": a}
-    return CheckReport("L4", params, lhs, rhs, _ratio(lhs, rhs), fitted, fitted <= bracket)
+    return CheckReport("L4", params, lhs, rhs, _ratio(lhs, rhs), fitted,
+                       fitted <= DEFAULT_BRACKETS["L4"])
 
 
 def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckReport:
@@ -236,13 +237,13 @@ def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckRepor
 # the six checkers: one measurement each, then the verdict
 
 
-def check_lemma1(lam: int, mask: WalshMask, bracket: float | None = None) -> CheckReport:
+def check_lemma1(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against (C*lam)^|A| with fitted C."""
     _require_stream_lam(lam, mask)
-    return _l1_verdict(lam, mask.bits, l1_accumulate(mask), bracket)
+    return _l1_verdict(lam, mask.bits, l1_accumulate(mask))
 
 
-def check_lemma2(lam: int, mask: WalshMask, floor: float | None = None) -> CheckReport:
+def check_lemma2(lam: int, mask: WalshMask) -> CheckReport:
     """Coefficient sup norm against 2^(-c|A|) with fitted decay exponent c.
 
     The two character masks are excluded from the fit: their sup norm is
@@ -250,7 +251,7 @@ def check_lemma2(lam: int, mask: WalshMask, floor: float | None = None) -> Check
     by convention with a degenerate flag, mirroring the empty-mask skip.
     """
     _require_stream_lam(lam, mask)
-    return _l2_verdict(lam, mask.bits, sup_norm(mask), floor)
+    return _l2_verdict(lam, mask.bits, sup_norm(mask))
 
 
 def check_lemma3(lam: int, mask: WalshMask) -> CheckReport:
@@ -259,21 +260,14 @@ def check_lemma3(lam: int, mask: WalshMask) -> CheckReport:
     return _l3_verdict(lam, mask.bits, l1_accumulate(mask))
 
 
-def check_lemma4(
-    lam: int, r: int, a: int, mask: WalshMask, bracket: float | None = None
-) -> CheckReport:
+def check_lemma4(lam: int, r: int, a: int, mask: WalshMask) -> CheckReport:
     """Residue-class l1 norm, implied constant against (2+sqrt(2))^((lam-r)/4)."""
     _require_stream_lam(lam, mask)
     lhs = l1_accumulate(mask, ResidueClass(a, r))
-    return _l4_verdict(lam, r, a, mask.bits, lhs, bracket)
+    return _l4_verdict(lam, r, a, mask.bits, lhs)
 
 
-def check_lemma5(
-    config: ApproximantConfig,
-    mask: WalshMask,
-    bracket: float | None = None,
-    t_grid: tuple = (3, 4, 5),
-) -> CheckReport:
+def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
     """Aggregated tail-mask audit: coefficient mass, substitute quality,
     and band limits.
 
@@ -284,31 +278,27 @@ def check_lemma5(
     exceeds the exact coefficients, and stays below sup norm 3.
     """
     _require_stream_lam(config.lam, mask)
-    return _lemma5_audit(config, mask, l1_accumulate(mask), bracket, t_grid)
+    return _lemma5_audit(config, mask, l1_accumulate(mask))
 
 
-def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
-                  bracket: float | None, t_grid: tuple) -> CheckReport:
-    """Lemma 5's report from the measured l1 norm; synthesizes the substitute."""
-    bracket = DEFAULT_BRACKETS["L5"] if bracket is None else bracket
+def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> CheckReport:
+    """Lemma 5's report from the measured l1 norm; synthesizes the substitute
+    once per t (config.t is normally on the grid and reuses its copy)."""
     lam, sigma = config.lam, config.sigma
     scale = (2.0**sigma) ** 0.25
     log_sq = math.log(lam) ** 2
     fitted = math.exp(math.log(max(lhs, 1e-300) / scale) / log_sq)
-    rhs = scale * bracket**log_sq
+    rhs = scale * DEFAULT_BRACKETS["L5"] ** log_sq
 
-    grid = tuple(t for t in t_grid if sigma + t <= lam - 1)
-    errors = []
-    for t in grid:
-        ap = build_approximant(mask, replace(config, t=t))
-        errors.append(l2_error(ap))
+    grid = tuple(t for t in T_GRID if sigma + t <= lam - 1)
+    approx = {t: build_approximant(mask, replace(config, t=t)) for t in grid}
+    errors = [l2_error(approx[t]) for t in grid]
     slope = _fit_slope(grid, errors)
-
-    ap = build_approximant(mask, config)
+    ap = approx[config.t] if config.t in approx else build_approximant(mask, config)
     profile = band_profile(ap)
 
     sub_ok = {
-        "fitted_in_bracket": fitted <= bracket,
+        "fitted_in_bracket": fitted <= DEFAULT_BRACKETS["L5"],
         "error_slope_negative": slope is None or slope < 0.0,
         "support_clean": profile["support_leak"] <= EXPLICIT_TOL,
         "dominated": profile["domination_excess"] <= EXPLICIT_TOL,
@@ -390,21 +380,20 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
     rs, residues, intervals = [], [], [()] * len(family)
     if 4 in want:
         rng = np.random.default_rng([config.seed, lam, 4])
-        rs = [r for r in config.r_values if r < lam]
+        rs = [r for r in R_VALUES if r < lam]
         residues = [[int(rng.integers(0, 1 << r)) for _ in family] for r in rs]
     if 6 in want:
         rng = np.random.default_rng([config.seed, lam, 6])
-        intervals = [[_draw_interval(rng, lam) for _ in range(config.intervals_per_mask)]
+        intervals = [[_draw_interval(rng, lam) for _ in range(INTERVALS_PER_MASK)]
                      for _ in family]
     acfg, tail, sigma = None, set(), min(4, lam - 6)
     if 5 in want and sigma >= 1:
-        acfg = ApproximantConfig(lam, sigma, config.t_grid[len(config.t_grid) // 2])
+        acfg = ApproximantConfig(lam, sigma, T_GRID[len(T_GRID) // 2])
         # every tail mask in the exhaustive family, else a canonical quartet
         high = 1 << (lam - 1)
         tail = ({sub << (lam - sigma) for sub in range(1 << sigma)} if config.mask_family == "all"
                 else {0, high, high | (1 << (lam - sigma)), acfg.tail_window_mask})
 
-    br = config.brackets
     sweep, want_full, want_top = config.mask_family == "all", bool(want & {1, 3}), 2 in want
     fulls = all_mask_l1(lam).tolist() if sweep and want_full else [None] * len(family)
     tops = all_mask_sup(lam).tolist() if sweep and want_top else [None] * len(family)
@@ -422,16 +411,16 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
             tops[i] = float(row.max())
         for k, r in enumerate(rs):
             a = residues[k][i]
-            l4[k].append(_l4_verdict(lam, r, a, bits, float(row[a::1 << r].sum()), br.get("L4")))
+            l4[k].append(_l4_verdict(lam, r, a, bits, float(row[a::1 << r].sum())))
         for lo, hi in intervals[i]:
             l6.append(_l6_verdict(lam, lo, hi, bits, float(row[lo:hi].sum())))
 
     judge = {
-        1: lambda: [_l1_verdict(lam, b, fulls[i], br.get("L1")) for i, b in enumerate(family)],
-        2: lambda: [_l2_verdict(lam, b, tops[i], br.get("L2")) for i, b in enumerate(family)],
+        1: lambda: [_l1_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
+        2: lambda: [_l2_verdict(lam, b, tops[i]) for i, b in enumerate(family)],
         3: lambda: [_l3_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
         4: lambda: [rep for reps in l4 for rep in reps],
-        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i], br.get("L5"), config.t_grid)
+        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i])
                     for i, b in enumerate(family) if b in tail],
         6: lambda: list(l6),
     }

@@ -10,7 +10,7 @@ the implied constants are measured, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,11 @@ from .approximant import _synthesize
 from .fwht import max_correlation, prefix_max_correlations
 from .lemmas import CheckReport, _ratio
 from .sieve import ArithmeticSequence, sequence
-from .walsh import magnitude_row, sup_norm, walsh_signs, walsh_table, WalshMask
+from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
 SPLIT_BRACKET = 8.0   # measured L1 truncation error stays below 2.1 * 2^(-H)
-FREQ_BRACKET = 4.0
+S2_CAP = 8            # largest high-half weight a split accepts
 
 
 @dataclass(frozen=True)
@@ -258,46 +258,6 @@ def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     return CarryResult(bad / total, low / total, bad, low, total, first_bad)
 
 
-@dataclass(frozen=True)
-class FrequencyTestResult:
-    value: float
-    bound: float        # N * M^2 * lam^2 * sup|coefficients|
-    threshold: float
-    vacuous: bool
-
-
-def frequency_test_count(
-    s_bits: int, lam: int, mu: int, threshold: float | None = None
-) -> FrequencyTestResult:
-    """N * sum over m ~ M, k < 2^lam of |w^_S(k)| [dist(km/2^lam) < thr].
-
-    dist is the distance to the nearest integer.  N is the complementary
-    dyadic scale 2^(lam-mu); thr defaults to lam^2/N.  A threshold >= 1/2
-    makes the indicator vacuous (dist never exceeds 1/2) and the sum
-    collapses to N * M * l1-norm.
-    """
-    if lam > 16:
-        raise ValueError(f"frequency streaming is capped at lam <= 16, got {lam}")
-    n_scale = 1 << (lam - mu)
-    thr = (lam * lam) / n_scale if threshold is None else float(threshold)
-    mask = WalshMask(s_bits, lam)
-    ks = np.arange(1 << lam, dtype=np.int64)
-    mags = magnitude_row(lam, s_bits, ks)
-    ms = np.arange(1 << mu, 1 << (mu + 1), dtype=np.int64)
-    vacuous = thr >= 0.5
-    total = 0.0
-    for mv in ms:
-        if vacuous:
-            total += float(mags.sum())
-            continue
-        r = (ks * mv) & ((1 << lam) - 1)
-        dist = np.minimum(r, (1 << lam) - r) / float(1 << lam)
-        total += float(mags[dist < thr].sum())
-    value = n_scale * total
-    bound = n_scale * float(1 << mu) ** 2 * lam * lam * sup_norm(mask)
-    return FrequencyTestResult(value, bound, thr, vacuous)
-
-
 # ---------------------------------------------------------------------------
 # spectral split of a mask into low and high halves
 
@@ -305,14 +265,13 @@ def frequency_test_count(
 @dataclass(frozen=True)
 class SplitConfig:
     """Split S into S1 (positions below lam-2mu) and S2 (the rest); the S2
-    factor product is truncated to its 2^H dominant modes per factor."""
+    factor product is truncated to its 2^H dominant modes per factor.
+    |S2| is capped at S2_CAP."""
 
     s_bits: int
     lam: int
     mu: int
     h_param: int
-    s2_cap: int = 8
-    regime_constant: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.s_bits < (1 << self.lam):
@@ -323,10 +282,8 @@ class SplitConfig:
             raise ValueError(f"mu must be >= 1, got {self.mu}")
         if self.h_param < 1:
             raise ValueError("h_param must be >= 1")
-        if self.s2_weight > self.s2_cap:
-            raise ValueError(
-                f"|S2| = {self.s2_weight} exceeds the cap {self.s2_cap}"
-            )
+        if self.s2_weight > S2_CAP:
+            raise ValueError(f"|S2| = {self.s2_weight} exceeds the cap {S2_CAP}")
         if self.h_param * self.s2_weight > 20:
             raise ValueError("truncated frequency set would exceed 2^20 tuples")
 
@@ -348,7 +305,7 @@ class SplitConfig:
 
     @property
     def advisories(self) -> list[str]:
-        if self.s2_weight >= self.regime_constant * self.h_param:
+        if self.s2_weight >= self.h_param:
             return ["high-half weight is not small next to H (|S2| >= C*H)"]
         return []
 
@@ -513,11 +470,11 @@ def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
                        value <= rhs + 1e-9)
 
 
-def carry_report(config: BilinearConfig, bracket: float = CARRY_BRACKET) -> CheckReport:
-    """Measured carry-escape rate against bracket * 2^(-eps*rho)."""
+def carry_report(config: BilinearConfig) -> CheckReport:
+    """Measured carry-escape rate against CARRY_BRACKET * 2^(-eps*rho)."""
     res = carry_truncation_rate(config)
     scale = 2.0 ** (-config.epsilon * config.rho)
-    rhs = bracket * scale
+    rhs = CARRY_BRACKET * scale
     params = {
         "lambda": config.lam,
         "mask": config.s_bits,
@@ -538,11 +495,11 @@ def carry_report(config: BilinearConfig, bracket: float = CARRY_BRACKET) -> Chec
                        fitted, passed)
 
 
-def split_report(config: SplitConfig, bracket: float = SPLIT_BRACKET) -> CheckReport:
-    """Truncation L1 error against bracket * 2^(-H), with the size cap."""
+def split_report(config: SplitConfig) -> CheckReport:
+    """Truncation L1 error against SPLIT_BRACKET * 2^(-H), with the size cap."""
     res = spectral_split(config)
     scale = 2.0 ** (-config.h_param)
-    rhs = bracket * scale
+    rhs = SPLIT_BRACKET * scale
     params = {
         "lambda": config.lam,
         "mask": config.s_bits,
@@ -558,23 +515,3 @@ def split_report(config: SplitConfig, bracket: float = SPLIT_BRACKET) -> CheckRe
     passed = res.l1_error <= rhs and len(res.frequencies) <= res.size_cap
     return CheckReport("SPLIT", params, res.l1_error, rhs,
                        _ratio(res.l1_error, rhs), fitted, passed)
-
-
-def frequency_report(
-    s_bits: int, lam: int, mu: int, threshold: float | None = None,
-    bracket: float = FREQ_BRACKET,
-) -> CheckReport:
-    """Weighted near-integer frequency count against its spectral bound."""
-    res = frequency_test_count(s_bits, lam, mu, threshold)
-    rhs = bracket * res.bound
-    params = {
-        "lambda": lam,
-        "mask": s_bits,
-        "mu": mu,
-        "threshold": res.threshold,
-        "vacuous": res.vacuous,
-        "spectral_bound": res.bound,
-    }
-    fitted = _ratio(res.value, res.bound)
-    return CheckReport("SPECTRUM", params, res.value, rhs,
-                       _ratio(res.value, rhs), fitted, res.value <= rhs + 1e-9)

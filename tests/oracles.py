@@ -25,7 +25,7 @@ from walshlab import (
     check_lemma6,
     summarize,
 )
-from walshlab.lemmas import mask_family
+from walshlab.lemmas import INTERVALS_PER_MASK, R_VALUES, T_GRID, mask_family
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +352,34 @@ def per_mask_scan(config) -> list:
         masks = [WalshMask(b, lam) for b in mask_family(config, lam)]
         for lemma in config.lemmas:
             if lemma == 1:
-                reports += [check_lemma1(lam, m, config.brackets.get("L1")) for m in masks]
+                reports += [check_lemma1(lam, m) for m in masks]
             elif lemma == 2:
-                reports += [check_lemma2(lam, m, config.brackets.get("L2")) for m in masks]
+                reports += [check_lemma2(lam, m) for m in masks]
             elif lemma == 3:
                 reports += [check_lemma3(lam, m) for m in masks]
             elif lemma == 4:
                 rng = np.random.default_rng([config.seed, lam, 4])
-                for r in config.r_values:
+                for r in R_VALUES:
                     if r >= lam:
                         continue
                     for m in masks:
                         a = int(rng.integers(0, 1 << r))
-                        reports.append(check_lemma4(lam, r, a, m, config.brackets.get("L4")))
+                        reports.append(check_lemma4(lam, r, a, m))
             elif lemma == 5:
                 sigma = min(4, lam - 6)
                 if sigma < 1:
                     continue
-                acfg = ApproximantConfig(lam, sigma, config.t_grid[len(config.t_grid) // 2])
+                acfg = ApproximantConfig(lam, sigma, T_GRID[len(T_GRID) // 2])
                 tail = [m for m in masks if not m.bits & ~acfg.tail_window_mask]
                 if config.mask_family != "all":
                     keep = {0, 1 << (lam - 1), (1 << (lam - 1)) | (1 << (lam - sigma)),
                             acfg.tail_window_mask}
                     tail = [m for m in tail if m.bits in keep]
-                reports += [check_lemma5(acfg, m, config.brackets.get("L5"), config.t_grid)
-                            for m in tail]
+                reports += [check_lemma5(acfg, m) for m in tail]
             elif lemma == 6:
                 rng = np.random.default_rng([config.seed, lam, 6])
                 for m in masks:
-                    for _ in range(config.intervals_per_mask):
+                    for _ in range(INTERVALS_PER_MASK):
                         lo = int(rng.integers(1, 1 << lam))
                         hi = int(rng.integers(lo + 1, (1 << lam) + 1))
                         reports.append(check_lemma6(lam, lo, hi, m))

@@ -129,6 +129,66 @@ def test_bad_lemma_list_exits_two(capsys):
     assert code == 2
 
 
+def test_lemma_check_without_checks_exits_two(capsys):
+    # lemma 5 audits only tail masks, which 8 random draws at lam=12 miss
+    code, out, err = run_cli(capsys, "lemma-check", "--lemma", "5", "--lambda", "12",
+                             "--count", "8")
+    assert code == 2 and out == ""
+    assert "error: lemma 5 has no check on the random mask family at lambda 12" in err
+
+
+def test_scan_without_checks_exits_two(capsys):
+    # below lam=7 the lemma-5 window is empty, so only the summary row is left
+    code, out, err = run_cli(capsys, "scan", "--lambda-min", "5", "--lambda-max", "6",
+                             "--lemmas", "5")
+    assert code == 2 and out == ""
+    assert "error: lemma 5 has no check on the random mask family at lambda 5..6" in err
+
+
+# every subcommand once: the exact manifest config and its table guard
+SUBCOMMAND_CONFIGS = [
+    ("sieve --lambda 8 --kind liouville --seed 3",
+     {"kind": "liouville", "lam": 8, "seed": 3}),
+    ("sieve --lambda 8 --out table.bin",
+     {"kind": "moebius", "lam": 8, "seed": 0}),
+    ("spectrum --lambda 8",
+     {"kind": "moebius", "lam": 8, "seed": 0}),
+    ("theorem-scan --lambda-min 8 --lambda-max 10 --kind liouville",
+     {"kind": "liouville", "lambda_max": 10, "lambda_min": 8, "seed": 0}),
+    ("lemma-check --lemma 3 --lambda 8 --masks structured",
+     {"count": 64, "lam": 8, "lemma": 3, "masks": "structured", "seed": 0}),
+    ("scan --lambda-min 8 --lambda-max 9 --count 4 --lemmas 3,1",
+     {"count": 4, "lambda_max": 9, "lambda_min": 8, "lemmas": [3, 1],
+      "masks": "random", "seed": 0}),
+    ("bilinear --mask 0x6 --mu 4 --nu 6 --coef random --seed 5",
+     {"coef": "random", "epsilon": 0.5, "k_shift": 0, "mask": 6, "mu": 4, "nu": 6,
+      "rho": 1, "seed": 5}),
+    ("quadform --mask 0x6 --mu 4 --nu 6 --rho 2 --k-shift 2",
+     {"coef": "ones", "epsilon": 0.5, "k_shift": 2, "mask": 6, "mu": 4, "nu": 6,
+      "rho": 2, "seed": 0}),
+    ("carry-rate --mask 0x6 --mu 4 --nu 6 --rho 2 --epsilon 0.25",
+     {"coef": "ones", "epsilon": 0.25, "k_shift": 0, "mask": 6, "mu": 4, "nu": 6,
+      "rho": 2, "seed": 0}),
+    ("type1 --mask 0x6 --mu 4 --nu 6",
+     {"mask": 6, "mu": 4, "nu": 6, "seed": 0}),
+    ("split --mask 0x3000 --lambda 14 --mu 1 --h 4",
+     {"h_param": 4, "lam": 14, "mask": 12288, "mu": 1, "seed": 0}),
+]
+
+
+@pytest.mark.parametrize("command, config", SUBCOMMAND_CONFIGS,
+                         ids=[c for c, _ in SUBCOMMAND_CONFIGS])
+def test_subcommand_config_and_guard(capsys, tmp_path, monkeypatch, command, config):
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config
+    code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "1e-9")
+    assert code == 3 and out == ""
+    assert f"resource limit: {argv[0]} table at lambda=" in err
+
+
 # ---------------------------------------------------------------------------
 # per-subcommand smoke runs
 

@@ -15,20 +15,17 @@ from walshlab import (
     cauchy_schwarz_chain,
     coefficient_table,
     correlation_report,
-    frequency_report,
-    frequency_test_count,
     quadform_report,
     sequence,
     shifted_quadratic_form,
     spectral_split,
     split_report,
-    sup_norm,
     theorem_scan,
     type1_report,
     type1_sum,
     walsh_table,
 )
-from walshlab.walsh import WalshMask, l1_accumulate
+from walshlab.walsh import WalshMask
 
 
 # ---------------------------------------------------------------------------
@@ -274,37 +271,6 @@ def test_carry_zero_shifts_defined():
 
 
 # ---------------------------------------------------------------------------
-# frequency test
-
-
-def test_frequency_vacuous_threshold_collapses_to_l1():
-    lam, mu, s = 10, 2, 0b1100
-    res = frequency_test_count(s, lam, mu, threshold=0.75)
-    assert res.vacuous
-    n_scale = 1 << (lam - mu)
-    expect = n_scale * (1 << mu) * l1_accumulate(WalshMask(s, lam))
-    assert res.value == pytest.approx(expect, rel=1e-12)
-
-
-def test_frequency_default_threshold_and_bound():
-    res = frequency_test_count(0b1011 << 4, 12, 3)
-    assert res.threshold == pytest.approx(144 / (1 << 9))
-    assert not res.vacuous
-    assert res.value <= res.bound
-
-
-def test_frequency_report_passes():
-    rep = frequency_report(0b1011 << 4, 12, 3)
-    assert rep.passed
-    assert rep.lemma_id == "SPECTRUM"
-
-
-def test_frequency_lambda_cap():
-    with pytest.raises(ValueError):
-        frequency_test_count(1, 17, 3)
-
-
-# ---------------------------------------------------------------------------
 # spectral split
 
 
@@ -319,7 +285,7 @@ def test_split_config_partition():
 def test_split_caps():
     # mu=7 pushes the split position to 0, so all 14 set bits land in S2
     with pytest.raises(ValueError, match="cap"):
-        SplitConfig(s_bits=(1 << 14) - 1, lam=14, mu=7, h_param=1, s2_cap=8)
+        SplitConfig(s_bits=(1 << 14) - 1, lam=14, mu=7, h_param=1)
     with pytest.raises(ValueError, match="2\\^20"):
         SplitConfig(s_bits=1 << 13, lam=14, mu=1, h_param=21)
     # mu < 1 would put the whole mask in S1 and pass vacuously

@@ -108,15 +108,14 @@ def test_overflow_precheck():
 def test_spectrum_normalized_indicator():
     lam, bits = 6, 0b10110
     seq = custom_sequence(lam, walsh_table(WalshMask(bits, lam)).astype(np.float64))
-    spec = spectrum(seq, normalized=True)
-    assert spec.normalized
-    assert spec.entries[bits] == pytest.approx(1.0)
-    assert np.abs(np.delete(spec.entries, bits)).max() < 1e-12
+    entries = spectrum(seq).entries / float(1 << lam)
+    assert entries[bits] == pytest.approx(1.0)
+    assert np.abs(np.delete(entries, bits)).max() < 1e-12
 
 
 def test_spectrum_raw_constant():
     seq = custom_sequence(3, np.ones(8))
-    spec = spectrum(seq, normalized=False)
+    spec = spectrum(seq)
     assert spec.entries[0] == 8 and not np.asarray(spec.entries[1:]).any()
 
 
@@ -147,7 +146,7 @@ def test_max_correlation_rejects_wide_values():
 @given(st.integers(0, (1 << 10) - 1))
 def test_spot_consistency_with_walsh_eval(bits):
     seq = sequence("liouville", 10)
-    spec = spectrum(seq, normalized=False)
+    spec = spectrum(seq)
     direct = int(
         np.dot(
             seq.values.astype(np.int64),
@@ -214,13 +213,13 @@ def _tied_entries(lam, dtype, rng):
 def test_chunked_peak_matches_argmax_with_ties(dtype, rng):
     lam = 18
     entries = _tied_entries(lam, dtype, rng)
-    mask, value = Spectrum(lam, False, entries).peak()
+    mask, value = Spectrum(lam, entries).peak()
     expect = int(np.argmax(np.abs(entries)))
     assert mask.bits == expect == 5
     assert value == entries[expect] == 99
     # a tie that sits only in later chunks still goes to the smallest mask
     entries[5] = 0
-    mask, _ = Spectrum(lam, False, entries).peak()
+    mask, _ = Spectrum(lam, entries).peak()
     assert mask.bits == int(np.argmax(np.abs(entries))) == _CHUNK + 16
 
 
