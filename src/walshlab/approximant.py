@@ -71,15 +71,11 @@ class SampledApproximant:
     mask: WalshMask
 
 
-def trapezoid_eta(z, k1: int, sigma: int):
+def trapezoid_eta(z: np.ndarray, k1: int, sigma: int) -> np.ndarray:
     """Even trapezoid: 1 below k1*2^sigma, 0 from 2*k1*2^sigma, linear ramp
-    between.  Accepts scalars or arrays."""
+    between, at every entry of z."""
     a = float(k1 * (1 << sigma))
-    az = np.abs(np.asarray(z, dtype=np.float64))
-    out = np.clip((2.0 * a - az) / a, 0.0, 1.0)
-    if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return np.clip((2.0 * a - np.abs(z)) / a, 0.0, 1.0)
 
 
 def _window_frequencies(lam: int, half_width: int) -> np.ndarray:

@@ -142,7 +142,7 @@ def _sieve_reports(args):
 
 def _spectrum_reports(args):
     seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
-    mask, value = max_correlation(seq)
+    mask, value = max_correlation(seq, max_mem_gib=args.max_mem_gib)
     lhs = float(abs(value))
     rhs = float(np.abs(seq.values).sum())
     params = {
@@ -165,14 +165,16 @@ def _theorem_scan(args):
 
 
 def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
-    """lemma-check and scan; a run with nothing to check is an error, not a
-    vacuous pass."""
+    """lemma-check and scan; a selected lemma with nothing to check is an
+    error, not a vacuous pass."""
     def run():
         reports = scan(ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
                                   count=args.count, seed=args.seed, lemmas=lemmas))
-        if all(r.lemma_id == "SUMMARY" for r in reports):
+        checked = {r.lemma_id for r in reports}
+        missing = [str(k) for k in lemmas if f"L{k}" not in checked]
+        if missing:
             raise ValueError(
-                f"lemma {','.join(map(str, lemmas))} has no check on the "
+                f"lemma {','.join(missing)} has no check on the "
                 f"{args.masks} mask family at lambda {lo}" + (f"..{hi}" if hi > lo else "")
             )
         return reports, None
@@ -189,8 +191,7 @@ def _bilinear(args, report):
         rho=args.rho,
         k_shift=args.k_shift,
         epsilon=args.epsilon,
-        alpha=coefficient_table(args.coef, 1 << args.mu, args.seed, "alpha"),
-        beta=coefficient_table(args.coef, 1 << args.nu, args.seed, "beta"),
+        beta=coefficient_table(args.coef, 1 << args.nu, args.seed),
     )
     return cfg.lam, lambda: ([report(cfg)], None)
 

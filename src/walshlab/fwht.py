@@ -65,12 +65,10 @@ def _stage(view: np.ndarray, h: int, tmp: np.ndarray) -> None:
             np.copyto(b, t)
 
 
-def _stages(
-    buffer: np.ndarray, first: int, last: int, block: int = DEFAULT_BLOCK
-) -> None:
+def _stages(buffer: np.ndarray, first: int, last: int) -> None:
     """Butterfly stages first..last-1 (stage s has span 2^s), in place.
 
-    Stages with span below the block run to completion inside each
+    Stages with span below DEFAULT_BLOCK run to completion inside each
     contiguous block before the next block is touched (the low stages are
     where the locality is); the remaining stages sweep the full array.
     After stages 0..s-1 every aligned block of 2^s entries holds the
@@ -78,7 +76,7 @@ def _stages(
     """
     n = len(buffer)
     tmp = np.empty(min(_CHUNK, n), dtype=buffer.dtype)
-    b = min(block, n)
+    b = min(DEFAULT_BLOCK, n)
     split = min(max(b.bit_length() - 1, first), last)
     if first < split:
         for lo in range(0, n, b):
@@ -93,7 +91,7 @@ def _magnitude_bound(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
-def fwht_in_place(buffer: np.ndarray, block: int = DEFAULT_BLOCK) -> np.ndarray:
+def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly over a power-of-two buffer.
 
     Integer buffers (int32 or int64) are checked for overflow first; stage
@@ -114,10 +112,7 @@ def fwht_in_place(buffer: np.ndarray, block: int = DEFAULT_BLOCK) -> np.ndarray:
         raise TypeError(
             f"transform needs an int32, int64 or float64 buffer, got {buffer.dtype}"
         )
-    b = min(block, n)
-    if b & (b - 1):
-        raise ValueError(f"block size {block} is not a power of two")
-    _stages(buffer, 0, n.bit_length() - 1, b)
+    _stages(buffer, 0, n.bit_length() - 1)
     return buffer
 
 
@@ -130,9 +125,9 @@ def _transform_buffer(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def spectrum(seq: ArithmeticSequence) -> Spectrum:
+def spectrum(seq: ArithmeticSequence, max_mem_gib: float | None = None) -> Spectrum:
     """Correlation table of a sequence against every Walsh function."""
-    require_table_bytes(seq.lam, 8, what="transform buffer")
+    require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
     return Spectrum(seq.lam, fwht_in_place(_transform_buffer(seq.values)))
 
 
@@ -149,19 +144,21 @@ def _sign_values(seq: ArithmeticSequence) -> np.ndarray:
     return vals
 
 
-def max_correlation(seq: ArithmeticSequence) -> tuple[WalshMask, int]:
+def max_correlation(
+    seq: ArithmeticSequence, max_mem_gib: float | None = None
+) -> tuple[WalshMask, int]:
     """Argmax mask and signed value of the raw correlation table.
 
     Only defined for sign tables (entries in {-1, 0, 1}), where the raw
     transform is exact integer arithmetic.
     """
     vals = _sign_values(seq)
-    mask, value = spectrum(ArithmeticSequence(seq.lam, seq.kind, vals)).peak()
+    mask, value = spectrum(ArithmeticSequence(seq.lam, seq.kind, vals), max_mem_gib).peak()
     return mask, int(value)
 
 
 def prefix_max_correlations(
-    seq: ArithmeticSequence, lambdas
+    seq: ArithmeticSequence, lambdas, max_mem_gib: float | None = None
 ) -> list[tuple[WalshMask, int]]:
     """max_correlation of each prefix table seq.values[:2^lam], from one
     transform of the whole table.
@@ -171,7 +168,7 @@ def prefix_max_correlations(
     peak is read there before the next stage runs.  lambdas must increase
     strictly and lie in 1..seq.lam.
     """
-    require_table_bytes(seq.lam, 8, what="transform buffer")
+    require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
     buf = _transform_buffer(_sign_values(seq))
     peaks = []
     done = 0

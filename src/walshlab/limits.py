@@ -9,6 +9,7 @@ variable.
 
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_MAX_MEM_GIB = 2.0
@@ -26,13 +27,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def resolve_max_mem_gib(explicit: float | None = None) -> float:
-    """Budget resolution order: explicit argument, environment, default."""
-    if explicit is not None:
-        return float(explicit)
-    env = os.environ.get(ENV_MAX_MEM)
-    if env:
-        return float(env)
-    return DEFAULT_MAX_MEM_GIB
+    """Budget resolution order: explicit argument, environment, default.
+    A budget that is not a finite positive number raises ValueError."""
+    if explicit is None:
+        explicit = os.environ.get(ENV_MAX_MEM) or DEFAULT_MAX_MEM_GIB
+    gib = float(explicit)
+    if not (math.isfinite(gib) and gib > 0):
+        raise ValueError(
+            f"memory budget must be a finite positive GiB count, got {explicit!r} "
+            f"(--max-mem-gib or {ENV_MAX_MEM})"
+        )
+    return gib
 
 
 def require_table_bytes(

@@ -6,8 +6,9 @@ so identical runs produce byte-identical output.  CSV is a lossy tabular
 projection for plotting: per-check params are flattened into one JSON
 string column because they are heterogeneous across lemmas.
 
-Timestamps stay None in recorded manifests; wall-clock values would break
-the byte-identity guarantee that the determinism tests pin.
+Every manifest is stamped with the package version and null started /
+finished timestamps; wall-clock values would break the byte-identity
+guarantee that the determinism tests pin.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class RunManifest:
     config: dict
     seed: int
     reports: tuple
-    artifact_version: str = __version__
-    started: str | None = None
-    finished: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "reports", tuple(self.reports))
@@ -73,9 +71,9 @@ def manifest_to_json(manifest: RunManifest) -> str:
         "command": manifest.command,
         "config": manifest.config,
         "seed": manifest.seed,
-        "artifact_version": manifest.artifact_version,
-        "started": manifest.started,
-        "finished": manifest.finished,
+        "artifact_version": __version__,
+        "started": None,
+        "finished": None,
         "reports": [r.as_dict() for r in manifest.reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
@@ -88,9 +86,6 @@ def manifest_from_json(text: str) -> RunManifest:
         config=payload["config"],
         seed=payload["seed"],
         reports=tuple(report_from_dict(d) for d in payload["reports"]),
-        artifact_version=payload["artifact_version"],
-        started=payload["started"],
-        finished=payload["finished"],
     )
 
 

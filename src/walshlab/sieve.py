@@ -65,7 +65,7 @@ def _first_multiple(lo: int, step: int) -> int:
     return ((lo + step - 1) // step) * step
 
 
-def _factor_pass(lam: int, squarefree: bool, segment: int) -> np.ndarray:
+def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
     """Liouville signs on [0, 2^lam), or Moebius signs when squarefree.
 
     Each segment keeps a signed product of its entries' small prime factors:
@@ -81,8 +81,8 @@ def _factor_pass(lam: int, squarefree: bool, segment: int) -> np.ndarray:
     dtype = np.int32 if n <= 1 << 31 else np.int64
     primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
     out = np.zeros(n, dtype=np.int8)
-    for lo in range(0, n, segment):
-        hi = min(lo + segment, n)
+    for lo in range(0, n, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, n)
         prod = np.ones(hi - lo, dtype=dtype)
         for p in primes:
             pk, factor = p, -p
@@ -106,33 +106,21 @@ def _factor_pass(lam: int, squarefree: bool, segment: int) -> np.ndarray:
     return out
 
 
-def sieve_moebius(
-    lam: int,
-    segment: int = DEFAULT_SEGMENT,
-    max_mem_gib: float | None = None,
-) -> ArithmeticSequence:
+def sieve_moebius(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Moebius table on [0, 2^lam): the shared factor pass with the p^2
     level zeroing every non-squarefree entry."""
     require_table_bytes(lam, 8, max_mem_gib, what="moebius table")
-    return ArithmeticSequence(lam, "moebius", _factor_pass(lam, True, segment))
+    return ArithmeticSequence(lam, "moebius", _factor_pass(lam, True))
 
 
-def sieve_liouville(
-    lam: int,
-    segment: int = DEFAULT_SEGMENT,
-    max_mem_gib: float | None = None,
-) -> ArithmeticSequence:
+def sieve_liouville(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Liouville table: (-1)^Omega(n) with multiplicity, from the shared
     factor pass with every prime-power level counted."""
     require_table_bytes(lam, 8, max_mem_gib, what="liouville table")
-    return ArithmeticSequence(lam, "liouville", _factor_pass(lam, False, segment))
+    return ArithmeticSequence(lam, "liouville", _factor_pass(lam, False))
 
 
-def sieve_von_mangoldt(
-    lam: int,
-    segment: int = DEFAULT_SEGMENT,
-    max_mem_gib: float | None = None,
-) -> ArithmeticSequence:
+def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere.
 
     Small-prime powers are stamped directly; primes above sqrt(max) are the
@@ -142,8 +130,8 @@ def sieve_von_mangoldt(
     n = 1 << lam
     primes = _primes_upto(math.isqrt(n - 1))
     out = np.zeros(n, dtype=np.float64)
-    for lo in range(0, n, segment):
-        hi = min(lo + segment, n)
+    for lo in range(0, n, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, n)
         composite = np.zeros(hi - lo, dtype=bool)
         for p in primes:
             p = int(p)
@@ -178,16 +166,11 @@ _SIEVES = {
 }
 
 
-def sequence(
-    kind: str,
-    lam: int,
-    segment: int = DEFAULT_SEGMENT,
-    max_mem_gib: float | None = None,
-) -> ArithmeticSequence:
+def sequence(kind: str, lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Dispatch to the named sieve."""
     if kind not in _SIEVES:
         raise ValueError(f"no sieve for kind {kind!r}")
-    return _SIEVES[kind](lam, segment=segment, max_mem_gib=max_mem_gib)
+    return _SIEVES[kind](lam, max_mem_gib=max_mem_gib)
 
 
 def custom_sequence(lam: int, values) -> ArithmeticSequence:

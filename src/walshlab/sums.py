@@ -32,8 +32,9 @@ class BilinearConfig:
     s_bits is read in the lam+2 = mu+nu+2 bit ambient width.  L = 2^rho
     shifts of scale 2^K must stay inside the inner range (L * 2^K < N).
     K is admissible when it is 0 or mu-rho <= K < lam-mu-rho (half-open).
-    Coefficient tables alpha (length M) and beta (length N) are bounded by
-    1 in absolute value; None means all-ones.
+    The inner coefficient table beta (length N) is bounded by 1 in absolute
+    value; None means all-ones.  Outer coefficients need no table: they
+    enter every sum only through |alpha| <= 1.
     """
 
     s_bits: int
@@ -43,7 +44,6 @@ class BilinearConfig:
     k_shift: int = 0
     epsilon: float = 0.5
     beta: np.ndarray | None = None
-    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         if not 1 <= self.mu <= self.nu:
@@ -66,16 +66,13 @@ class BilinearConfig:
                 f"shift span L*2^K = {self.shift_count << self.k_shift} "
                 f"must stay below N = {self.n_count}"
             )
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        for name, table, count in (("alpha", self.alpha, self.m_count),
-                                   ("beta", self.beta, self.n_count)):
-            if table is None:
-                continue
-            if len(table) != count:
-                raise ValueError(f"{name} must have length {count}")
-            if np.abs(np.asarray(table, dtype=np.float64)).max() > 1.0 + 1e-12:
-                raise ValueError(f"{name} entries must satisfy |.| <= 1")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.beta is not None:
+            if len(self.beta) != self.n_count:
+                raise ValueError(f"beta must have length {self.n_count}")
+            if np.abs(np.asarray(self.beta, dtype=np.float64)).max() > 1.0 + 1e-12:
+                raise ValueError("beta entries must satisfy |.| <= 1")
 
     @property
     def lam(self) -> int:
@@ -114,15 +111,14 @@ class BilinearConfig:
         return np.asarray(self.beta, dtype=np.float64)
 
 
-_COEFF_ROLES = {"alpha": 1, "beta": 2}
-
-
-def coefficient_table(kind: str, count: int, seed: int, role: str) -> np.ndarray | None:
-    """Generator for alpha/beta tables: all-ones or seeded signs."""
+def coefficient_table(kind: str, count: int, seed: int) -> np.ndarray | None:
+    """Generator for beta tables: all-ones or seeded signs."""
     if kind == "ones":
         return None
     if kind == "random":
-        rng = np.random.default_rng([seed, _COEFF_ROLES[role], count])
+        # key [seed, 2, count]: the 2 once told beta from alpha, and stays so
+        # each seed draws the signs it always did (perfbench's oracle redraws them)
+        rng = np.random.default_rng([seed, 2, count])
         return (rng.integers(0, 2, size=count) * 2 - 1).astype(np.float64)
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
@@ -152,17 +148,11 @@ def bilinear_sum(config: BilinearConfig) -> float:
     return total
 
 
-def type1_sum(s_bits: int, mu: int, nu: int) -> float:
-    """sum over m ~ M of |sum over n ~ N of w_S(mn)| (all-ones inner table)."""
-    return bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu))
-
-
 @dataclass(frozen=True)
 class QuadFormResult:
     value: float
     clipped_terms: int
     prefactor: float  # the M*N/L factor, reported alongside, never multiplied in
-    config: BilinearConfig
 
 
 def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
@@ -203,7 +193,7 @@ def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
         dots = (base[skip:] * rows).sum(axis=1, dtype=np.int64)
         total += int(np.abs(dots).sum())
     prefactor = config.m_count * config.n_count / big_l
-    return QuadFormResult(float(total), clipped, prefactor, config)
+    return QuadFormResult(float(total), clipped, prefactor)
 
 
 @dataclass(frozen=True)
@@ -316,7 +306,6 @@ class SplitResult:
     coefficients: np.ndarray   # complex, aligned with frequencies
     l1_error: float            # mean |truncation - w_{S2}| over x < 2^lam
     size_cap: int              # 2^(H |S2|)
-    config: SplitConfig
 
 
 def _square_wave_modes(h_param: int) -> list[tuple[int, complex]]:
@@ -359,9 +348,7 @@ def spectral_split(config: SplitConfig) -> SplitResult:
     vals = _synthesize(lam, freqs, coeffs)
     w = walsh_table(WalshMask(config.s2_bits, lam)).astype(np.float64)
     err = float(np.abs(vals - w).sum())
-    return SplitResult(
-        freqs, coeffs, err / n, 1 << (config.h_param * config.s2_weight), config
-    )
+    return SplitResult(freqs, coeffs, err / n, 1 << (config.h_param * config.s2_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +395,7 @@ def theorem_scan(
         return []
     steps = sorted(set(lambdas))
     seq = sequence(kind, steps[-1], max_mem_gib=max_mem_gib)
-    peaks = dict(zip(steps, prefix_max_correlations(seq, steps)))
+    peaks = dict(zip(steps, prefix_max_correlations(seq, steps, max_mem_gib=max_mem_gib)))
     return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
 
 
@@ -462,8 +449,9 @@ def quadform_report(config: BilinearConfig) -> CheckReport:
 
 
 def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
-    """Type-I sum against its trivial bound M * N."""
-    value = type1_sum(s_bits, mu, nu)
+    """Type-I sum (the bilinear sum with all-ones beta) against its trivial
+    bound M * N."""
+    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu))
     rhs = float((1 << mu) * (1 << nu))
     params = {"lambda": mu + nu, "mask": s_bits, "mu": mu, "nu": nu}
     return CheckReport("TYPE1", params, value, rhs, _ratio(value, rhs), None,

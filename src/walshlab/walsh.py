@@ -39,13 +39,6 @@ class WalshMask:
         return tuple(j for j in range(self.lam) if (self.bits >> j) & 1)
 
 
-@dataclass(frozen=True)
-class TrigCoefficient:
-    k: int
-    value: complex
-    magnitude: float
-
-
 # ---------------------------------------------------------------------------
 # frequency selectors
 
@@ -94,33 +87,11 @@ def _selector_slice(lam: int, selector) -> slice:
 # scalar operations
 
 
-def step_h(x: float) -> int:
-    """The 1-periodic square wave: +1 on [0, 1/2), -1 on [1/2, 1)."""
-    return 1 if (x % 1.0) < 0.5 else -1
-
-
 def walsh_eval(mask: WalshMask, x: int) -> int:
     """w_A(x) for an integer point 0 <= x < 2^lam."""
     if not 0 <= x < (1 << mask.lam):
         raise ValueError(f"x={x} out of range for lam={mask.lam}")
     return -1 if (mask.bits & x).bit_count() & 1 else 1
-
-
-def trig_coefficient(mask: WalshMask, k: int) -> TrigCoefficient:
-    """Exact product-formula coefficient of w_A against e(kx/2^lam).
-
-    The magnitude is the |cos|/|sin| factor product at this one k, not |value|
-    and not a 2^lam row; both use exactly reduced dyadic angles
-    pi * (k mod 2^(lam-j)) / 2^(lam-j) so no argument error accumulates.
-    """
-    k = int(k) % (1 << mask.lam)
-    value = coefficient_values(mask.lam, mask.bits, np.array([k], dtype=np.int64))[0]
-    magnitude = 1.0
-    for j in range(mask.lam):
-        mod = 1 << (mask.lam - j)
-        ang = np.pi * ((k & (mod - 1)) / mod)
-        magnitude *= abs(np.sin(ang) if (mask.bits >> j) & 1 else np.cos(ang))
-    return TrigCoefficient(k, complex(value), float(magnitude))
 
 
 # ---------------------------------------------------------------------------

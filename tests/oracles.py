@@ -117,6 +117,19 @@ def trial_division_signs(n: int) -> tuple[int, int]:
     return (liouville if squarefree else 0), liouville
 
 
+def trial_division_von_mangoldt(n: int) -> float:
+    """Lambda(n) of one n >= 1 by trial division: log p when n is a power
+    of its smallest prime factor p, else 0."""
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if p * p > n:  # n is 1 or prime
+        return math.log(n)
+    while n % p == 0:
+        n //= p
+    return math.log(p) if n == 1 else 0.0
+
+
 def von_mangoldt_values(limit: int) -> np.ndarray:
     """log p on prime powers, via direct enumeration of p^k <= limit."""
     out = np.zeros(limit, dtype=np.float64)
@@ -152,6 +165,20 @@ def naive_fwht(values: np.ndarray) -> np.ndarray:
     if np.issubdtype(values.dtype, np.integer):
         return h @ values.astype(np.int64)
     return h.astype(np.float64) @ values
+
+
+def axis_fwht(values: np.ndarray) -> np.ndarray:
+    """Correlation table by a +-1 butterfly along each axis of the
+    (2,)*lam reshape (one axis per bit), whole-array and unchunked; integer
+    tables are summed in int64."""
+    lam = len(values).bit_length() - 1
+    if np.issubdtype(values.dtype, np.integer):
+        values = values.astype(np.int64)
+    t = values.reshape((2,) * lam)
+    for axis in range(lam):
+        a, b = np.take(t, 0, axis=axis), np.take(t, 1, axis=axis)
+        t = np.stack([a + b, a - b], axis=axis)
+    return t.reshape(-1)
 
 
 def trig_magnitudes(lam: int, bits: int, ks) -> np.ndarray:

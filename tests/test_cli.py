@@ -117,6 +117,39 @@ def test_env_var_limits_and_flag_overrides(capsys, monkeypatch):
     assert run_cli(capsys, "sieve", "--lambda", "22", "--max-mem-gib", "2")[0] == 0
 
 
+@pytest.mark.parametrize("argv", ["spectrum --lambda 14",
+                                  "theorem-scan --lambda-min 12 --lambda-max 14"])
+def test_transform_guard_honours_max_mem_flag(capsys, monkeypatch, argv):
+    # the environment alone refuses a 2^14 transform buffer; the flag must
+    # reach the transform's guard as it reaches the sieve's
+    monkeypatch.setenv("WSL_MAX_MEM_GIB", "0.0001")
+    assert run_cli(capsys, *argv.split())[0] == 3
+    code, out, err = run_cli(capsys, *argv.split(), "--max-mem-gib", "10")
+    assert code == 0 and err == ""
+
+
+BAD_NUMBERS = [
+    ("carry-rate --mask 0x6 --mu 4 --nu 6 --epsilon inf", None, "epsilon must be finite"),
+    ("bilinear --mask 0x6 --mu 4 --nu 6 --epsilon nan", None, "epsilon must be finite"),
+    ("sieve --lambda 8 --max-mem-gib inf", None, "memory budget"),
+    ("sieve --lambda 8 --max-mem-gib nan", None, "memory budget"),
+    ("sieve --lambda 8 --max-mem-gib -1", None, "memory budget"),
+    ("sieve --lambda 8 --max-mem-gib 0", None, "memory budget"),
+    ("sieve --lambda 8", "inf", "memory budget"),
+    ("sieve --lambda 8", "-1", "memory budget"),
+]
+
+
+@pytest.mark.parametrize("argv, env, message", BAD_NUMBERS,
+                         ids=[a + (f" WSL_MAX_MEM_GIB={e}" if e else "") for a, e, _ in BAD_NUMBERS])
+def test_non_finite_or_nonpositive_numbers_exit_two(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
@@ -141,6 +174,14 @@ def test_scan_without_checks_exits_two(capsys):
     # below lam=7 the lemma-5 window is empty, so only the summary row is left
     code, out, err = run_cli(capsys, "scan", "--lambda-min", "5", "--lambda-max", "6",
                              "--lemmas", "5")
+    assert code == 2 and out == ""
+    assert "error: lemma 5 has no check on the random mask family at lambda 5..6" in err
+
+
+def test_scan_with_one_lemma_unchecked_exits_two(capsys):
+    # lemma 1 has rows at lam 5..6 but lemma 5 has none: no partial vacuous pass
+    code, out, err = run_cli(capsys, "scan", "--lambda-min", "5", "--lambda-max", "6",
+                             "--lemmas", "1,5", "--count", "4")
     assert code == 2 and out == ""
     assert "error: lemma 5 has no check on the random mask family at lambda 5..6" in err
 

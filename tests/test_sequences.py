@@ -11,6 +11,7 @@ from walshlab import (
     load_sequence,
     sequence,
 )
+from walshlab.sieve import DEFAULT_SEGMENT
 
 MERTENS_SMALL = [1, 0, -1, -1, -2, -1, -2, -2, -2, -1]  # M(1)..M(10)
 
@@ -57,15 +58,6 @@ def test_mertens_at_2_16_matches_oracle():
     assert int(vals.sum()) == int(ref.sum())
 
 
-def test_segment_size_does_not_change_results():
-    fine = sequence("moebius", 12, segment=64)
-    coarse = sequence("moebius", 12)
-    assert np.array_equal(fine.values, coarse.values)
-    fine = sequence("liouville", 12, segment=96)
-    coarse = sequence("liouville", 12)
-    assert np.array_equal(fine.values, coarse.values)
-
-
 def test_liouville_complete_multiplicativity():
     vals = sequence("liouville", 12).values.astype(int)
     for n in range(1, 1 << 11):
@@ -81,13 +73,25 @@ def test_factor_pass_matches_oracle(lam):
     assert np.array_equal(sequence("liouville", lam).values, oracles.liouville_values(n))
 
 
+# a table of two segments (lambda = 21): every n within 256 of the segment
+# boundary, and the top 256 entries, where the last prime-power levels land
+_TWO_SEGMENTS = DEFAULT_SEGMENT.bit_length()
+_SEGMENT_EDGES = [*range(DEFAULT_SEGMENT - 256, DEFAULT_SEGMENT + 256),
+                  *range(2 * DEFAULT_SEGMENT - 256, 2 * DEFAULT_SEGMENT)]
+
+
 @pytest.mark.parametrize("kind", ["moebius", "liouville"])
 def test_factor_pass_across_segment_boundaries(kind):
-    # 2^14 entries in 16 segments of 2^10; primes run to 127, so p^2 and
-    # prime-power levels straddle the boundaries
-    ref = {"moebius": oracles.moebius_values, "liouville": oracles.liouville_values}
-    seq = sequence(kind, 14, segment=1 << 10)
-    assert np.array_equal(seq.values, ref[kind](1 << 14))
+    vals = sequence(kind, _TWO_SEGMENTS).values
+    slot = 0 if kind == "moebius" else 1
+    for n in _SEGMENT_EDGES:
+        assert vals[n] == oracles.trial_division_signs(n)[slot], n
+
+
+def test_von_mangoldt_across_segment_boundaries():
+    vals = sequence("von_mangoldt", _TWO_SEGMENTS).values
+    for n in _SEGMENT_EDGES:
+        assert vals[n] == pytest.approx(oracles.trial_division_von_mangoldt(n), abs=1e-12), n
 
 
 def test_factor_pass_spot_check_lambda_24():

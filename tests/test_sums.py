@@ -22,7 +22,6 @@ from walshlab import (
     split_report,
     theorem_scan,
     type1_report,
-    type1_sum,
     walsh_table,
 )
 from walshlab.walsh import WalshMask
@@ -68,15 +67,15 @@ def test_coefficient_bounds_enforced():
 
 
 def test_coefficient_table_kinds():
-    assert coefficient_table("ones", 8, 0, "beta") is None
-    tab = coefficient_table("random", 8, 0, "beta")
+    assert coefficient_table("ones", 8, 0) is None
+    tab = coefficient_table("random", 64, 5)
     assert set(np.unique(tab)) <= {-1.0, 1.0}
-    again = coefficient_table("random", 8, 0, "beta")
-    assert np.array_equal(tab, again)
-    other_role = coefficient_table("random", 8, 0, "alpha")
-    assert not np.array_equal(tab, other_role)
+    assert np.array_equal(tab, coefficient_table("random", 64, 5))
+    # the seed key every recorded --coef random manifest was drawn with
+    expect = np.random.default_rng([5, 2, 64]).integers(0, 2, size=64) * 2 - 1
+    assert np.array_equal(tab, expect)
     with pytest.raises(ValueError):
-        coefficient_table("gaussian", 8, 0, "beta")
+        coefficient_table("gaussian", 8, 0)
 
 
 def test_advisories_are_reported_not_enforced():
@@ -90,9 +89,10 @@ def test_advisories_are_reported_not_enforced():
 
 
 def test_type1_frozen_anchor_and_oracle():
-    value = type1_sum(0x045A, 4, 10)
+    # the type-I sum is the bilinear sum with all-ones beta
+    value = bilinear_sum(BilinearConfig(s_bits=0x045A, mu=4, nu=10))
     assert value == 192.0
-    small = type1_sum(0b1011, 3, 5)
+    small = bilinear_sum(BilinearConfig(s_bits=0b1011, mu=3, nu=5))
     assert small == oracles.naive_type1(0b1011, 3, 5)
 
 
@@ -106,7 +106,7 @@ def test_type1_report_trivial_bound():
 def test_bilinear_matches_naive_loop():
     cfg = BilinearConfig(s_bits=0b10110, mu=3, nu=5)
     assert bilinear_sum(cfg) == oracles.naive_bilinear(0b10110, 3, 5)
-    beta = coefficient_table("random", 1 << 5, 7, "beta")
+    beta = coefficient_table("random", 1 << 5, 7)
     cfg2 = BilinearConfig(s_bits=0b10110, mu=3, nu=5, beta=beta)
     assert bilinear_sum(cfg2) == pytest.approx(
         oracles.naive_bilinear(0b10110, 3, 5, beta), abs=1e-9

@@ -19,7 +19,7 @@ from walshlab import (
     theorem_scan,
     walsh_table,
 )
-from walshlab.fwht import _CHUNK
+from walshlab.fwht import _CHUNK, DEFAULT_BLOCK
 
 
 def test_delta_transforms_to_all_ones():
@@ -78,15 +78,15 @@ def test_involution_and_parseval_lambda_16(rng):
     assert np.array_equal(buf, vals << lam)
 
 
-def test_block_size_invariance():
-    vals = sequence("moebius", 12).values.astype(np.int64)
-    a = vals.copy()
-    fwht_in_place(a)
-    b = vals.copy()
-    fwht_in_place(b, block=4)
-    c = vals.copy()
-    fwht_in_place(c, block=1 << 20)
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+def test_blocked_and_full_stages_match_axis_oracle(rng):
+    # lambda 17 and 18 (DEFAULT_BLOCK = 2^16) are the first sizes where
+    # full-array stages follow the blocked ones
+    first = DEFAULT_BLOCK.bit_length()
+    for lam in (first, first + 1):
+        vals = rng.integers(-1, 2, size=1 << lam)
+        truth = oracles.axis_fwht(vals)
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(fwht_in_place(vals.astype(dtype)), truth)
 
 
 def test_rejects_non_power_of_two():
@@ -160,14 +160,14 @@ def test_spot_consistency_with_walsh_eval(bits):
 # int32 sign transform, chunked peak and the prefix scan
 
 
-@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 14])
+@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 14, 17])
 def test_int32_matches_int64_on_random_sign_tables(lam, rng):
     for _ in range(4):
         vals = rng.integers(-1, 2, size=1 << lam)
         wide = vals.astype(np.int64)
         narrow = vals.astype(np.int32)
         fwht_in_place(wide)
-        fwht_in_place(narrow, block=8)
+        fwht_in_place(narrow)
         assert np.array_equal(narrow, wide)
     if lam <= 10:
         assert np.array_equal(narrow, oracles.naive_fwht(vals))

@@ -15,9 +15,7 @@ from walshlab import (
     all_mask_sup,
     check_lemma1,
     l1_accumulate,
-    step_h,
     sup_norm,
-    trig_coefficient,
     walsh_eval,
     walsh_signs,
     walsh_table,
@@ -40,12 +38,6 @@ def test_mask_validation():
         WalshMask(1 << 6, 6)
     with pytest.raises(ValueError):
         WalshMask(-1, 6)
-
-
-def test_step_h_square_wave():
-    xs = [0.0, 0.25, 0.4999, 0.5, 0.75, 0.9999, 1.0, 1.25, -0.25]
-    expect = [1, 1, 1, -1, -1, -1, 1, 1, -1]
-    assert [step_h(x) for x in xs] == expect
 
 
 @pytest.mark.parametrize("bits", [0, 1, 0b100, 0b1011, 0b11111111])
@@ -112,18 +104,10 @@ def test_magnitude_row_equals_trig_product_oracle(lam):
 
 
 def test_magnitude_agrees_with_value():
-    tc = trig_coefficient(WalshMask(0b0110000000, 10), 37)
-    assert abs(abs(tc.value) - tc.magnitude) < 1e-15
-    assert tc.k == 37
-
-
-def test_trig_coefficient_at_large_lambda_builds_no_row():
-    # a 2^40 row could not be allocated; one frequency costs lam factors
-    mask = WalshMask((1 << 39) | 0b1011, 40)
-    for k in (0, 3, 123456789, (1 << 40) - 5):
-        tc = trig_coefficient(mask, k)
-        assert tc.magnitude == oracles.trig_magnitudes(40, mask.bits, [k])[0]
-        assert abs(abs(tc.value) - tc.magnitude) < 1e-15
+    lam, bits = 10, 0b0110000000
+    ks = np.arange(1 << lam)
+    values = coefficient_values(lam, bits, ks)
+    assert np.abs(np.abs(values) - magnitude_row(lam, bits, ks)).max() < 1e-15
 
 
 def test_synthesis_from_coefficients_reconstructs_walsh():
@@ -138,7 +122,7 @@ def test_synthesis_from_coefficients_reconstructs_walsh():
 def test_frozen_magnitude_anchor():
     # pinned regression value, cross-validated against the DFT oracle above:
     # lam=3, A={2}, k=1 has |c| = cos(pi/8) cos(pi/4) = 0.6532...
-    got = trig_coefficient(WalshMask(0b100, 3), 1).magnitude
+    got = magnitude_row(3, 0b100, np.array([1]))[0]
     truth = abs(oracles.dft_coefficients(oracles.walsh_samples(3, 0b100))[1])
     assert abs(got - truth) < 1e-14
     assert got == 0.6532814824381883
