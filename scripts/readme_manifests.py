@@ -2,15 +2,16 @@
 """Run the README's example commands and keep every output they make.
 
 Each `walshlab ...` line of the README's command block (plus any --also
-command) runs in this process through `walshlab.cli.dispatch`, in its own
-directory OUT_DIR/NN, which then holds the command line (`argv`), the exit
-code (`code`), stdout (`stdout`), stderr (`stderr`) and whatever file the
+command, then the full-size job list of the perfbench --workload) runs in
+this process through `walshlab.cli.dispatch`, in its own directory
+OUT_DIR/NN, which then holds the command line (`argv`), the exit code
+(`code`), stdout (`stdout`), stderr (`stderr`) and whatever file the
 command wrote with a relative --out.  Two runs of different checkouts are
 byte-identical in every output when `diff -r` between their OUT_DIRs is
 empty:
 
     PYTHONPATH=src python3 scripts/readme_manifests.py /tmp/new --seed 7919 \\
-        --also "scan --lambda-min 6 --lambda-max 9 --masks all"
+        --also "scan --lambda-min 6 --lambda-max 9 --masks all" --workload spectrum
 """
 
 import argparse
@@ -23,7 +24,11 @@ from pathlib import Path
 
 from walshlab.cli import dispatch
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from jobs import WORKLOADS, workload_jobs  # noqa: E402
 
 
 def readme_commands(text: str) -> list[str]:
@@ -60,10 +65,17 @@ def main() -> None:
                     help="append --seed N to every command")
     ap.add_argument("--also", action="append", default=[], metavar="COMMAND",
                     help="one more command to run after the README's (repeatable)")
+    ap.add_argument("--workload", choices=WORKLOADS,
+                    help="also run this benchmark workload's full-size jobs")
     args = ap.parse_args()
     if args.out_dir.exists():
         sys.exit(f"{args.out_dir} already exists")
     commands = readme_commands(README.read_text()) + args.also
+    if args.workload:
+        # a job's label is its command without the seed; --seed is appended
+        # below like every other command's
+        commands += [job.label + (f" --out {job.out}" if job.out else "")
+                     for job in workload_jobs(args.workload, 0)]
     suffix = "" if args.seed is None else f" --seed {args.seed}"
     for i, command in enumerate(commands):
         run(command + suffix, args.out_dir.resolve() / f"{i:02d}")

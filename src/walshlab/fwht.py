@@ -6,7 +6,7 @@ Integer tables stay exact: every partial sum is bounded by max|f| * 2^lam,
 so a table runs in int32 when that bound fits (sign tables up to lam = 30)
 and in int64 otherwise, and a predicted overflow raises before any work
 happens.  Each stage runs in place through one reusable temporary of
-_CHUNK entries.
+_CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .limits import ResourceLimitError, require_table_bytes
 from .sieve import ArithmeticSequence
 from .walsh import WalshMask
 
-# of 2^14, 2^15 and 2^16, the fastest block for int32 sign tables at lam 24
-# (2-core x86 box); the temporary's size matters less
+# int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
+# is slower; transposed width 2^7 beats 2^6 and 2^8; _CHUNK matters less
 DEFAULT_BLOCK = 1 << 16
+_NARROW = 7
 _CHUNK = 1 << 16
 
 
@@ -51,9 +52,7 @@ class Spectrum:
 def _stage(view: np.ndarray, h: int, tmp: np.ndarray) -> None:
     """One butterfly stage of span h over a contiguous view, through tmp."""
     v = view.reshape(-1, 2, h)
-    # numpy runs a narrow span as many tiny inner loops: below 8, walk it
-    # one strided column at a time
-    cols = 1 if h < 8 else min(h, len(tmp))
+    cols = min(h, len(tmp))
     rows = max(len(tmp) // cols, 1)
     for r in range(0, len(v), rows):
         for c in range(0, h, cols):
@@ -71,17 +70,29 @@ def _stages(buffer: np.ndarray, first: int, last: int) -> None:
     Stages with span below DEFAULT_BLOCK run to completion inside each
     contiguous block before the next block is touched (the low stages are
     where the locality is); the remaining stages sweep the full array.
-    After stages 0..s-1 every aligned block of 2^s entries holds the
+    Spans below w = 2^_NARROW run on the block's transpose (w rows of
+    block/w), where stage s pairs whole rows, span (block/w) << s, instead of
+    numpy's tiny inner loops; every entry sees the same additions in the same
+    order.  After stages 0..s-1 every aligned block of 2^s entries holds the
     transform of its own entries.
     """
     n = len(buffer)
     tmp = np.empty(min(_CHUNK, n), dtype=buffer.dtype)
     b = min(DEFAULT_BLOCK, n)
     split = min(max(b.bit_length() - 1, first), last)
+    w = min(1 << _NARROW, b)
+    narrow = min(max(w.bit_length() - 1, first), split)
+    t = np.empty((w, b // w), dtype=buffer.dtype)
     if first < split:
         for lo in range(0, n, b):
             seg = buffer[lo : lo + b]
-            for s in range(first, split):
+            if first < narrow:
+                cols = seg.reshape(-1, w).T
+                np.copyto(t, cols)
+                for s in range(first, narrow):
+                    _stage(t.reshape(-1), (b // w) << s, tmp)
+                np.copyto(cols, t)
+            for s in range(narrow, split):
                 _stage(seg, 1 << s, tmp)
     for s in range(split, last):
         _stage(buffer, 1 << s, tmp)

@@ -4,8 +4,9 @@ Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
 a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
 is bounded by the output table plus one segment regardless of lam.  Moebius
 and Liouville share one factor pass that tracks the product of each entry's
-small prime factors instead of dividing them out.  A table on [0, 2^lam)
-holds every smaller table as its prefix.
+small prime factors instead of dividing them out; von Mangoldt reuses one
+segment buffer and writes log p straight into the table.  A table on
+[0, 2^lam) holds every smaller table as its prefix.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
         seg = out[lo:hi]
         np.sign(prod, out=seg, casting="unsafe")
         big = np.abs(prod) < np.arange(lo, hi, dtype=dtype)
-        np.negative(seg, out=seg, where=big)
+        # a masked ufunc would walk the runs of this near-random mask
+        np.multiply(seg, 1 - 2 * big.view(np.int8), out=seg)
     out[0] = 0
     if n > 1:
         out[1] = 1
@@ -128,34 +130,31 @@ def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> Arithmetic
     """
     require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
     n = 1 << lam
-    primes = _primes_upto(math.isqrt(n - 1))
+    primes = _primes_upto(math.isqrt(n - 1)).tolist()
     out = np.zeros(n, dtype=np.float64)
-    for lo in range(0, n, DEFAULT_SEGMENT):
-        hi = min(lo + DEFAULT_SEGMENT, n)
-        composite = np.zeros(hi - lo, dtype=bool)
+    # n and the segment are powers of two, so every segment fills the buffer
+    composite = np.empty(min(DEFAULT_SEGMENT, n), dtype=bool)
+    for lo in range(0, n, len(composite)):
+        hi = lo + len(composite)
+        composite.fill(False)
+        if lo == 0:
+            composite[:2] = True
         for p in primes:
-            p = int(p)
             start = _first_multiple(max(lo, p * p), p)
             if start < hi:
-                composite[start - lo : hi - lo : p] = True
-        seg = np.arange(lo, hi, dtype=np.int64)
-        prime_mask = ~composite & (seg >= 2)
+                composite[start - lo :: p] = True
         # entries below sqrt(max) escape the composite marking only if prime
-        vals = np.zeros(hi - lo, dtype=np.float64)
-        vals[prime_mask] = np.log(seg[prime_mask].astype(np.float64))
-        np.copyto(out[lo:hi], vals)
+        idx = np.flatnonzero(~composite) + lo
+        out[idx] = np.log(idx.astype(np.float64))
     # prime powers p^k, k >= 2, overwrite whatever the prime pass left
     for p in primes:
-        p = int(p)
         logp = math.log(p)
-        out[p] = logp
         pk = p * p
         while pk < n:
             out[pk] = logp
             if pk > (n - 1) // p:
                 break
             pk *= p
-    out[0] = 0.0
     return ArithmeticSequence(lam, "von_mangoldt", out)
 
 

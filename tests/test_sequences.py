@@ -94,6 +94,27 @@ def test_von_mangoldt_across_segment_boundaries():
         assert vals[n] == pytest.approx(oracles.trial_division_von_mangoldt(n), abs=1e-12), n
 
 
+@pytest.mark.parametrize("lam", range(1, 17))
+def test_von_mangoldt_support_and_bits(lam):
+    n = 1 << lam
+    vals = sequence("von_mangoldt", lam).values
+    support = np.flatnonzero(vals)
+    assert np.array_equal(support, np.flatnonzero(oracles.von_mangoldt_values(n)))
+    # each entry is log p of the prime p it is a power of, to the bit
+    p = oracles.spf_table(n)[support].astype(np.float64)
+    assert vals[support].tobytes() == np.log(p).tobytes()
+
+
+def test_von_mangoldt_peak_is_the_table_plus_one_segment():
+    sequence("von_mangoldt", 4)
+    tracemalloc.start()
+    sequence("von_mangoldt", 20)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the 8 MiB float64 table plus the segment's few MiB of scratch
+    assert peak <= (8 + 4) << 20, peak
+
+
 def test_factor_pass_spot_check_lambda_24():
     rng = np.random.default_rng(24)
     ns = np.concatenate([rng.integers(2, 1 << 24, size=300), [(1 << 24) - 1, 4093**2, 4099]])

@@ -19,7 +19,7 @@ from walshlab import (
     theorem_scan,
     walsh_table,
 )
-from walshlab.fwht import _CHUNK, DEFAULT_BLOCK
+from walshlab.fwht import _CHUNK, _NARROW, DEFAULT_BLOCK
 
 
 def test_delta_transforms_to_all_ones():
@@ -79,14 +79,17 @@ def test_involution_and_parseval_lambda_16(rng):
 
 
 def test_blocked_and_full_stages_match_axis_oracle(rng):
-    # lambda 17 and 18 (DEFAULT_BLOCK = 2^16) are the first sizes where
-    # full-array stages follow the blocked ones
-    first = DEFAULT_BLOCK.bit_length()
-    for lam in (first, first + 1):
+    # lambda 1..18 covers tables narrower than the transposed width
+    # (2^_NARROW), exactly that width, one block (DEFAULT_BLOCK = 2^16) and
+    # several blocks followed by full-array stages (17 and 18)
+    assert DEFAULT_BLOCK.bit_length() <= 18
+    for lam in range(1, 19):
         vals = rng.integers(-1, 2, size=1 << lam)
         truth = oracles.axis_fwht(vals)
-        for dtype in (np.int32, np.int64):
-            assert np.array_equal(fwht_in_place(vals.astype(dtype)), truth)
+        for dtype in (np.int32, np.int64, np.float64):
+            got = fwht_in_place(vals.astype(dtype))
+            assert got.dtype == dtype
+            assert np.array_equal(got, truth), (lam, dtype)
 
 
 def test_rejects_non_power_of_two():
@@ -245,6 +248,18 @@ def test_prefix_max_correlations_reads_each_prefix():
     for lam, (mask, value) in zip([1, 4, 5, 12], got):
         prefix = seq.values[: 1 << lam].astype(np.int64)
         ref = oracles.naive_fwht(prefix)
+        idx = int(np.argmax(np.abs(ref)))
+        assert (mask.lam, mask.bits, value) == (lam, idx, int(ref[idx]))
+
+
+def test_prefix_steps_straddling_the_transposed_width(rng):
+    # steps that start below, at and above 2^_NARROW, in one block and past it
+    steps = [1, 3, 6, 7, 8, 11, 17]
+    assert steps[2] < _NARROW <= steps[3]
+    vals = rng.integers(-1, 2, size=1 << 17).astype(np.int8)
+    got = prefix_max_correlations(ArithmeticSequence(17, "custom", vals), steps)
+    for lam, (mask, value) in zip(steps, got):
+        ref = oracles.axis_fwht(vals[: 1 << lam])
         idx = int(np.argmax(np.abs(ref)))
         assert (mask.lam, mask.bits, value) == (lam, idx, int(ref[idx]))
 
