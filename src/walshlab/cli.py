@@ -12,6 +12,7 @@ run with nothing to check included), 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from ._version import __version__
 from .fwht import max_correlation
 from .lemmas import CheckReport, ScanConfig, _ratio, run_scan, scan_lemma_at
 from .limits import ResourceLimitError, require_table_bytes
-from .report import RunManifest, emit_csv, manifest_to_json
+from .report import RunManifest, emit_csv, write_manifest_json
 from .sieve import dump_sequence, sequence
 from .sums import (
     BilinearConfig,
@@ -230,22 +231,19 @@ def _run(args):
 
 
 def _write_output(args, manifest: RunManifest, binary_payload) -> None:
+    out, fmt = args.out, args.format
     if binary_payload is not None:
-        dump_sequence(binary_payload, args.out)
-        sys.stdout.write(manifest_to_json(manifest))
-        return
-    fmt = args.format
-    if fmt is None and args.out is not None:
-        fmt = "csv" if args.out.suffix == ".csv" else "json"
+        dump_sequence(binary_payload, out)
+        out, fmt = None, "json"
     if fmt is None:
-        fmt = "json"
-    text = emit_csv(manifest.reports) if fmt == "csv" else manifest_to_json(manifest)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        # newline="" so csv keeps its CRLF endings verbatim on every platform
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        fmt = "csv" if out is not None and out.suffix == ".csv" else "json"
+    # sys.stdout is read here, so a caller's redirect_stdout applies; newline=""
+    # so csv keeps its CRLF endings verbatim on every platform
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(emit_csv(manifest.reports))
+        else:
+            write_manifest_json(manifest, fh)
 
 
 def dispatch(argv) -> int:

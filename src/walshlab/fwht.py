@@ -176,8 +176,9 @@ def prefix_max_correlations(
 
     The first lam butterfly stages act inside aligned blocks of 2^lam, so
     once they are done block [0, 2^lam) holds the prefix's spectrum; its
-    peak is read there before the next stage runs.  lambdas must increase
-    strictly and lie in 1..seq.lam.
+    peak is read there before the next stage runs; a prefix below 2^_NARROW
+    transforms a copy instead, so the table runs each stage once.  lambdas
+    must increase strictly and lie in 1..seq.lam.
     """
     require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
     buf = _transform_buffer(_sign_values(seq))
@@ -189,8 +190,9 @@ def prefix_max_correlations(
                 f"prefix lambdas must increase within 1..{seq.lam}, "
                 f"got {lam} after {done}"
             )
-        _stages(buf, done, lam)
+        block = buf[: 1 << lam].copy() if lam < _NARROW else buf
+        _stages(block, done if done >= _NARROW else 0, lam)
         done = lam
-        mask, value = Spectrum(lam, buf[: 1 << lam]).peak()
+        mask, value = Spectrum(lam, block[: 1 << lam]).peak()
         peaks.append((mask, int(value)))
     return peaks

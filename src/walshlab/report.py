@@ -2,9 +2,9 @@
 
 JSON is the canonical format: a RunManifest captures the command, its
 config, the seed, and every CheckReport, and serializes with sorted keys
-so identical runs produce byte-identical output.  CSV is a lossy tabular
-projection for plotting: per-check params are flattened into one JSON
-string column because they are heterogeneous across lemmas.
+so identical runs produce byte-identical output, streamed to files in
+chunks.  CSV is a lossy tabular projection for plotting: per-check params
+are flattened into one JSON string column (they differ across lemmas).
 
 Every manifest is stamped with the package version and null started /
 finished timestamps; wall-clock values would break the byte-identity
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -66,7 +67,25 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
+class _ReportDicts(list):
+    # json's Python encoder takes any list; each dict is built as it is reached
+    def __iter__(self):
+        return (r.as_dict() for r in super().__iter__())
+
+
+# the one manifest encoder; a write joins _WRITE_BATCH chunks of ~6 characters
+_manifest_encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
+_WRITE_BATCH = 1 << 10
+
+
 def manifest_to_json(manifest: RunManifest) -> str:
+    fh = io.StringIO()
+    write_manifest_json(manifest, fh)
+    return fh.getvalue()
+
+
+def write_manifest_json(manifest: RunManifest, fh) -> None:
+    """manifest_to_json(manifest) to a text file, never held whole."""
     payload = {
         "command": manifest.command,
         "config": manifest.config,
@@ -74,9 +93,11 @@ def manifest_to_json(manifest: RunManifest) -> str:
         "artifact_version": __version__,
         "started": None,
         "finished": None,
-        "reports": [r.as_dict() for r in manifest.reports],
+        "reports": _ReportDicts(manifest.reports),
     }
-    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    chunks = itertools.chain(_manifest_encoder.iterencode(payload), "\n")
+    while batch := "".join(itertools.islice(chunks, _WRITE_BATCH)):
+        fh.write(batch)
 
 
 def manifest_from_json(text: str) -> RunManifest:

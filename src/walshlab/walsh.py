@@ -8,6 +8,7 @@ over bits inside A.  The factor for bit j depends only on k mod 2^(lam-j)
 and on whether j is in A, so each lambda caches |cos| and |sin| over one
 period per bit, and a mask's magnitude row is lam broadcast multiplies of
 those tables with no trigonometric call.  No dense spectrum is stored.
+All-mask sweeps keep the rows' floats: sup by a fold, l1 by a product tree.
 """
 
 from __future__ import annotations
@@ -184,17 +185,13 @@ def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive mask sweeps (product tree over shared factor prefixes)
+# exhaustive mask sweeps
 
 
-def mask_sweep(lam: int, selector, reduce_fn) -> np.ndarray:
-    """Apply reduce_fn to every mask's magnitude row, sharing prefix products.
-
-    Factor rows of the selected frequencies come from the period tables; a
-    depth-first product tree writes each prefix product in place into one of
-    lam+1 preallocated rows (O(2^(lam+1)) vector multiplies, no allocation
-    per node) in the per-mask factor order, so results are bit-identical.
-    """
+def mask_sweep(lam: int, selector) -> np.ndarray:
+    """l1 norm of every mask's row by a depth-first product tree: each prefix
+    product goes in place into one of lam+1 preallocated rows (O(2^(lam+1))
+    vector multiplies), in the per-mask factor order, so sums are bit-identical."""
     ks = np.arange(1 << lam, dtype=np.int64)[_selector_slice(lam, selector)]
     cos_t, sin_t = _period_tables(lam)
     cos_f = [t[ks & (len(t) - 1)] for t in cos_t]
@@ -204,7 +201,7 @@ def mask_sweep(lam: int, selector, reduce_fn) -> np.ndarray:
 
     def rec(j: int, bits: int):
         if j == lam:
-            out[bits] = reduce_fn(depth[lam])
+            out[bits] = np.add.reduce(depth[lam])
             return
         np.multiply(depth[j], cos_f[j], out=depth[j + 1])
         rec(j + 1, bits)
@@ -217,9 +214,21 @@ def mask_sweep(lam: int, selector, reduce_fn) -> np.ndarray:
 
 def all_mask_l1(lam: int, selector=None) -> np.ndarray:
     """l1 norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange(), np.add.reduce)
+    return mask_sweep(lam, selector or FullRange())
 
 
 def all_mask_sup(lam: int, selector=None) -> np.ndarray:
-    """Sup norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange(), np.maximum.reduce)
+    """Sup norm of the coefficient table for every mask, folding frequency
+    bits in O(lam * 2^lam): level j multiplies each row (mask bits 0..j-1) by
+    bit j's |cos| and |sin| period, appending mask bit j, then keeps the max
+    over frequency bit lam-j-1, which no later factor reads (0.0: unselected)."""
+    cos_t, sin_t = _period_tables(lam)
+    acc = np.zeros((1, 1 << lam))
+    acc[0, _selector_slice(lam, selector or FullRange())] = 1.0
+    for j in range(lam):
+        n = 1 << (lam - j)
+        # rounding x * c is monotone in x for c >= 0, so max-then-multiply gives
+        # _row(lam, bits)[sel].max() bit for bit, in the same order j = 0..lam-1
+        prod = (acc * np.stack((cos_t[j][:n], sin_t[j][:n]))[:, None, :]).reshape(-1, n)
+        acc = np.maximum(prod[:, : n // 2], prod[:, n // 2 :])
+    return acc.reshape(-1)

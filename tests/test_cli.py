@@ -287,6 +287,17 @@ def test_out_json_file(tmp_path, capsys):
     assert manifest.command == "sieve"
 
 
+def test_stdout_and_out_file_bytes_are_identical(tmp_path, capsys):
+    # 256 reports stream in many batches on both routes
+    argv = ("lemma-check", "--lemma", "2", "--lambda", "8", "--masks", "all")
+    path = tmp_path / "x.json"
+    _, out, _ = run_cli(capsys, *argv)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    assert len(manifest_from_json(out).reports) == 256
+
+
 def test_out_csv_by_extension(tmp_path, capsys):
     path = tmp_path / "rows.csv"
     code, _, _ = run_cli(capsys, "theorem-scan", "--lambda-min", "8",

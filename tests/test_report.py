@@ -1,6 +1,8 @@
 """Serialization: manifest JSON byte-identity and the CSV round trip."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from walshlab import (
     CSV_HEADER,
     CheckReport,
     RunManifest,
+    ScanConfig,
+    __version__,
     emit_csv,
     manifest_from_json,
     manifest_to_json,
     parse_csv,
+    scan_lemma_at,
 )
+from walshlab.report import _jsonable, write_manifest_json
 
 
 def _sample_reports():
@@ -105,6 +111,49 @@ def test_manifest_coerces_numpy_scalars():
     assert payload["config"]["count"] == 3
     assert payload["reports"][0]["params"]["lambda"] == 10
     assert manifest_to_json(manifest_from_json(text)) == text
+
+
+def _numpy_manifest():
+    rep = CheckReport("L4", {"lambda": np.int64(9), "sums": np.arange(3.0),
+                             "ok": np.bool_(True), "rows": np.eye(2, dtype=np.int32)},
+                      np.float64(0.25), 1.0, 0.25, np.float32(0.5), True)
+    return RunManifest("scan", {"count": np.int32(3)}, 7, (rep,) + _sample_reports())
+
+
+@pytest.mark.parametrize("manifest", [_numpy_manifest(), RunManifest("x", {}, 0, ())],
+                         ids=["numpy", "empty"])
+def test_streamed_manifest_equals_one_shot_text(manifest):
+    out = io.StringIO()
+    write_manifest_json(manifest, out)
+    assert out.getvalue() == manifest_to_json(manifest)
+    payload = {"command": manifest.command, "config": manifest.config,
+               "seed": manifest.seed, "artifact_version": __version__, "started": None,
+               "finished": None, "reports": [r.as_dict() for r in manifest.reports]}
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2,
+                                        default=_jsonable) + "\n"
+
+
+def test_streamed_manifest_holds_neither_text_nor_payload():
+    lam = 12
+    config = ScanConfig(lambda_min=lam, lambda_max=lam, mask_family="all", lemmas=(2,))
+    manifest = RunManifest("lemma-check", {}, 0, scan_lemma_at(config, 2, lam))
+    text = manifest_to_json(manifest)
+
+    class Discard:
+        written = 0
+
+        def write(self, chunk):
+            self.written += len(chunk)
+
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        write_manifest_json(manifest, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == len(text)
+    assert peak < len(text) / 2
 
 
 def test_manifest_determinism_across_report_objects():

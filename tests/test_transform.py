@@ -19,6 +19,7 @@ from walshlab import (
     theorem_scan,
     walsh_table,
 )
+from walshlab import fwht
 from walshlab.fwht import _CHUNK, _NARROW, DEFAULT_BLOCK
 
 
@@ -262,6 +263,28 @@ def test_prefix_steps_straddling_the_transposed_width(rng):
         ref = oracles.axis_fwht(vals[: 1 << lam])
         idx = int(np.argmax(np.abs(ref)))
         assert (mask.lam, mask.bits, value) == (lam, idx, int(ref[idx]))
+
+
+def test_prefix_max_correlations_match_each_prefix_transform(monkeypatch):
+    lambdas = [1, 2, 3, 6, 7, 8, 11]
+    seq = sequence("moebius", 12)
+    calls = []
+    stages = fwht._stages
+
+    def spy(buffer, first, last):
+        if len(buffer) == len(seq.values):
+            calls.append((first, last))
+        stages(buffer, first, last)
+
+    monkeypatch.setattr(fwht, "_stages", spy)
+    got = prefix_max_correlations(seq, lambdas)
+    monkeypatch.undo()
+    for lam, peak in zip(lambdas, got):
+        prefix = ArithmeticSequence(lam, seq.kind, seq.values[: 1 << lam])
+        assert peak == max_correlation(prefix)
+    # prefixes below 2^_NARROW read copies, so the whole table runs its
+    # transposed stages in one pass and every stage once
+    assert calls == [(0, 7), (7, 8), (8, 11)]
 
 
 @pytest.mark.parametrize("lambdas", [[4, 4], [5, 3], [0, 3], [3, 13]])

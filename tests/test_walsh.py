@@ -20,7 +20,7 @@ from walshlab import (
     walsh_signs,
     walsh_table,
 )
-from walshlab.walsh import coefficient_values, magnitude_row, mask_sweep
+from walshlab.walsh import _selector_slice, coefficient_values, magnitude_row, mask_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +225,40 @@ def test_sweep_matches_per_mask_rows_bit_identical():
 
 def test_sweep_with_selector():
     lam = 6
-    out = mask_sweep(lam, FullRange(), lambda v: float(v.sum()))
+    out = mask_sweep(lam, FullRange())
     for bits in (0, 1, 0b111, 0b101010):
         assert out[bits] == l1_accumulate(WalshMask(bits, lam))
+
+
+def _fold_selectors(lam):
+    top = 1 << lam
+    return [FullRange(), ResidueClass(0, 0), ResidueClass((top >> 1) - 1, lam - 1),
+            Interval(0, 1), Interval(top - 1, top)]
+
+
+@pytest.mark.parametrize("lam", range(1, 13))
+def test_sup_fold_equals_every_per_mask_row(lam):
+    for selector in _fold_selectors(lam):
+        sup = all_mask_sup(lam, selector)
+        assert sup.shape == (1 << lam,)
+        for bits in range(1 << lam):
+            assert sup[bits] == sup_norm(WalshMask(bits, lam), selector)
+
+
+def test_sup_fold_at_the_exhaustive_cap():
+    lam = 14
+    sup = all_mask_sup(lam)
+    for bits in [0, 1, (1 << lam) - 1, *range(0, 1 << lam, 97)]:
+        assert sup[bits] == sup_norm(WalshMask(bits, lam))
+
+
+@pytest.mark.parametrize("lam", range(1, 9))
+def test_sup_fold_against_trig_oracle(lam):
+    ks = np.arange(1 << lam)
+    for selector in (FullRange(), ResidueClass(1 % (1 << (lam - 1)), lam - 1)):
+        sel = ks[_selector_slice(lam, selector)]
+        want = [oracles.trig_magnitudes(lam, bits, sel).max() for bits in range(1 << lam)]
+        np.testing.assert_allclose(all_mask_sup(lam, selector), want, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
