@@ -7,6 +7,13 @@ so a table runs in int32 when that bound fits (sign tables up to lam = 30)
 and in int64 otherwise, and a predicted overflow raises before any work
 happens.  Each stage runs in place through one reusable temporary of
 _CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
+
+Tables of at least limits.SPLIT_MIN entries are transformed as tasks that
+two processes share when two CPUs are usable: each run of DEFAULT_SEGMENT
+entries is copied and runs the in-block stages, then, after one join, each
+half of the columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or
+1) runs every cross-block stage.  Every entry sees the same additions in
+the same order either way.
 """
 
 from __future__ import annotations
@@ -15,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import ResourceLimitError, require_table_bytes
-from .sieve import ArithmeticSequence
+from .limits import SPLIT_MIN, ResourceLimitError, _shared_empty, _two_way, require_table_bytes
+from .sieve import DEFAULT_SEGMENT, ArithmeticSequence
 from .walsh import WalshMask
 
 # int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
 # is slower; transposed width 2^7 beats 2^6 and 2^8; _CHUNK matters less
 DEFAULT_BLOCK = 1 << 16
+_BLOCK_BITS = DEFAULT_BLOCK.bit_length() - 1
 _NARROW = 7
 _CHUNK = 1 << 16
 
@@ -35,33 +43,52 @@ class Spectrum:
     entries: np.ndarray
 
     def peak(self) -> tuple[WalshMask, float]:
-        """Mask with the largest |entry|; ties break to the smallest mask.
-
-        |entries| is taken one chunk at a time, and a later chunk wins only
-        with a strictly larger value.
-        """
-        best, idx = -1, 0
-        for lo in range(0, len(self.entries), _CHUNK):
-            mags = np.abs(self.entries[lo : lo + _CHUNK])
-            i = int(np.argmax(mags))
-            if mags[i] > best:
-                best, idx = mags[i], lo + i
-        return WalshMask(idx, self.lam), self.entries[idx]
+        """Mask with the largest |entry|; ties break to the smallest mask."""
+        value, idx = _peak(self.entries)
+        return WalshMask(idx, self.lam), value
 
 
-def _stage(view: np.ndarray, h: int, tmp: np.ndarray) -> None:
-    """One butterfly stage of span h over a contiguous view, through tmp."""
-    v = view.reshape(-1, 2, h)
-    cols = min(h, len(tmp))
-    rows = max(len(tmp) // cols, 1)
-    for r in range(0, len(v), rows):
-        for c in range(0, h, cols):
-            a = v[r : r + rows, 0, c : c + cols]
-            b = v[r : r + rows, 1, c : c + cols]
+def _peak(entries: np.ndarray, stride: int = 0, offset: int = 0):
+    """(entry, index) of the largest |entry|, ties to the smallest index.
+
+    entries is 1-D, or 2-D with entry (r, c) at index offset + r*stride + c
+    (rows in increasing index order).  |entries| is taken _CHUNK entries at
+    a time, and a later chunk wins only with a strictly larger value.
+    """
+    if entries.ndim == 1:
+        stride = min(len(entries), _CHUNK)
+        entries = entries.reshape(-1, stride)
+    width = entries.shape[1]
+    step = max(_CHUNK // width, 1)
+    best, at = -1, (0, 0)
+    for lo in range(0, len(entries), step):
+        mags = np.abs(entries[lo : lo + step])
+        r, c = divmod(int(np.argmax(mags)), width)
+        if mags[r, c] > best:
+            best, at = mags[r, c], (lo + r, c)
+    return entries[at], offset + at[0] * stride + at[1]
+
+
+def _pairs(v: np.ndarray, tmp: np.ndarray) -> None:
+    """One butterfly stage over the pairs (v[g, 0], v[g, 1]) of a
+    (groups, 2, rows, cols) view, cols <= len(tmp), through tmp."""
+    groups, _, rows, cols = v.shape
+    per = max(len(tmp) // cols, 1)
+    gs, rs = max(per // rows, 1), min(rows, per)
+    for g in range(0, groups, gs):
+        for r in range(0, rows, rs):
+            a = v[g : g + gs, 0, r : r + rs]
+            b = v[g : g + gs, 1, r : r + rs]
             t = tmp[: a.size].reshape(a.shape)
             np.subtract(a, b, out=t)
             np.add(a, b, out=a)
             np.copyto(b, t)
+
+
+def _stage(view: np.ndarray, h: int, tmp: np.ndarray) -> None:
+    """One butterfly stage of span h over a contiguous view, through tmp."""
+    cols = min(h, len(tmp))
+    _pairs(view.reshape(-1, 2, h // cols, cols), tmp)
 
 
 def _stages(buffer: np.ndarray, first: int, last: int) -> None:
@@ -98,8 +125,28 @@ def _stages(buffer: np.ndarray, first: int, last: int) -> None:
         _stage(buffer, 1 << s, tmp)
 
 
+def _cross_stages(rows: np.ndarray, first: int, last: int, tmp: np.ndarray) -> None:
+    """Stages first..last-1, all of span >= DEFAULT_BLOCK, over one half's
+    rows: the entries of a table whose bit _BLOCK_BITS - 1 is the half's,
+    as rows of DEFAULT_BLOCK/2 (row r starts at r*DEFAULT_BLOCK).  These
+    stages pair entries equal in that bit, so the halves never meet."""
+    for s in range(first, last):
+        _pairs(rows.reshape(-1, 2, 1 << (s - _BLOCK_BITS), rows.shape[1]), tmp)
+
+
 def _magnitude_bound(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
+
+
+def _check_width(peak: int, n: int, dtype) -> None:
+    """ResourceLimitError if a transform of n entries bounded by peak can
+    overflow integer accumulators of dtype."""
+    bits = 8 * np.dtype(dtype).itemsize
+    if peak and float(peak) * float(n) >= 2.0 ** (bits - 1):
+        raise ResourceLimitError(
+            f"transform output can reach {peak} * 2^{n.bit_length() - 1}, "
+            f"which overflows {bits}-bit accumulators"
+        )
 
 
 def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
@@ -112,13 +159,7 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     if n == 0 or n & (n - 1):
         raise ValueError(f"buffer length {n} is not a power of two")
     if buffer.dtype in (np.int32, np.int64):
-        peak = _magnitude_bound(buffer)
-        bits = 8 * buffer.itemsize
-        if peak and float(peak) * float(n) >= 2.0 ** (bits - 1):
-            raise ResourceLimitError(
-                f"transform output can reach {peak} * 2^{n.bit_length() - 1}, "
-                f"which overflows {bits}-bit accumulators"
-            )
+        _check_width(_magnitude_bound(buffer), n, buffer.dtype)
     elif buffer.dtype != np.float64:
         raise TypeError(
             f"transform needs an int32, int64 or float64 buffer, got {buffer.dtype}"
@@ -127,32 +168,94 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     return buffer
 
 
-def _transform_buffer(values: np.ndarray) -> np.ndarray:
-    """A fresh copy of a table in the narrowest exact accumulator."""
-    if not np.issubdtype(values.dtype, np.integer):
-        return values.astype(np.float64)
-    if float(_magnitude_bound(values)) * len(values) < 2.0**31:
-        return values.astype(np.int32)
-    return values.astype(np.int64)
+def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:
+    """Stages 0..top-1 of buf in place (spans below len(buf)), and the peak
+    of each prefix 2^lam in lambdas, read once its first lam stages are done.
+
+    A prefix below 2^_NARROW transforms a copy instead, so buf runs each
+    stage once, its transposed stages in one pass.
+    """
+    peaks, done = [], 0
+    for lam in lambdas:
+        block = buf[: 1 << lam].copy() if lam < _NARROW else buf
+        _stages(block, done if done >= _NARROW else 0, lam)
+        done = lam
+        peaks.append(_peak(block[: 1 << lam]))
+    if done < top:
+        _stages(buf, done if done >= _NARROW else 0, top)
+    return peaks
+
+
+def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
+    """Stages 0..top-1 over a fresh copy of values in the narrowest exact
+    accumulator (|values| <= bound), and the peak (entry, index) of each
+    prefix 2^lam in lambdas.
+
+    A large table is worked as tasks of limits._two_way: first each
+    DEFAULT_SEGMENT of blocks is copied and runs the in-block stages, then
+    each half of the columns runs the cross-block stages.  Each column half
+    finds its own peak of a prefix above the block; the larger is kept,
+    ties to the smaller index, which may lie in either half.
+    """
+    n = len(values)
+    if np.issubdtype(values.dtype, np.integer):
+        dtype = np.int32 if float(bound) * n < 2.0**31 else np.int64
+        _check_width(bound, n, dtype)
+    else:
+        dtype = np.float64
+    buf = _shared_empty(n, dtype)
+    if n < SPLIT_MIN:
+        buf[:] = values
+        return buf, _prefix_stages(buf, lambdas, top)
+    inner = [lam for lam in lambdas if lam <= _BLOCK_BITS]
+
+    def in_blocks(i: int) -> list:
+        part = slice(i * DEFAULT_SEGMENT, (i + 1) * DEFAULT_SEGMENT)
+        buf[part] = values[part]
+        return _prefix_stages(buf[part], inner if i == 0 else [], min(top, _BLOCK_BITS))
+
+    peaks = _two_way(in_blocks, n // DEFAULT_SEGMENT, n)[0]
+    if top <= _BLOCK_BITS:
+        return buf, peaks
+
+    def across(w: int) -> list:
+        tmp = np.empty(_CHUNK, dtype=buf.dtype)
+        rows = buf.reshape(-1, 2, DEFAULT_BLOCK // 2)[:, w]
+        got, done = [], _BLOCK_BITS
+        for lam in lambdas[len(inner) :]:
+            _cross_stages(rows, done, lam, tmp)
+            done = lam
+            got.append(_peak(rows[: 1 << (lam - _BLOCK_BITS)], DEFAULT_BLOCK,
+                             w * DEFAULT_BLOCK // 2))
+        _cross_stages(rows, done, top, tmp)
+        return got
+
+    for found in zip(*_two_way(across, 2, n)):
+        peaks.append(min(found, key=lambda p: (-abs(p[0]), p[1])))
+    return buf, peaks
 
 
 def spectrum(seq: ArithmeticSequence, max_mem_gib: float | None = None) -> Spectrum:
     """Correlation table of a sequence against every Walsh function."""
     require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
-    return Spectrum(seq.lam, fwht_in_place(_transform_buffer(seq.values)))
+    vals = seq.values
+    bound = _magnitude_bound(vals) if np.issubdtype(vals.dtype, np.integer) else 0
+    return Spectrum(seq.lam, _transform(vals, bound, [], seq.lam)[0])
 
 
-def _sign_values(seq: ArithmeticSequence) -> np.ndarray:
-    """The integer table of a sign sequence, or ValueError."""
+def _sign_values(seq: ArithmeticSequence) -> tuple[np.ndarray, int]:
+    """The integer table of a sign sequence and its magnitude bound, or
+    ValueError."""
     vals = seq.values
     if not np.issubdtype(vals.dtype, np.integer):
         rounded = np.rint(vals)
         if not np.array_equal(rounded, vals):
             raise ValueError("max_correlation needs an integer-valued sequence")
         vals = rounded.astype(np.int64)
-    if _magnitude_bound(vals) > 1:
+    bound = _magnitude_bound(vals)
+    if bound > 1:
         raise ValueError("max_correlation needs entries in {-1, 0, 1}")
-    return vals
+    return vals, bound
 
 
 def max_correlation(
@@ -163,9 +266,7 @@ def max_correlation(
     Only defined for sign tables (entries in {-1, 0, 1}), where the raw
     transform is exact integer arithmetic.
     """
-    vals = _sign_values(seq)
-    mask, value = spectrum(ArithmeticSequence(seq.lam, seq.kind, vals), max_mem_gib).peak()
-    return mask, int(value)
+    return prefix_max_correlations(seq, [seq.lam], max_mem_gib)[0]
 
 
 def prefix_max_correlations(
@@ -176,13 +277,12 @@ def prefix_max_correlations(
 
     The first lam butterfly stages act inside aligned blocks of 2^lam, so
     once they are done block [0, 2^lam) holds the prefix's spectrum; its
-    peak is read there before the next stage runs; a prefix below 2^_NARROW
-    transforms a copy instead, so the table runs each stage once.  lambdas
-    must increase strictly and lie in 1..seq.lam.
+    peak is read there before the next stage runs.  lambdas must increase
+    strictly and lie in 1..seq.lam.
     """
     require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
-    buf = _transform_buffer(_sign_values(seq))
-    peaks = []
+    vals, bound = _sign_values(seq)
+    lambdas = list(lambdas)
     done = 0
     for lam in lambdas:
         if not done < lam <= seq.lam:
@@ -190,9 +290,6 @@ def prefix_max_correlations(
                 f"prefix lambdas must increase within 1..{seq.lam}, "
                 f"got {lam} after {done}"
             )
-        block = buf[: 1 << lam].copy() if lam < _NARROW else buf
-        _stages(block, done if done >= _NARROW else 0, lam)
         done = lam
-        mask, value = Spectrum(lam, block[: 1 << lam]).peak()
-        peaks.append((mask, int(value)))
-    return peaks
+    _, peaks = _transform(vals, bound, lambdas, done)
+    return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)]

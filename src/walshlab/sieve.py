@@ -4,9 +4,10 @@ Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
 a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
 is bounded by the output table plus one segment regardless of lam.  Moebius
 and Liouville share one factor pass that tracks the product of each entry's
-small prime factors instead of dividing them out; von Mangoldt reuses one
-segment buffer and writes log p straight into the table.  A table on
-[0, 2^lam) holds every smaller table as its prefix.
+small prime factors instead of dividing them out, one segment per task of
+limits._two_way (two processes share the segments of a large table); von
+Mangoldt reuses one segment buffer and writes log p straight into the table.
+A table on [0, 2^lam) holds every smaller table as its prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .limits import require_table_bytes
+from .limits import _shared_empty, _two_way, require_table_bytes
 
 KINDS = ("moebius", "liouville", "von_mangoldt", "custom")
 KIND_CODES = {"moebius": 0, "liouville": 1, "von_mangoldt": 2, "custom": 3}
@@ -81,8 +82,11 @@ def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
     # products never exceed n, so int32 holds them up to lam = 31
     dtype = np.int32 if n <= 1 << 31 else np.int64
     primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
-    out = np.zeros(n, dtype=np.int8)
-    for lo in range(0, n, DEFAULT_SEGMENT):
+    out = _shared_empty(n, np.int8)
+    segments = range(0, n, DEFAULT_SEGMENT)
+
+    def sieve_segment(i: int) -> None:
+        lo = segments[i]
         hi = min(lo + DEFAULT_SEGMENT, n)
         prod = np.ones(hi - lo, dtype=dtype)
         for p in primes:
@@ -102,6 +106,8 @@ def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
         big = np.abs(prod) < np.arange(lo, hi, dtype=dtype)
         # a masked ufunc would walk the runs of this near-random mask
         np.multiply(seg, 1 - 2 * big.view(np.int8), out=seg)
+
+    _two_way(sieve_segment, len(segments), n)
     out[0] = 0
     if n > 1:
         out[1] = 1
@@ -126,7 +132,9 @@ def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> Arithmetic
     """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere.
 
     Small-prime powers are stamped directly; primes above sqrt(max) are the
-    segment entries no small prime marks composite.
+    segment entries no small prime marks composite.  It stays in one
+    process: faulting in a shared float64 table costs about what a second
+    core would save.
     """
     require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
     n = 1 << lam

@@ -1,0 +1,268 @@
+"""Sign sieve and transform tasks shared by two processes.
+
+Tables of at least limits.SPLIT_MIN entries are worked as tasks that a
+forked child and the caller share when two CPUs are usable.  Every test
+here forces the fork by reporting two CPUs, so it runs on a one-CPU machine
+too, and takes its reference with one CPU reported, where the tasks run
+in order in-process; sign tables and spectra are also checked against
+independent oracles.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from walshlab import (
+    ArithmeticSequence,
+    WalshMask,
+    fwht_in_place,
+    max_correlation,
+    sequence,
+    spectrum,
+    theorem_scan,
+    walsh_table,
+)
+from walshlab import fwht, limits
+from walshlab.cli import dispatch
+from walshlab.sieve import DEFAULT_SEGMENT
+
+LAM = limits.SPLIT_MIN.bit_length() - 1
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def _both(monkeypatch, run):
+    """run() with a forked child sharing the tasks, then in one process."""
+    _cpus(monkeypatch, {0, 1})
+    split = run()
+    _cpus(monkeypatch, {0})
+    return split, run()
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_tables_hold_whole_sieve_segments():
+    assert limits.SPLIT_MIN == 1 << LAM
+    assert limits.SPLIT_MIN % (2 * DEFAULT_SEGMENT) == 0
+
+
+@pytest.mark.parametrize("lam", [LAM, LAM + 1])
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_split_sign_tables_equal_one_process(monkeypatch, kind, lam):
+    split, ref = _both(monkeypatch, lambda: sequence(kind, lam).values)
+    assert split.tobytes() == ref.tobytes()
+    rng = np.random.default_rng([lam, len(kind)])
+    ns = np.concatenate([rng.integers(2, 1 << lam, size=200), [(1 << lam) - 1]])
+    column = 0 if kind == "moebius" else 1
+    for n in ns:
+        assert split[n] == oracles.trial_division_signs(int(n))[column], int(n)
+
+
+def _int64_table():
+    vals = np.random.default_rng(64).integers(-2000, 2001, size=1 << LAM)
+    assert 2000 * (1 << LAM) >= 2**31
+    return ArithmeticSequence(LAM, "custom", vals)
+
+
+@pytest.mark.parametrize("table", ["moebius", "int64", "von_mangoldt"])
+def test_split_spectrum_bytes_equal_one_process(monkeypatch, table):
+    seq = _int64_table() if table == "int64" else sequence(table, LAM)
+    split, ref = _both(monkeypatch, lambda: spectrum(seq).entries)
+    dtype = {"moebius": np.int32, "int64": np.int64, "von_mangoldt": np.float64}[table]
+    assert split.dtype == ref.dtype == dtype
+    assert split.tobytes() == ref.tobytes()
+    # the whole-table stages of a private buffer, an independent stage order
+    serial = seq.values.astype(np.float64 if table == "von_mangoldt" else np.int64)
+    assert np.array_equal(split, fwht_in_place(serial))
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_split_theorem_scan_equals_one_process(monkeypatch, kind):
+    for lambdas in ([13, 3, 9, 3, LAM + 1], range(12, LAM + 2)):
+        split, ref = _both(monkeypatch, lambda: theorem_scan(kind, lambdas))
+        assert split == ref
+        assert [r.params["lambda"] for r in split] == list(lambdas)
+
+
+def _two_peaks(low: int, high: int) -> ArithmeticSequence:
+    """(w_low - w_high) / 2: its spectrum is +2^(LAM-1) at low, -2^(LAM-1)
+    at high and 0 elsewhere, so the two tie in |entry|."""
+    vals = (walsh_table(WalshMask(low, LAM)) - walsh_table(WalshMask(high, LAM))) // 2
+    return ArithmeticSequence(LAM, "custom", vals.astype(np.int8))
+
+
+# bit 15 picks the column half that runs an entry's cross-block stages
+@pytest.mark.parametrize("low, high, winner", [
+    (1 << 16, 1 << 15, 1 << 15),                       # smaller index in half 1
+    ((1 << 16) + 5, (1 << 16) + (1 << 15) + 3, (1 << 16) + 5),  # in half 0
+])
+def test_cross_half_tie_goes_to_the_smaller_mask(monkeypatch, low, high, winner):
+    assert (low >> 15) & 1 == 0 and (high >> 15) & 1 == 1
+    seq = _two_peaks(low, high)
+    split, ref = _both(monkeypatch, lambda: max_correlation(seq))
+    half = 1 << (LAM - 1)
+    assert split == ref == (WalshMask(winner, LAM), half if winner == low else -half)
+    assert spectrum(seq).peak()[0].bits == winner
+
+
+def _fail_in(monkeypatch, where, failure):
+    """Make the transform's stages call failure() in the parent or the child
+    only; the other process first sleeps in its task, so the failing one is
+    sure to take a task of its own."""
+    parent, stages = os.getpid(), fwht._stages
+
+    def failing(buffer, first, last):
+        if (os.getpid() == parent) == (where == "parent"):
+            failure()
+        time.sleep(0.3)
+        stages(buffer, first, last)
+
+    monkeypatch.setattr(fwht, "_stages", failing)
+
+
+def _raise(where):
+    def failure():
+        raise RuntimeError(f"stage failure in the {where}")
+    return failure
+
+
+def test_failed_child_raises_child_process_error(monkeypatch, capsys):
+    _cpus(monkeypatch, {0, 1})
+    seq = sequence("moebius", LAM)
+    _fail_in(monkeypatch, "child", _raise("child"))
+    with pytest.raises(ChildProcessError, match="stage failure in the child"):
+        spectrum(seq)
+    _no_children()
+    assert dispatch(["spectrum", "--lambda", str(LAM)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stage failure in the child" in err
+    assert "Traceback" not in err
+    _no_children()
+
+
+def test_signalled_child_raises_child_process_error(monkeypatch):
+    _cpus(monkeypatch, {0, 1})
+    seq = sequence("moebius", LAM)
+    _fail_in(monkeypatch, "child", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="signal 9"):
+        spectrum(seq)
+    _no_children()
+
+
+def test_parent_failure_still_reaps_the_child(monkeypatch):
+    _cpus(monkeypatch, {0, 1})
+    seq = sequence("moebius", LAM)
+    _fail_in(monkeypatch, "parent", _raise("parent"))
+    with pytest.raises(RuntimeError, match="stage failure in the parent"):
+        spectrum(seq)
+    _no_children()
+
+
+@pytest.mark.parametrize("lam, cpus, forks", [
+    (LAM - 1, {0, 1}, 0),   # below SPLIT_MIN
+    (LAM + 1, {0}, 0),      # one usable CPU
+    (LAM + 1, {0, 1}, 3),   # sieve, in-block stages, cross-block stages
+])
+def test_fork_count(monkeypatch, lam, cpus, forks):
+    _cpus(monkeypatch, cpus)
+    calls = []
+    real_fork = os.fork
+
+    def counting():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    theorem_scan("moebius", [lam])
+    assert len(calls) == forks
+    _no_children()
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+def test_two_way_runs_each_task_once_and_in_order(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    table = limits._shared_empty(limits.SPLIT_MIN, np.int8)
+    table[:] = 0
+    parent, stalled = os.getpid(), []
+
+    def task(i):
+        # the child stalls in its first task, as on a CPU the host took away
+        if os.getpid() != parent and not stalled:
+            stalled.append(i)
+            time.sleep(0.3)
+        table[i] += 1
+        return i * i, os.getpid() == parent
+
+    results = limits._two_way(task, 64, limits.SPLIT_MIN)
+    assert [square for square, _ in results] == [i * i for i in range(64)]
+    assert table[:64].tolist() == [1] * 64 and not table[64:].any()
+    # the caller took every task the stalled child could not
+    assert sum(not in_caller for _, in_caller in results) <= 1
+    _no_children()
+
+
+_STRANDED = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from walshlab import limits
+caller, pidfile = os.getpid(), sys.argv[1]
+
+def task(i):
+    if os.getpid() == caller:
+        time.sleep(60)  # killed in here
+    with open(pidfile + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(pidfile + ".tmp", pidfile)
+    time.sleep(0.3)
+
+limits._two_way(task, 64, limits.SPLIT_MIN)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_killed_caller_leaves_no_worker(tmp_path):
+    """SIGKILL skips the caller's finally; its child still leaves once the
+    task it is running ends, not after the 63 left in the queue."""
+    import walshlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(walshlab.__file__).parents[1]))
+    pidfile = tmp_path / "child"
+    caller = subprocess.Popen([sys.executable, "-c", _STRANDED, str(pidfile)], env=env)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pidfile.exists():
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pidfile.read_text())
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 5
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(child)
+    finally:
+        caller.kill()
+        caller.wait()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
