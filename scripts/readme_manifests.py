@@ -2,7 +2,7 @@
 """Run the README's example commands and keep every output they make.
 
 Each `walshlab ...` line of the README's command block (plus any --also
-command, then the full-size job list of the perfbench --workload) runs in
+command, then the full-size job list of each perfbench --workload) runs in
 this process through `walshlab.cli.dispatch`, in its own directory
 OUT_DIR/NN, which then holds the command line (`argv`), the exit code
 (`code`), stdout (`stdout`), stderr (`stderr`) and whatever file the
@@ -11,7 +11,8 @@ byte-identical in every output when `diff -r` between their OUT_DIRs is
 empty:
 
     PYTHONPATH=src python3 scripts/readme_manifests.py /tmp/new --seed 7919 \\
-        --also "scan --lambda-min 6 --lambda-max 9 --masks all" --workload spectrum
+        --also "scan --lambda-min 6 --lambda-max 9 --masks all" \\
+        --workload spectrum --workload lemma-scan --workload mollifier
 """
 
 import argparse
@@ -65,17 +66,16 @@ def main() -> None:
                     help="append --seed N to every command")
     ap.add_argument("--also", action="append", default=[], metavar="COMMAND",
                     help="one more command to run after the README's (repeatable)")
-    ap.add_argument("--workload", choices=WORKLOADS,
-                    help="also run this benchmark workload's full-size jobs")
+    ap.add_argument("--workload", action="append", default=[], choices=WORKLOADS,
+                    help="also run this benchmark workload's full-size jobs (repeatable)")
     args = ap.parse_args()
     if args.out_dir.exists():
         sys.exit(f"{args.out_dir} already exists")
     commands = readme_commands(README.read_text()) + args.also
-    if args.workload:
-        # a job's label is its command without the seed; --seed is appended
-        # below like every other command's
-        commands += [job.label + (f" --out {job.out}" if job.out else "")
-                     for job in workload_jobs(args.workload, 0)]
+    # a job's label is its command without the seed; --seed is appended
+    # below like every other command's
+    commands += [job.label + (f" --out {job.out}" if job.out else "")
+                 for workload in args.workload for job in workload_jobs(workload, 0)]
     suffix = "" if args.seed is None else f" --seed {args.seed}"
     for i, command in enumerate(commands):
         run(command + suffix, args.out_dir.resolve() / f"{i:02d}")

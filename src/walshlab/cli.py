@@ -23,7 +23,7 @@ from .fwht import max_correlation
 from .lemmas import CheckReport, ScanConfig, _ratio, run_scan, scan_lemma_at
 from .limits import ResourceLimitError, require_table_bytes
 from .report import RunManifest, emit_csv, write_manifest_json
-from .sieve import dump_sequence, sequence
+from .sieve import KINDS, SIGN_KINDS, dump_sequence, sequence
 from .sums import (
     BilinearConfig,
     SplitConfig,
@@ -35,8 +35,6 @@ from .sums import (
     theorem_scan,
     type1_report,
 )
-
-_SIEVE_KINDS = ("moebius", "liouville", "von_mangoldt")
 
 # Rosser-Schoenfeld: psi(x) < 1.04 x for all x > 0, so the Lambda prefix
 # sum gets a real (not merely trivial) ceiling to report against
@@ -73,16 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", parents=[common], help="tabulate an arithmetic function")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--kind", choices=_SIEVE_KINDS, default="moebius")
+    p.add_argument("--kind", choices=KINDS, default="moebius")
 
     p = sub.add_parser("spectrum", parents=[common], help="full Walsh spectrum and peak")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--kind", choices=_SIEVE_KINDS, default="moebius")
+    p.add_argument("--kind", choices=SIGN_KINDS, default="moebius")
 
     p = sub.add_parser("theorem-scan", parents=[common], help="peak correlation across lambdas")
     p.add_argument("--lambda-min", type=int, required=True)
     p.add_argument("--lambda-max", type=int, required=True)
-    p.add_argument("--kind", choices=("moebius", "liouville"), default="moebius")
+    p.add_argument("--kind", choices=SIGN_KINDS, default="moebius")
 
     p = sub.add_parser("lemma-check", parents=[common], help="one lemma at one lambda")
     p.add_argument("--lemma", type=int, required=True, choices=range(1, 7))
@@ -143,7 +141,7 @@ def _sieve_reports(args):
 
 def _spectrum_reports(args):
     seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
-    mask, value = max_correlation(seq, max_mem_gib=args.max_mem_gib)
+    mask, value = max_correlation(seq.values, max_mem_gib=args.max_mem_gib)
     lhs = float(abs(value))
     rhs = float(np.abs(seq.values).sum())
     params = {

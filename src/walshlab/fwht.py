@@ -8,22 +8,20 @@ and in int64 otherwise, and a predicted overflow raises before any work
 happens.  Each stage runs in place through one reusable temporary of
 _CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
 
-Tables of at least limits.SPLIT_MIN entries are transformed as tasks that
-two processes share when two CPUs are usable: each run of DEFAULT_SEGMENT
-entries is copied and runs the in-block stages, then, after one join, each
-half of the columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or
-1) runs every cross-block stage.  Every entry sees the same additions in
-the same order either way.
+Every table is transformed as the same tasks, which limits._two_way shares
+with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
+copied and runs the in-block stages, then, after one join, each half of the
+columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
+every cross-block stage.  Every entry sees the same additions in the same
+order either way, and as in fwht_in_place's whole-array stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .limits import SPLIT_MIN, ResourceLimitError, _shared_empty, _two_way, require_table_bytes
-from .sieve import DEFAULT_SEGMENT, ArithmeticSequence
+from .limits import ResourceLimitError, _shared_empty, _two_way, require_table_bytes
+from .sieve import DEFAULT_SEGMENT
 from .walsh import WalshMask
 
 # int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
@@ -32,20 +30,6 @@ DEFAULT_BLOCK = 1 << 16
 _BLOCK_BITS = DEFAULT_BLOCK.bit_length() - 1
 _NARROW = 7
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Dense table of raw correlations, indexed by mask bits.  Entries of an
-    integer table are int32 or int64, as the transform ran."""
-
-    lam: int
-    entries: np.ndarray
-
-    def peak(self) -> tuple[WalshMask, float]:
-        """Mask with the largest |entry|; ties break to the smallest mask."""
-        value, idx = _peak(self.entries)
-        return WalshMask(idx, self.lam), value
 
 
 def _peak(entries: np.ndarray, stride: int = 0, offset: int = 0):
@@ -138,6 +122,14 @@ def _magnitude_bound(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
+def _table_lam(values: np.ndarray) -> int:
+    """lam of a table of 2^lam entries, or ValueError."""
+    n = len(values)
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"table length {n} is not a power of two")
+    return n.bit_length() - 1
+
+
 def _check_width(peak: int, n: int, dtype) -> None:
     """ResourceLimitError if a transform of n entries bounded by peak can
     overflow integer accumulators of dtype."""
@@ -155,16 +147,14 @@ def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
     Integer buffers (int32 or int64) are checked for overflow first; stage
     order does not affect the result, only the memory access pattern.
     """
-    n = len(buffer)
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"buffer length {n} is not a power of two")
+    lam = _table_lam(buffer)
     if buffer.dtype in (np.int32, np.int64):
-        _check_width(_magnitude_bound(buffer), n, buffer.dtype)
+        _check_width(_magnitude_bound(buffer), len(buffer), buffer.dtype)
     elif buffer.dtype != np.float64:
         raise TypeError(
             f"transform needs an int32, int64 or float64 buffer, got {buffer.dtype}"
         )
-    _stages(buffer, 0, n.bit_length() - 1)
+    _stages(buffer, 0, lam)
     return buffer
 
 
@@ -191,11 +181,11 @@ def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
     accumulator (|values| <= bound), and the peak (entry, index) of each
     prefix 2^lam in lambdas.
 
-    A large table is worked as tasks of limits._two_way: first each
-    DEFAULT_SEGMENT of blocks is copied and runs the in-block stages, then
-    each half of the columns runs the cross-block stages.  Each column half
-    finds its own peak of a prefix above the block; the larger is kept,
-    ties to the smaller index, which may lie in either half.
+    The work is tasks of limits._two_way: first each run of DEFAULT_SEGMENT
+    entries (or the whole smaller table) is copied and runs the in-block
+    stages, then each half of the columns runs the cross-block stages.  Each
+    column half finds its own peak of a prefix above the block; the larger
+    is kept, ties to the smaller index, which may lie in either half.
     """
     n = len(values)
     if np.issubdtype(values.dtype, np.integer):
@@ -204,17 +194,15 @@ def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
     else:
         dtype = np.float64
     buf = _shared_empty(n, dtype)
-    if n < SPLIT_MIN:
-        buf[:] = values
-        return buf, _prefix_stages(buf, lambdas, top)
+    seg = min(n, DEFAULT_SEGMENT)
     inner = [lam for lam in lambdas if lam <= _BLOCK_BITS]
 
     def in_blocks(i: int) -> list:
-        part = slice(i * DEFAULT_SEGMENT, (i + 1) * DEFAULT_SEGMENT)
+        part = slice(i * seg, (i + 1) * seg)
         buf[part] = values[part]
         return _prefix_stages(buf[part], inner if i == 0 else [], min(top, _BLOCK_BITS))
 
-    peaks = _two_way(in_blocks, n // DEFAULT_SEGMENT, n)[0]
+    peaks = _two_way(in_blocks, n // seg, n)[0]
     if top <= _BLOCK_BITS:
         return buf, peaks
 
@@ -235,61 +223,52 @@ def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
     return buf, peaks
 
 
-def spectrum(seq: ArithmeticSequence, max_mem_gib: float | None = None) -> Spectrum:
-    """Correlation table of a sequence against every Walsh function."""
-    require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
-    vals = seq.values
-    bound = _magnitude_bound(vals) if np.issubdtype(vals.dtype, np.integer) else 0
-    return Spectrum(seq.lam, _transform(vals, bound, [], seq.lam)[0])
-
-
-def _sign_values(seq: ArithmeticSequence) -> tuple[np.ndarray, int]:
-    """The integer table of a sign sequence and its magnitude bound, or
-    ValueError."""
-    vals = seq.values
-    if not np.issubdtype(vals.dtype, np.integer):
-        rounded = np.rint(vals)
-        if not np.array_equal(rounded, vals):
-            raise ValueError("max_correlation needs an integer-valued sequence")
-        vals = rounded.astype(np.int64)
-    bound = _magnitude_bound(vals)
-    if bound > 1:
-        raise ValueError("max_correlation needs entries in {-1, 0, 1}")
-    return vals, bound
+def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray:
+    """Raw correlations of a table of 2^lam values against every Walsh
+    function, indexed by mask bits.  An integer table gives int32 or int64
+    entries, as the transform ran; a float table gives float64."""
+    lam = _table_lam(values)
+    require_table_bytes(lam, 8, max_mem_gib, what="transform buffer")
+    bound = _magnitude_bound(values) if np.issubdtype(values.dtype, np.integer) else 0
+    return _transform(values, bound, [], lam)[0]
 
 
 def max_correlation(
-    seq: ArithmeticSequence, max_mem_gib: float | None = None
+    values: np.ndarray, max_mem_gib: float | None = None
 ) -> tuple[WalshMask, int]:
     """Argmax mask and signed value of the raw correlation table.
 
-    Only defined for sign tables (entries in {-1, 0, 1}), where the raw
-    transform is exact integer arithmetic.
+    Only defined for integer sign tables (entries in {-1, 0, 1}), where the
+    raw transform is exact integer arithmetic.
     """
-    return prefix_max_correlations(seq, [seq.lam], max_mem_gib)[0]
+    return prefix_max_correlations(values, [_table_lam(values)], max_mem_gib)[0]
 
 
 def prefix_max_correlations(
-    seq: ArithmeticSequence, lambdas, max_mem_gib: float | None = None
+    values: np.ndarray, lambdas, max_mem_gib: float | None = None
 ) -> list[tuple[WalshMask, int]]:
-    """max_correlation of each prefix table seq.values[:2^lam], from one
+    """max_correlation of each prefix table values[:2^lam], from one
     transform of the whole table.
 
     The first lam butterfly stages act inside aligned blocks of 2^lam, so
     once they are done block [0, 2^lam) holds the prefix's spectrum; its
     peak is read there before the next stage runs.  lambdas must increase
-    strictly and lie in 1..seq.lam.
+    strictly and lie in 1..log2(len(values)).
     """
-    require_table_bytes(seq.lam, 8, max_mem_gib, what="transform buffer")
-    vals, bound = _sign_values(seq)
+    top = _table_lam(values)
+    require_table_bytes(top, 8, max_mem_gib, what="transform buffer")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"max_correlation needs an integer sign table, got {values.dtype}")
+    bound = _magnitude_bound(values)
+    if bound > 1:
+        raise ValueError("max_correlation needs entries in {-1, 0, 1}")
     lambdas = list(lambdas)
     done = 0
     for lam in lambdas:
-        if not done < lam <= seq.lam:
+        if not done < lam <= top:
             raise ValueError(
-                f"prefix lambdas must increase within 1..{seq.lam}, "
-                f"got {lam} after {done}"
+                f"prefix lambdas must increase within 1..{top}, got {lam} after {done}"
             )
         done = lam
-    _, peaks = _transform(vals, bound, lambdas, done)
+    _, peaks = _transform(values, bound, lambdas, done)
     return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)]

@@ -6,9 +6,10 @@ budget defaults to 2 GiB (lam = 28 with 8-byte accumulators) and can be
 widened per call, per CLI flag, or through the WSL_MAX_MEM_GIB environment
 variable.
 
-Tables of at least SPLIT_MIN entries are worked as numbered tasks; with two
-usable CPUs a forked child and the caller share them over an anonymous
-shared mapping.
+Sign sieves and transforms are worked as numbered tasks of _two_way at
+every size; _splits alone decides whether a forked child and the caller
+share them over an anonymous shared mapping (SPLIT_MIN entries or more and
+two usable CPUs) or the caller runs them in order.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ import numpy as np
 
 from .limits import _shared_empty, _two_way, require_table_bytes
 
-KINDS = ("moebius", "liouville", "von_mangoldt", "custom")
-KIND_CODES = {"moebius": 0, "liouville": 1, "von_mangoldt": 2, "custom": 3}
-_CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
+SIGN_KINDS = ("moebius", "liouville")
+# a kind's AWS1 code is its index here
+KINDS = SIGN_KINDS + ("von_mangoldt",)
 
 DEFAULT_SEGMENT = 1 << 20
 
@@ -180,12 +180,6 @@ def sequence(kind: str, lam: int, max_mem_gib: float | None = None) -> Arithmeti
     return _SIEVES[kind](lam, max_mem_gib=max_mem_gib)
 
 
-def custom_sequence(lam: int, values) -> ArithmeticSequence:
-    """Wrap a user-supplied table (float64) as a custom sequence."""
-    arr = np.asarray(values, dtype=np.float64)
-    return ArithmeticSequence(lam, "custom", arr)
-
-
 def dump_sequence(seq: ArithmeticSequence, path) -> None:
     """Binary dump: magic 'AWS1', lam (uint8), kind code (uint8), then raw
     little-endian entries (int8 for the sign tables, float64 otherwise)."""
@@ -193,7 +187,7 @@ def dump_sequence(seq: ArithmeticSequence, path) -> None:
     arr = np.ascontiguousarray(seq.values, dtype=dtype)
     # header, then the table's own memory: no joined copy of the body
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + bytes([seq.lam, KIND_CODES[seq.kind]]))
+        fh.write(_MAGIC + bytes([seq.lam, KINDS.index(seq.kind)]))
         fh.write(memoryview(arr))
 
 
@@ -206,10 +200,10 @@ def load_sequence(path) -> ArithmeticSequence:
     if lam == 0:
         raise ValueError(f"{path}: header lambda is 0, tables need lambda >= 1")
     code = raw[5]
-    if code not in _CODE_KINDS:
+    if code >= len(KINDS):
         raise ValueError(f"{path}: unknown kind code {code}")
-    kind = _CODE_KINDS[code]
-    dtype = np.dtype(np.int8) if kind in ("moebius", "liouville") else np.dtype("<f8")
+    kind = KINDS[code]
+    dtype = np.dtype(np.int8) if kind in SIGN_KINDS else np.dtype("<f8")
     body = raw[6:]
     expect = (1 << lam) * dtype.itemsize
     if len(body) != expect:

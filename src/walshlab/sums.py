@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import _synthesize
-from .fwht import max_correlation, prefix_max_correlations
+from .fwht import prefix_max_correlations
 from .lemmas import CheckReport, _ratio
-from .sieve import ArithmeticSequence, sequence
+from .sieve import SIGN_KINDS, sequence
 from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
@@ -355,16 +355,12 @@ def spectral_split(config: SplitConfig) -> SplitResult:
 # correlation scans and report builders
 
 
-def correlation_report(seq: ArithmeticSequence) -> CheckReport:
-    """Max |correlation| of a sign table against 2^(lam - lam^(1/10)).
+def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> CheckReport:
+    """Max |correlation| value of a sign table against 2^(lam - lam^(1/10)).
 
     Records the argmax mask, its weight, and the empirical exponent
     log2 |value| / lam (None for an identically-zero table).
     """
-    return _correlation_check(seq.lam, seq.kind, *max_correlation(seq))
-
-
-def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> CheckReport:
     rhs = 2.0 ** (lam - lam**0.1)
     lhs = float(abs(value))
     exponent = math.log2(lhs) / lam if value else None
@@ -382,20 +378,20 @@ def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> Chec
 def theorem_scan(
     kind: str, lambdas, max_mem_gib: float | None = None
 ) -> list[CheckReport]:
-    """correlation_report for each lam, in the order given.
+    """The THM1 check of the kind's sign table at each lam, in the order given.
 
     One sieve at the largest lam serves them all, since its table holds
     every smaller table as its prefix, and one transform of it yields every
     prefix's peak (fwht.prefix_max_correlations).
     """
-    if kind not in ("moebius", "liouville"):
-        raise ValueError(f"theorem_scan supports moebius and liouville, got {kind!r}")
+    if kind not in SIGN_KINDS:
+        raise ValueError(f"theorem_scan supports {' and '.join(SIGN_KINDS)}, got {kind!r}")
     lambdas = list(lambdas)
     if not lambdas:
         return []
     steps = sorted(set(lambdas))
-    seq = sequence(kind, steps[-1], max_mem_gib=max_mem_gib)
-    peaks = dict(zip(steps, prefix_max_correlations(seq, steps, max_mem_gib=max_mem_gib)))
+    values = sequence(kind, steps[-1], max_mem_gib=max_mem_gib).values
+    peaks = dict(zip(steps, prefix_max_correlations(values, steps, max_mem_gib=max_mem_gib)))
     return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
 
 

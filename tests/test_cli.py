@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from walshlab import load_sequence, manifest_from_json, parse_csv
+from walshlab import load_sequence, manifest_from_json, parse_csv, sieve
 from walshlab.cli import dispatch
 
 
@@ -65,6 +65,18 @@ def test_usage_error_exits_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "sieve")[0] == 2  # --lambda is required
+
+
+@pytest.mark.parametrize("argv", ["spectrum --lambda 22",
+                                  "theorem-scan --lambda-min 2 --lambda-max 22"])
+def test_sign_commands_refuse_von_mangoldt_before_sieving(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a von Mangoldt table was sieved")
+
+    monkeypatch.setitem(sieve._SIEVES, "von_mangoldt", never)
+    code, out, err = run_cli(capsys, *argv.split(), "--kind", "von_mangoldt")
+    assert code == 2 and not out
+    assert "argument --kind: invalid choice: 'von_mangoldt'" in err
 
 
 def test_value_error_exits_two(capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+import walshlab
 from walshlab import (
+    ArithmeticSequence,
     ResourceLimitError,
-    custom_sequence,
     dump_sequence,
     load_sequence,
     sequence,
@@ -174,9 +175,11 @@ def test_load_rejects_truncated_payload(tmp_path):
 
 def test_load_rejects_unknown_kind_code(tmp_path):
     path = tmp_path / "kind.bin"
-    path.write_bytes(b"AWS1" + bytes([3, 9]) + bytes(8))
-    with pytest.raises(ValueError, match="kind"):
-        load_sequence(path)
+    # code 3 once named user-supplied float tables
+    for code in (3, 9):
+        path.write_bytes(b"AWS1" + bytes([3, code]) + bytes(64))
+        with pytest.raises(ValueError, match=f"unknown kind code {code}"):
+            load_sequence(path)
 
 
 def test_load_rejects_short_header(tmp_path):
@@ -208,24 +211,26 @@ def test_load_rejects_sign_bytes_outside_unit(tmp_path, code):
     assert load_sequence(path).values.tolist() == [0, 1, -1, 1]
 
 
-def test_custom_sequence_round_trip(tmp_path):
-    vals = np.array([0.5, -1.0, 0.25, 1.0], dtype=np.float64)
-    seq = custom_sequence(2, vals)
-    assert seq.kind == "custom"
-    path = tmp_path / "c.bin"
-    dump_sequence(seq, path)
-    back = load_sequence(path)
-    assert np.array_equal(back.values, vals)
+def test_sequence_length_validation():
+    with pytest.raises(ValueError, match="length"):
+        ArithmeticSequence(3, "moebius", np.zeros(7, dtype=np.int8))
 
 
-def test_custom_sequence_length_validation():
-    with pytest.raises(ValueError):
-        custom_sequence(3, np.zeros(7))
+def test_public_names_resolve_once_without_removed_surface():
+    names = walshlab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(walshlab, name) is not None, name
+    for gone in ("Spectrum", "custom_sequence", "correlation_report"):
+        assert gone not in names and not hasattr(walshlab, gone)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         sequence("mertens", 8)
+    # only sieved kinds make a sequence
+    with pytest.raises(ValueError, match="kind"):
+        ArithmeticSequence(2, "custom", np.zeros(4))
 
 
 def test_memory_guard_trips():

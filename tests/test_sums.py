@@ -14,7 +14,6 @@ from walshlab import (
     carry_truncation_rate,
     cauchy_schwarz_chain,
     coefficient_table,
-    correlation_report,
     quadform_report,
     sequence,
     shifted_quadratic_form,
@@ -375,14 +374,14 @@ def test_split_single_bit_mask():
 
 
 def test_correlation_report_small_lambda_fails_honestly():
-    rep = correlation_report(sequence("moebius", 2))
+    [rep] = theorem_scan("moebius", [2])
     assert not rep.passed
     assert rep.lhs == 3.0
     assert rep.params["exponent"] == pytest.approx(np.log2(3) / 2)
 
 
 def test_correlation_report_lambda_8():
-    rep = correlation_report(sequence("moebius", 8))
+    [rep] = theorem_scan("moebius", [8])
     assert rep.passed
     assert rep.lhs == 43.0
     assert rep.params["exponent"] == pytest.approx(0.6782830943377622)
@@ -396,8 +395,9 @@ def test_theorem_scan_kinds():
 
 
 def test_zero_sequence_exponent_is_none():
-    from walshlab import custom_sequence
+    from walshlab import max_correlation
+    from walshlab.sums import _correlation_check
 
-    rep = correlation_report(custom_sequence(4, np.zeros(16)))
+    rep = _correlation_check(4, "moebius", *max_correlation(np.zeros(16, dtype=np.int8)))
     assert rep.params["exponent"] is None
     assert rep.passed

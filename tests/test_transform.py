@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from walshlab import (
-    ArithmeticSequence,
     ResourceLimitError,
-    Spectrum,
     WalshMask,
-    correlation_report,
-    custom_sequence,
     fwht_in_place,
     max_correlation,
     prefix_max_correlations,
@@ -20,7 +16,8 @@ from walshlab import (
     walsh_table,
 )
 from walshlab import fwht
-from walshlab.fwht import _CHUNK, _NARROW, DEFAULT_BLOCK
+from walshlab.fwht import _CHUNK, _NARROW, DEFAULT_BLOCK, _peak
+from walshlab.sums import _correlation_check
 
 
 def test_delta_transforms_to_all_ones():
@@ -96,6 +93,11 @@ def test_blocked_and_full_stages_match_axis_oracle(rng):
 def test_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fwht_in_place(np.zeros(6, dtype=np.int64))
+    for table in (np.zeros(6, dtype=np.int8), np.zeros(0, dtype=np.int8)):
+        with pytest.raises(ValueError, match="power of two"):
+            spectrum(table)
+        with pytest.raises(ValueError, match="power of two"):
+            max_correlation(table)
 
 
 def test_rejects_narrow_dtype():
@@ -111,53 +113,52 @@ def test_overflow_precheck():
 
 def test_spectrum_normalized_indicator():
     lam, bits = 6, 0b10110
-    seq = custom_sequence(lam, walsh_table(WalshMask(bits, lam)).astype(np.float64))
-    entries = spectrum(seq).entries / float(1 << lam)
+    entries = spectrum(walsh_table(WalshMask(bits, lam)).astype(np.float64)) / float(1 << lam)
     assert entries[bits] == pytest.approx(1.0)
     assert np.abs(np.delete(entries, bits)).max() < 1e-12
 
 
 def test_spectrum_raw_constant():
-    seq = custom_sequence(3, np.ones(8))
-    spec = spectrum(seq)
-    assert spec.entries[0] == 8 and not np.asarray(spec.entries[1:]).any()
+    entries = spectrum(np.ones(8))
+    assert entries.dtype == np.float64
+    assert entries[0] == 8 and not entries[1:].any()
 
 
 def test_max_correlation_small_moebius():
-    mask, value = max_correlation(sequence("moebius", 2))
+    mask, value = max_correlation(sequence("moebius", 2).values)
     assert (mask.bits, value) == (0b10, 3)
 
 
 def test_max_correlation_zero_sequence_tie_break():
-    mask, value = max_correlation(custom_sequence(4, np.zeros(16)))
+    mask, value = max_correlation(np.zeros(16, dtype=np.int8))
     assert (mask.bits, value) == (0, 0)
 
 
 def test_max_correlation_character_input():
     lam, bits = 9, 0b1_0010_0110
-    seq = custom_sequence(lam, walsh_table(WalshMask(bits, lam)).astype(np.float64))
-    mask, value = max_correlation(seq)
+    mask, value = max_correlation(walsh_table(WalshMask(bits, lam)))
     assert (mask.bits, value) == (bits, 1 << lam)
 
 
 def test_max_correlation_rejects_wide_values():
-    with pytest.raises(ValueError):
-        max_correlation(custom_sequence(3, np.array([0, 1, 2, 0, 0, 1, 0, 1.0])))
-    with pytest.raises(ValueError):
-        max_correlation(custom_sequence(2, np.array([0.5, 0, 0, 0])))
+    with pytest.raises(ValueError, match="entries"):
+        max_correlation(np.array([0, 1, 2, 0, 0, 1, 0, 1]))
+    # a float table is refused even when its values are signs
+    for table in (np.array([0.5, 0, 0, 0]), np.array([0, 1.0, -1.0, 1.0])):
+        with pytest.raises(ValueError, match="integer"):
+            max_correlation(table)
 
 
 @given(st.integers(0, (1 << 10) - 1))
 def test_spot_consistency_with_walsh_eval(bits):
-    seq = sequence("liouville", 10)
-    spec = spectrum(seq)
+    values = sequence("liouville", 10).values
     direct = int(
         np.dot(
-            seq.values.astype(np.int64),
+            values.astype(np.int64),
             walsh_table(WalshMask(bits, 10)).astype(np.int64),
         )
     )
-    assert spec.entries[bits] == direct
+    assert spectrum(values)[bits] == direct
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +180,12 @@ def test_int32_matches_int64_on_random_sign_tables(lam, rng):
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville"])
 def test_sign_spectrum_is_int32_and_equals_int64_at_lambda_20(kind):
-    seq = sequence(kind, 20)
-    spec = spectrum(seq)
-    wide = fwht_in_place(seq.values.astype(np.int64))
-    assert spec.entries.dtype == np.int32
-    assert np.array_equal(spec.entries, wide)
-    mask, value = max_correlation(seq)
+    values = sequence(kind, 20).values
+    entries = spectrum(values)
+    wide = fwht_in_place(values.astype(np.int64))
+    assert entries.dtype == np.int32
+    assert np.array_equal(entries, wide)
+    mask, value = max_correlation(values)
     idx = int(np.argmax(np.abs(wide)))
     assert (mask.bits, value) == (idx, int(wide[idx]))
 
@@ -198,9 +199,9 @@ def test_int32_overflow_precheck():
 def test_large_integer_tables_stay_int64():
     vals = np.zeros(1 << 6, dtype=np.int64)
     vals[3] = 1 << 40
-    spec = spectrum(ArithmeticSequence(6, "custom", vals))
-    assert spec.entries.dtype == np.int64
-    assert np.array_equal(spec.entries, oracles.naive_fwht(vals))
+    entries = spectrum(vals)
+    assert entries.dtype == np.int64
+    assert np.array_equal(entries, oracles.naive_fwht(vals))
 
 
 def _tied_entries(lam, dtype, rng):
@@ -217,21 +218,26 @@ def _tied_entries(lam, dtype, rng):
 def test_chunked_peak_matches_argmax_with_ties(dtype, rng):
     lam = 18
     entries = _tied_entries(lam, dtype, rng)
-    mask, value = Spectrum(lam, entries).peak()
+    value, idx = _peak(entries)
     expect = int(np.argmax(np.abs(entries)))
-    assert mask.bits == expect == 5
+    assert idx == expect == 5
     assert value == entries[expect] == 99
     # a tie that sits only in later chunks still goes to the smallest mask
     entries[5] = 0
-    mask, _ = Spectrum(lam, entries).peak()
-    assert mask.bits == int(np.argmax(np.abs(entries))) == _CHUNK + 16
+    _, idx = _peak(entries)
+    assert idx == int(np.argmax(np.abs(entries))) == _CHUNK + 16
+
+
+def _direct_report(kind, lam):
+    """The THM1 report from a transform of the kind's own table at lam."""
+    return _correlation_check(lam, kind, *max_correlation(sequence(kind, lam).values))
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville"])
 def test_prefix_scan_equals_per_lambda_reports(kind):
     lambdas = list(range(2, 17))
     scanned = theorem_scan(kind, lambdas)
-    direct = [correlation_report(sequence(kind, lam)) for lam in lambdas]
+    direct = [_direct_report(kind, lam) for lam in lambdas]
     assert scanned == direct
 
 
@@ -239,15 +245,15 @@ def test_prefix_scan_keeps_the_given_order():
     lambdas = [13, 3, 9, 3, 17]
     scanned = theorem_scan("moebius", lambdas)
     assert [r.params["lambda"] for r in scanned] == lambdas
-    assert scanned == [correlation_report(sequence("moebius", lam)) for lam in lambdas]
+    assert scanned == [_direct_report("moebius", lam) for lam in lambdas]
     assert theorem_scan("moebius", []) == []
 
 
 def test_prefix_max_correlations_reads_each_prefix():
-    seq = sequence("liouville", 12)
-    got = prefix_max_correlations(seq, [1, 4, 5, 12])
+    values = sequence("liouville", 12).values
+    got = prefix_max_correlations(values, [1, 4, 5, 12])
     for lam, (mask, value) in zip([1, 4, 5, 12], got):
-        prefix = seq.values[: 1 << lam].astype(np.int64)
+        prefix = values[: 1 << lam].astype(np.int64)
         ref = oracles.naive_fwht(prefix)
         idx = int(np.argmax(np.abs(ref)))
         assert (mask.lam, mask.bits, value) == (lam, idx, int(ref[idx]))
@@ -258,7 +264,7 @@ def test_prefix_steps_straddling_the_transposed_width(rng):
     steps = [1, 3, 6, 7, 8, 11, 17]
     assert steps[2] < _NARROW <= steps[3]
     vals = rng.integers(-1, 2, size=1 << 17).astype(np.int8)
-    got = prefix_max_correlations(ArithmeticSequence(17, "custom", vals), steps)
+    got = prefix_max_correlations(vals, steps)
     for lam, (mask, value) in zip(steps, got):
         ref = oracles.axis_fwht(vals[: 1 << lam])
         idx = int(np.argmax(np.abs(ref)))
@@ -267,21 +273,20 @@ def test_prefix_steps_straddling_the_transposed_width(rng):
 
 def test_prefix_max_correlations_match_each_prefix_transform(monkeypatch):
     lambdas = [1, 2, 3, 6, 7, 8, 11]
-    seq = sequence("moebius", 12)
+    values = sequence("moebius", 12).values
     calls = []
     stages = fwht._stages
 
     def spy(buffer, first, last):
-        if len(buffer) == len(seq.values):
+        if len(buffer) == len(values):
             calls.append((first, last))
         stages(buffer, first, last)
 
     monkeypatch.setattr(fwht, "_stages", spy)
-    got = prefix_max_correlations(seq, lambdas)
+    got = prefix_max_correlations(values, lambdas)
     monkeypatch.undo()
     for lam, peak in zip(lambdas, got):
-        prefix = ArithmeticSequence(lam, seq.kind, seq.values[: 1 << lam])
-        assert peak == max_correlation(prefix)
+        assert peak == max_correlation(values[: 1 << lam])
     # prefixes below 2^_NARROW read copies, so the whole table runs its
     # transposed stages in one pass and every stage once
     assert calls == [(0, 7), (7, 8), (8, 11)]
@@ -290,4 +295,4 @@ def test_prefix_max_correlations_match_each_prefix_transform(monkeypatch):
 @pytest.mark.parametrize("lambdas", [[4, 4], [5, 3], [0, 3], [3, 13]])
 def test_prefix_max_correlations_rejects_bad_lambdas(lambdas):
     with pytest.raises(ValueError, match="increase"):
-        prefix_max_correlations(sequence("moebius", 12), lambdas)
+        prefix_max_correlations(sequence("moebius", 12).values, lambdas)

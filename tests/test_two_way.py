@@ -1,11 +1,13 @@
-"""Sign sieve and transform tasks shared by two processes.
+"""Sign sieve and transform tasks, shared by two processes or run in order.
 
-Tables of at least limits.SPLIT_MIN entries are worked as tasks that a
-forked child and the caller share when two CPUs are usable.  Every test
-here forces the fork by reporting two CPUs, so it runs on a one-CPU machine
-too, and takes its reference with one CPU reported, where the tasks run
-in order in-process; sign tables and spectra are also checked against
-independent oracles.
+Every sign sieve and transform is worked as numbered tasks; for tables of at
+least limits.SPLIT_MIN entries a forked child and the caller share them when
+two CPUs are usable.  The split tests force the fork by reporting two CPUs,
+so they run on a one-CPU machine too, and take their reference with one CPU
+reported, where the tasks run in order in-process.  Smaller tables always
+run the tasks in order; the tests below SPLIT_MIN forbid the fork and
+compare the task path with fwht_in_place's whole-array stages.  Sign tables
+and spectra are also checked against independent oracles.
 """
 
 import os
@@ -20,7 +22,6 @@ import pytest
 
 import oracles
 from walshlab import (
-    ArithmeticSequence,
     WalshMask,
     fwht_in_place,
     max_correlation,
@@ -73,19 +74,54 @@ def test_split_sign_tables_equal_one_process(monkeypatch, kind, lam):
 def _int64_table():
     vals = np.random.default_rng(64).integers(-2000, 2001, size=1 << LAM)
     assert 2000 * (1 << LAM) >= 2**31
-    return ArithmeticSequence(LAM, "custom", vals)
+    return vals
 
 
 @pytest.mark.parametrize("table", ["moebius", "int64", "von_mangoldt"])
 def test_split_spectrum_bytes_equal_one_process(monkeypatch, table):
-    seq = _int64_table() if table == "int64" else sequence(table, LAM)
-    split, ref = _both(monkeypatch, lambda: spectrum(seq).entries)
+    vals = _int64_table() if table == "int64" else sequence(table, LAM).values
+    split, ref = _both(monkeypatch, lambda: spectrum(vals))
     dtype = {"moebius": np.int32, "int64": np.int64, "von_mangoldt": np.float64}[table]
     assert split.dtype == ref.dtype == dtype
     assert split.tobytes() == ref.tobytes()
     # the whole-table stages of a private buffer, an independent stage order
-    serial = seq.values.astype(np.float64 if table == "von_mangoldt" else np.int64)
+    serial = vals.astype(np.float64 if table == "von_mangoldt" else np.int64)
     assert np.array_equal(split, fwht_in_place(serial))
+
+
+def _no_fork(monkeypatch):
+    """Report two CPUs and make any fork fail the test."""
+    _cpus(monkeypatch, {0, 1})
+
+    def forbidden():
+        raise AssertionError("a table below SPLIT_MIN forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+
+
+def _table(dtype: str, lam: int) -> np.ndarray:
+    rng = np.random.default_rng([lam, 7])
+    if dtype == "float64":
+        return rng.normal(size=1 << lam)
+    # int64 entries up to 2^31 make even a two-entry table transform in int64
+    top = 2 if dtype == "int8" else 2**31
+    return rng.integers(1 - top, top, size=1 << lam).astype(dtype)
+
+
+# one pair; spans below the transposed width only; one transposed width; one
+# block; the first cross-block stage; one DEFAULT_SEGMENT; and two in-block
+# tasks, one short of SPLIT_MIN
+@pytest.mark.parametrize("lam", [1, 2, 7, 16, 17, 20, LAM - 1])
+@pytest.mark.parametrize("table", ["int8", "int64", "float64"])
+def test_in_order_tasks_equal_whole_array_stages(monkeypatch, table, lam):
+    _no_fork(monkeypatch)
+    vals = _table(table, lam)
+    got = spectrum(vals)
+    # int8 sign tables transform in int32; float64 is exact here because
+    # both paths give each entry the same additions in the same order
+    ref = fwht_in_place(vals.astype(np.int32 if table == "int8" else vals.dtype))
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville"])
@@ -96,25 +132,38 @@ def test_split_theorem_scan_equals_one_process(monkeypatch, kind):
         assert [r.params["lambda"] for r in split] == list(lambdas)
 
 
-def _two_peaks(low: int, high: int) -> ArithmeticSequence:
-    """(w_low - w_high) / 2: its spectrum is +2^(LAM-1) at low, -2^(LAM-1)
+def _two_peaks(low: int, high: int, lam: int) -> np.ndarray:
+    """(w_low - w_high) / 2: its spectrum is +2^(lam-1) at low, -2^(lam-1)
     at high and 0 elsewhere, so the two tie in |entry|."""
-    vals = (walsh_table(WalshMask(low, LAM)) - walsh_table(WalshMask(high, LAM))) // 2
-    return ArithmeticSequence(LAM, "custom", vals.astype(np.int8))
+    vals = (walsh_table(WalshMask(low, lam)) - walsh_table(WalshMask(high, lam))) // 2
+    return vals.astype(np.int8)
 
 
 # bit 15 picks the column half that runs an entry's cross-block stages
-@pytest.mark.parametrize("low, high, winner", [
+_TIES = [
     (1 << 16, 1 << 15, 1 << 15),                       # smaller index in half 1
     ((1 << 16) + 5, (1 << 16) + (1 << 15) + 3, (1 << 16) + 5),  # in half 0
-])
+]
+
+
+@pytest.mark.parametrize("low, high, winner", _TIES)
 def test_cross_half_tie_goes_to_the_smaller_mask(monkeypatch, low, high, winner):
     assert (low >> 15) & 1 == 0 and (high >> 15) & 1 == 1
-    seq = _two_peaks(low, high)
-    split, ref = _both(monkeypatch, lambda: max_correlation(seq))
+    vals = _two_peaks(low, high, LAM)
+    split, ref = _both(monkeypatch, lambda: max_correlation(vals))
     half = 1 << (LAM - 1)
     assert split == ref == (WalshMask(winner, LAM), half if winner == low else -half)
-    assert spectrum(seq).peak()[0].bits == winner
+    assert fwht._peak(spectrum(vals))[1] == winner
+
+
+@pytest.mark.parametrize("low, high, winner", _TIES)
+def test_in_order_cross_half_tie_goes_to_the_smaller_mask(monkeypatch, low, high, winner):
+    lam = 17  # the smallest table whose transform has a cross-block stage
+    assert fwht._BLOCK_BITS + 1 == lam and max(low, high) < 1 << lam
+    _no_fork(monkeypatch)
+    vals = _two_peaks(low, high, lam)
+    half = 1 << (lam - 1)
+    assert max_correlation(vals) == (WalshMask(winner, lam), half if winner == low else -half)
 
 
 def _fail_in(monkeypatch, where, failure):
@@ -140,10 +189,10 @@ def _raise(where):
 
 def test_failed_child_raises_child_process_error(monkeypatch, capsys):
     _cpus(monkeypatch, {0, 1})
-    seq = sequence("moebius", LAM)
+    values = sequence("moebius", LAM).values
     _fail_in(monkeypatch, "child", _raise("child"))
     with pytest.raises(ChildProcessError, match="stage failure in the child"):
-        spectrum(seq)
+        spectrum(values)
     _no_children()
     assert dispatch(["spectrum", "--lambda", str(LAM)]) == 2
     err = capsys.readouterr().err
@@ -154,19 +203,19 @@ def test_failed_child_raises_child_process_error(monkeypatch, capsys):
 
 def test_signalled_child_raises_child_process_error(monkeypatch):
     _cpus(monkeypatch, {0, 1})
-    seq = sequence("moebius", LAM)
+    values = sequence("moebius", LAM).values
     _fail_in(monkeypatch, "child", lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(ChildProcessError, match="signal 9"):
-        spectrum(seq)
+        spectrum(values)
     _no_children()
 
 
 def test_parent_failure_still_reaps_the_child(monkeypatch):
     _cpus(monkeypatch, {0, 1})
-    seq = sequence("moebius", LAM)
+    values = sequence("moebius", LAM).values
     _fail_in(monkeypatch, "parent", _raise("parent"))
     with pytest.raises(RuntimeError, match="stage failure in the parent"):
-        spectrum(seq)
+        spectrum(values)
     _no_children()
 
 
