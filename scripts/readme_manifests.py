@@ -13,6 +13,9 @@ empty:
     PYTHONPATH=src python3 scripts/readme_manifests.py /tmp/new --seed 7919 \\
         --also "scan --lambda-min 6 --lambda-max 9 --masks all" \\
         --workload spectrum --workload lemma-scan --workload mollifier
+
+To check the in-order path of the two-process tasks, rerun the same command
+under `taskset -c 0` into a second OUT_DIR and `diff -r` the two.
 """
 
 import argparse

@@ -8,7 +8,9 @@ over bits inside A.  The factor for bit j depends only on k mod 2^(lam-j)
 and on whether j is in A, so each lambda caches |cos| and |sin| over one
 period per bit, and a mask's magnitude row is lam broadcast multiplies of
 those tables with no trigonometric call.  No dense spectrum is stored.
-All-mask sweeps keep the rows' floats: sup by a fold, l1 by a product tree.
+All-mask sweeps keep the rows' floats: sup by a fold, l1 by a product tree
+whose subtrees below the low mask bits are tasks of limits._two_way, so two
+processes share the large sweeps with the same floats.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .limits import _two_way
 
 
 @dataclass(frozen=True)
@@ -187,28 +191,48 @@ def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
 # ---------------------------------------------------------------------------
 # exhaustive mask sweeps
 
+# the l1 sweep's tasks are the 2^_SWEEP_BITS subtrees below its low mask
+# bits; 1 to 4 bits timed alike at lam=14 on two CPUs
+_SWEEP_BITS = 3
+
 
 def mask_sweep(lam: int, selector) -> np.ndarray:
-    """l1 norm of every mask's row by a depth-first product tree: each prefix
-    product goes in place into one of lam+1 preallocated rows (O(2^(lam+1))
-    vector multiplies), in the per-mask factor order, so sums are bit-identical."""
+    """l1 norm of every mask's row by a depth-first product tree, in the
+    per-mask factor order, so sums are bit-identical.  Task p of
+    limits._two_way is the subtree whose low _SWEEP_BITS mask bits are p: it
+    forms that prefix row in bit order, runs the recursion below it with each
+    prefix product in place in one of lam+1 rows of its own (O(2^(lam+1))
+    vector multiplies in all), and returns its masks' l1 values, which land
+    at out[p::2^_SWEEP_BITS].  Two processes share the tasks when 2^lam times
+    the selected frequencies reach SPLIT_MIN; each mask gets the same
+    multiplies either way."""
     ks = np.arange(1 << lam, dtype=np.int64)[_selector_slice(lam, selector)]
     cos_t, sin_t = _period_tables(lam)
     cos_f = [t[ks & (len(t) - 1)] for t in cos_t]
     sin_f = [t[ks & (len(t) - 1)] for t in sin_t]
-    depth = [np.ones(len(ks))] + [np.empty(len(ks)) for _ in range(lam)]
+    low = min(_SWEEP_BITS, lam)
+
+    def subtree(p: int) -> np.ndarray:
+        depth = [np.ones(len(ks))] + [np.empty(len(ks)) for _ in range(lam)]
+        for j in range(low):
+            np.multiply(depth[j], sin_f[j] if (p >> j) & 1 else cos_f[j], out=depth[j + 1])
+        part = np.empty(1 << (lam - low), dtype=np.float64)
+
+        def rec(j: int, high: int):
+            if j == lam:
+                part[high] = np.add.reduce(depth[lam])
+                return
+            np.multiply(depth[j], cos_f[j], out=depth[j + 1])
+            rec(j + 1, high)
+            np.multiply(depth[j], sin_f[j], out=depth[j + 1])
+            rec(j + 1, high | (1 << (j - low)))
+
+        rec(low, 0)
+        return part
+
     out = np.empty(1 << lam, dtype=np.float64)
-
-    def rec(j: int, bits: int):
-        if j == lam:
-            out[bits] = np.add.reduce(depth[lam])
-            return
-        np.multiply(depth[j], cos_f[j], out=depth[j + 1])
-        rec(j + 1, bits)
-        np.multiply(depth[j], sin_f[j], out=depth[j + 1])
-        rec(j + 1, bits | (1 << j))
-
-    rec(0, 0)
+    for p, part in enumerate(_two_way(subtree, 1 << low, len(ks) << lam)):
+        out[p :: 1 << low] = part
     return out
 
 

@@ -252,6 +252,13 @@ def test_sup_fold_at_the_exhaustive_cap():
         assert sup[bits] == sup_norm(WalshMask(bits, lam))
 
 
+def test_l1_sweep_at_the_exhaustive_cap():
+    lam = 14
+    l1 = all_mask_l1(lam)
+    for bits in [0, 1, (1 << lam) - 1, *range(0, 1 << lam, 97)]:
+        assert l1[bits] == l1_accumulate(WalshMask(bits, lam))
+
+
 @pytest.mark.parametrize("lam", range(1, 9))
 def test_sup_fold_against_trig_oracle(lam):
     ks = np.arange(1 << lam)
