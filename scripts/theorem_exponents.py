@@ -16,11 +16,12 @@ import sys
 from pathlib import Path
 
 from walshlab import emit_csv, theorem_scan
+from walshlab.sieve import SIGN_KINDS
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kind", choices=("moebius", "liouville"), default="moebius")
+    ap.add_argument("--kind", choices=SIGN_KINDS, default="moebius")
     ap.add_argument("--lambda-min", type=int, default=8)
     ap.add_argument("--lambda-max", type=int, default=20)
     ap.add_argument("--step", type=int, default=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -182,7 +183,8 @@ def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
 
 
 def _bilinear(args, report):
-    # the config is validated before the table guard runs
+    # the config is validated before the table guard runs; the 2^nu beta
+    # table is drawn only once the guard has passed
     cfg = BilinearConfig(
         s_bits=args.mask,
         mu=args.mu,
@@ -190,9 +192,13 @@ def _bilinear(args, report):
         rho=args.rho,
         k_shift=args.k_shift,
         epsilon=args.epsilon,
-        beta=coefficient_table(args.coef, 1 << args.nu, args.seed),
     )
-    return cfg.lam, lambda: ([report(cfg)], None)
+
+    def run():
+        beta = coefficient_table(args.coef, cfg.n_count, args.seed)
+        return [report(dataclasses.replace(cfg, beta=beta))], None
+
+    return cfg.lam, run
 
 
 # subcommand -> prepare(args), which returns the lambda its table guard

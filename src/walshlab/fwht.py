@@ -13,7 +13,7 @@ with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
 copied and runs the in-block stages, then, after one join, each half of the
 columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
 every cross-block stage.  Every entry sees the same additions in the same
-order either way, and as in fwht_in_place's whole-array stages.
+order either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ def _stage(view: np.ndarray, h: int, tmp: np.ndarray) -> None:
 
 
 def _stages(buffer: np.ndarray, first: int, last: int) -> None:
-    """Butterfly stages first..last-1 (stage s has span 2^s), in place.
+    """Butterfly stages first..last-1 (stage s has span 2^s) in place, with
+    last <= log2(min(len(buffer), DEFAULT_BLOCK)).
 
-    Stages with span below DEFAULT_BLOCK run to completion inside each
-    contiguous block before the next block is touched (the low stages are
-    where the locality is); the remaining stages sweep the full array.
+    The stages run to completion inside each contiguous block before the
+    next block is touched (the low stages are where the locality is).
     Spans below w = 2^_NARROW run on the block's transpose (w rows of
     block/w), where stage s pairs whole rows, span (block/w) << s, instead of
     numpy's tiny inner loops; every entry sees the same additions in the same
@@ -90,23 +90,19 @@ def _stages(buffer: np.ndarray, first: int, last: int) -> None:
     n = len(buffer)
     tmp = np.empty(min(_CHUNK, n), dtype=buffer.dtype)
     b = min(DEFAULT_BLOCK, n)
-    split = min(max(b.bit_length() - 1, first), last)
     w = min(1 << _NARROW, b)
-    narrow = min(max(w.bit_length() - 1, first), split)
+    narrow = min(max(w.bit_length() - 1, first), last)
     t = np.empty((w, b // w), dtype=buffer.dtype)
-    if first < split:
-        for lo in range(0, n, b):
-            seg = buffer[lo : lo + b]
-            if first < narrow:
-                cols = seg.reshape(-1, w).T
-                np.copyto(t, cols)
-                for s in range(first, narrow):
-                    _stage(t.reshape(-1), (b // w) << s, tmp)
-                np.copyto(cols, t)
-            for s in range(narrow, split):
-                _stage(seg, 1 << s, tmp)
-    for s in range(split, last):
-        _stage(buffer, 1 << s, tmp)
+    for lo in range(0, n, b):
+        seg = buffer[lo : lo + b]
+        if first < narrow:
+            cols = seg.reshape(-1, w).T
+            np.copyto(t, cols)
+            for s in range(first, narrow):
+                _stage(t.reshape(-1), (b // w) << s, tmp)
+            np.copyto(cols, t)
+        for s in range(narrow, last):
+            _stage(seg, 1 << s, tmp)
 
 
 def _cross_stages(rows: np.ndarray, first: int, last: int, tmp: np.ndarray) -> None:
@@ -139,23 +135,6 @@ def _check_width(peak: int, n: int, dtype) -> None:
             f"transform output can reach {peak} * 2^{n.bit_length() - 1}, "
             f"which overflows {bits}-bit accumulators"
         )
-
-
-def fwht_in_place(buffer: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over a power-of-two buffer.
-
-    Integer buffers (int32 or int64) are checked for overflow first; stage
-    order does not affect the result, only the memory access pattern.
-    """
-    lam = _table_lam(buffer)
-    if buffer.dtype in (np.int32, np.int64):
-        _check_width(_magnitude_bound(buffer), len(buffer), buffer.dtype)
-    elif buffer.dtype != np.float64:
-        raise TypeError(
-            f"transform needs an int32, int64 or float64 buffer, got {buffer.dtype}"
-        )
-    _stages(buffer, 0, lam)
-    return buffer
 
 
 def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:

@@ -395,6 +395,14 @@ def theorem_scan(
     return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
 
 
+def _bilinear_params(config: BilinearConfig, **extra) -> dict:
+    """A bilinear-family report's params: the config's shape and advisories,
+    then the report's own keys."""
+    return {"lambda": config.lam, "mask": config.s_bits, "mu": config.mu, "nu": config.nu,
+            "rho": config.rho, "k_shift": config.k_shift,
+            "advisories": config.advisories, **extra}
+
+
 def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
     """(bilinear sum)^2 against (MN/L) * (2L-1) * quadratic form.
 
@@ -406,19 +414,8 @@ def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
     quad = shifted_quadratic_form(config)
     lhs = bil * bil
     rhs = quad.prefactor * (2 * config.shift_count - 1) * quad.value
-    params = {
-        "lambda": config.lam,
-        "mask": config.s_bits,
-        "mu": config.mu,
-        "nu": config.nu,
-        "rho": config.rho,
-        "k_shift": config.k_shift,
-        "bilinear": bil,
-        "quadform": quad.value,
-        "prefactor": quad.prefactor,
-        "clipped_terms": quad.clipped_terms,
-        "advisories": config.advisories,
-    }
+    params = _bilinear_params(config, bilinear=bil, quadform=quad.value,
+                              prefactor=quad.prefactor, clipped_terms=quad.clipped_terms)
     fitted = _ratio(lhs, rhs)
     return CheckReport("BILIN", params, lhs, rhs, fitted, fitted,
                        lhs <= rhs * (1.0 + 1e-12))
@@ -428,17 +425,8 @@ def quadform_report(config: BilinearConfig) -> CheckReport:
     """Quadratic form against its trivial bound (2L-1) * N * M."""
     quad = shifted_quadratic_form(config)
     rhs = (2 * config.shift_count - 1) * config.n_count * config.m_count
-    params = {
-        "lambda": config.lam,
-        "mask": config.s_bits,
-        "mu": config.mu,
-        "nu": config.nu,
-        "rho": config.rho,
-        "k_shift": config.k_shift,
-        "prefactor": quad.prefactor,
-        "clipped_terms": quad.clipped_terms,
-        "advisories": config.advisories,
-    }
+    params = _bilinear_params(config, prefactor=quad.prefactor,
+                              clipped_terms=quad.clipped_terms)
     return CheckReport("QUAD", params, quad.value, float(rhs),
                        _ratio(quad.value, rhs), None,
                        quad.value <= rhs + 1e-9)
@@ -459,20 +447,9 @@ def carry_report(config: BilinearConfig) -> CheckReport:
     res = carry_truncation_rate(config)
     scale = 2.0 ** (-config.epsilon * config.rho)
     rhs = CARRY_BRACKET * scale
-    params = {
-        "lambda": config.lam,
-        "mask": config.s_bits,
-        "mu": config.mu,
-        "nu": config.nu,
-        "rho": config.rho,
-        "k_shift": config.k_shift,
-        "epsilon": config.epsilon,
-        "low_rate": res.low_rate,
-        "bad_count": res.bad_count,
-        "total": res.total,
-        "first_checked_bit": res.first_checked_bit,
-        "advisories": config.advisories,
-    }
+    params = _bilinear_params(config, epsilon=config.epsilon, low_rate=res.low_rate,
+                              bad_count=res.bad_count, total=res.total,
+                              first_checked_bit=res.first_checked_bit)
     fitted = res.rate / scale
     passed = res.rate <= rhs and res.low_rate == 0.0
     return CheckReport("CARRY", params, res.rate, rhs, _ratio(res.rate, rhs),

@@ -89,17 +89,6 @@ def _selector_slice(lam: int, selector) -> slice:
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
-
-
-def walsh_eval(mask: WalshMask, x: int) -> int:
-    """w_A(x) for an integer point 0 <= x < 2^lam."""
-    if not 0 <= x < (1 << mask.lam):
-        raise ValueError(f"x={x} out of range for lam={mask.lam}")
-    return -1 if (mask.bits & x).bit_count() & 1 else 1
-
-
-# ---------------------------------------------------------------------------
 # vectorized kernels
 
 

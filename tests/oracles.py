@@ -170,12 +170,14 @@ def naive_fwht(values: np.ndarray) -> np.ndarray:
 def axis_fwht(values: np.ndarray) -> np.ndarray:
     """Correlation table by a +-1 butterfly along each axis of the
     (2,)*lam reshape (one axis per bit), whole-array and unchunked; integer
-    tables are summed in int64."""
+    tables are summed in int64.  The axes run low bit first (the last axis
+    is bit 0), the stage order of fwht's task path, so float tables give
+    the same bytes."""
     lam = len(values).bit_length() - 1
     if np.issubdtype(values.dtype, np.integer):
         values = values.astype(np.int64)
     t = values.reshape((2,) * lam)
-    for axis in range(lam):
+    for axis in reversed(range(lam)):
         a, b = np.take(t, 0, axis=axis), np.take(t, 1, axis=axis)
         t = np.stack([a + b, a - b], axis=axis)
     return t.reshape(-1)

@@ -116,6 +116,15 @@ def test_resource_limit_exits_three(capsys):
     assert "bytes" in err
 
 
+@pytest.mark.parametrize("command", ["bilinear", "quadform", "carry-rate"])
+def test_oversized_random_beta_exits_three(capsys, command):
+    # the 2^40-entry beta table is drawn only after the table guard refuses
+    code, out, err = run_cli(capsys, command, "--mask", "0x6", "--mu", "4", "--nu", "40",
+                             "--coef", "random")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
 def test_max_mem_flag_tightens_limit(capsys):
     code, _, _ = run_cli(capsys, "sieve", "--lambda", "22",
                          "--max-mem-gib", "0.001")

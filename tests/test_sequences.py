@@ -221,7 +221,8 @@ def test_public_names_resolve_once_without_removed_surface():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(walshlab, name) is not None, name
-    for gone in ("Spectrum", "custom_sequence", "correlation_report"):
+    for gone in ("Spectrum", "custom_sequence", "correlation_report", "fwht_in_place",
+                 "walsh_eval"):
         assert gone not in names and not hasattr(walshlab, gone)
 
 

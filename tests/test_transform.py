@@ -7,7 +7,6 @@ import oracles
 from walshlab import (
     ResourceLimitError,
     WalshMask,
-    fwht_in_place,
     max_correlation,
     prefix_max_correlations,
     sequence,
@@ -21,94 +20,76 @@ from walshlab.sums import _correlation_check
 
 
 def test_delta_transforms_to_all_ones():
-    buf = np.array([1, 0, 0, 0], dtype=np.int64)
-    fwht_in_place(buf)
-    assert np.array_equal(buf, [1, 1, 1, 1])
+    assert np.array_equal(spectrum(np.array([1, 0, 0, 0])), [1, 1, 1, 1])
 
 
 def test_constant_transforms_to_point_mass():
-    buf = np.ones(8, dtype=np.int64)
-    fwht_in_place(buf)
-    assert buf[0] == 8 and not buf[1:].any()
+    entries = spectrum(np.ones(8, dtype=np.int64))
+    assert entries[0] == 8 and not entries[1:].any()
 
 
 def test_character_input_gives_point_mass():
     lam, bits = 8, 0b1011_0010
-    buf = walsh_table(WalshMask(bits, lam)).astype(np.int64)
-    fwht_in_place(buf)
-    assert buf[bits] == 1 << lam
-    buf[bits] = 0
-    assert not buf.any()
+    entries = spectrum(walsh_table(WalshMask(bits, lam)))
+    assert entries[bits] == 1 << lam
+    entries[bits] = 0
+    assert not entries.any()
 
 
 def test_moebius_dc_entry_is_mertens():
-    buf = sequence("moebius", 3).values.astype(np.int64)
-    assert np.array_equal(buf, [0, 1, -1, -1, 0, -1, 1, -1])
-    fwht_in_place(buf)
-    assert buf[0] == -2  # M(7)
+    values = sequence("moebius", 3).values
+    assert np.array_equal(values, [0, 1, -1, -1, 0, -1, 1, -1])
+    assert spectrum(values)[0] == -2  # M(7)
 
 
 @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
 def test_matches_naive_matmul_on_random_integers(lam, rng):
     for _ in range(8):
         vals = rng.integers(-3, 4, size=1 << lam).astype(np.int64)
-        buf = vals.copy()
-        fwht_in_place(buf)
-        assert np.array_equal(buf, oracles.naive_fwht(vals))
+        assert np.array_equal(spectrum(vals), oracles.naive_fwht(vals))
 
 
 def test_matches_naive_on_floats(rng):
     vals = rng.normal(size=1 << 9)
-    buf = vals.copy()
-    fwht_in_place(buf)
-    np.testing.assert_allclose(buf, oracles.naive_fwht(vals), atol=1e-9, rtol=0)
+    np.testing.assert_allclose(spectrum(vals), oracles.naive_fwht(vals), atol=1e-9, rtol=0)
 
 
 def test_involution_and_parseval_lambda_16(rng):
     lam = 16
     vals = (rng.integers(0, 2, size=1 << lam) * 2 - 1).astype(np.int64)
-    buf = vals.copy()
-    fwht_in_place(buf)
-    assert int((buf.astype(object) ** 2).sum()) == (1 << lam) * int(
+    once = spectrum(vals)
+    assert int((once.astype(object) ** 2).sum()) == (1 << lam) * int(
         (vals.astype(object) ** 2).sum()
     )
-    fwht_in_place(buf)
-    assert np.array_equal(buf, vals << lam)
+    assert np.array_equal(spectrum(once), vals << lam)
 
 
 def test_blocked_and_full_stages_match_axis_oracle(rng):
     # lambda 1..18 covers tables narrower than the transposed width
     # (2^_NARROW), exactly that width, one block (DEFAULT_BLOCK = 2^16) and
-    # several blocks followed by full-array stages (17 and 18)
+    # several blocks followed by cross-block stages (17 and 18); sign tables
+    # transform in int32 whatever their dtype, floats in float64
     assert DEFAULT_BLOCK.bit_length() <= 18
     for lam in range(1, 19):
         vals = rng.integers(-1, 2, size=1 << lam)
         truth = oracles.axis_fwht(vals)
-        for dtype in (np.int32, np.int64, np.float64):
-            got = fwht_in_place(vals.astype(dtype))
-            assert got.dtype == dtype
+        for dtype, out in ((np.int8, np.int32), (np.int64, np.int32), (np.float64, np.float64)):
+            got = spectrum(vals.astype(dtype))
+            assert got.dtype == out
             assert np.array_equal(got, truth), (lam, dtype)
 
 
 def test_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fwht_in_place(np.zeros(6, dtype=np.int64))
-    for table in (np.zeros(6, dtype=np.int8), np.zeros(0, dtype=np.int8)):
+    for table in (np.zeros(6, dtype=np.int8), np.zeros(6), np.zeros(0, dtype=np.int8)):
         with pytest.raises(ValueError, match="power of two"):
             spectrum(table)
         with pytest.raises(ValueError, match="power of two"):
             max_correlation(table)
 
 
-def test_rejects_narrow_dtype():
-    with pytest.raises(TypeError):
-        fwht_in_place(np.zeros(8, dtype=np.int8))
-
-
 def test_overflow_precheck():
-    buf = np.full(1 << 4, 1 << 60, dtype=np.int64)
-    with pytest.raises(ResourceLimitError):
-        fwht_in_place(buf)
+    with pytest.raises(ResourceLimitError, match="64-bit"):
+        spectrum(np.full(1 << 4, 1 << 60, dtype=np.int64))
 
 
 def test_spectrum_normalized_indicator():
@@ -169,11 +150,9 @@ def test_spot_consistency_with_walsh_eval(bits):
 def test_int32_matches_int64_on_random_sign_tables(lam, rng):
     for _ in range(4):
         vals = rng.integers(-1, 2, size=1 << lam)
-        wide = vals.astype(np.int64)
-        narrow = vals.astype(np.int32)
-        fwht_in_place(wide)
-        fwht_in_place(narrow)
-        assert np.array_equal(narrow, wide)
+        narrow = spectrum(vals)
+        assert narrow.dtype == np.int32
+        assert np.array_equal(narrow, oracles.axis_fwht(vals))
     if lam <= 10:
         assert np.array_equal(narrow, oracles.naive_fwht(vals))
 
@@ -182,18 +161,12 @@ def test_int32_matches_int64_on_random_sign_tables(lam, rng):
 def test_sign_spectrum_is_int32_and_equals_int64_at_lambda_20(kind):
     values = sequence(kind, 20).values
     entries = spectrum(values)
-    wide = fwht_in_place(values.astype(np.int64))
-    assert entries.dtype == np.int32
+    wide = oracles.axis_fwht(values)
+    assert entries.dtype == np.int32 and wide.dtype == np.int64
     assert np.array_equal(entries, wide)
     mask, value = max_correlation(values)
     idx = int(np.argmax(np.abs(wide)))
     assert (mask.bits, value) == (idx, int(wide[idx]))
-
-
-def test_int32_overflow_precheck():
-    buf = np.full(1 << 4, 1 << 28, dtype=np.int32)
-    with pytest.raises(ResourceLimitError, match="32-bit"):
-        fwht_in_place(buf)
 
 
 def test_large_integer_tables_stay_int64():

@@ -7,7 +7,8 @@ sweep) and two CPUs are usable.  The split tests force the fork by reporting
 two CPUs, so they run on a one-CPU machine too, and take their reference
 with one CPU reported, where the tasks run in order in-process.  Smaller
 tables always run the tasks in order; the tests below SPLIT_MIN forbid the
-fork and compare the task path with fwht_in_place's whole-array stages.
+fork and compare the task path with oracles.axis_fwht, whose whole-array
+stages run in the same order, so even float spectra agree byte for byte.
 Sign tables and spectra are also checked against independent oracles.
 """
 
@@ -28,7 +29,6 @@ from walshlab import (
     ResidueClass,
     WalshMask,
     all_mask_l1,
-    fwht_in_place,
     max_correlation,
     sequence,
     spectrum,
@@ -104,9 +104,8 @@ def test_split_spectrum_bytes_equal_one_process(monkeypatch, table):
     dtype = {"moebius": np.int32, "int64": np.int64, "von_mangoldt": np.float64}[table]
     assert split.dtype == ref.dtype == dtype
     assert split.tobytes() == ref.tobytes()
-    # the whole-table stages of a private buffer, an independent stage order
-    serial = vals.astype(np.float64 if table == "von_mangoldt" else np.int64)
-    assert np.array_equal(split, fwht_in_place(serial))
+    # the whole-array stages of the stage-order oracle
+    assert split.tobytes() == oracles.axis_fwht(vals).astype(dtype).tobytes()
 
 
 def _no_fork(monkeypatch):
@@ -137,11 +136,12 @@ def test_in_order_tasks_equal_whole_array_stages(monkeypatch, table, lam):
     _no_fork(monkeypatch)
     vals = _table(table, lam)
     got = spectrum(vals)
-    # int8 sign tables transform in int32; float64 is exact here because
-    # both paths give each entry the same additions in the same order
-    ref = fwht_in_place(vals.astype(np.int32 if table == "int8" else vals.dtype))
-    assert got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
+    # the stage-order oracle sums integers in int64; int8 sign tables
+    # transform in int32.  float64 bytes agree because both give each entry
+    # the same additions in the same order
+    ref = oracles.axis_fwht(vals)
+    assert got.dtype == (np.int32 if table == "int8" else ref.dtype)
+    assert got.tobytes() == ref.astype(got.dtype).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville"])

@@ -16,7 +16,6 @@ from walshlab import (
     check_lemma1,
     l1_accumulate,
     sup_norm,
-    walsh_eval,
     walsh_signs,
     walsh_table,
 )
@@ -42,20 +41,18 @@ def test_mask_validation():
 
 @pytest.mark.parametrize("bits", [0, 1, 0b100, 0b1011, 0b11111111])
 def test_walsh_eval_matches_bit_product_oracle(bits):
+    # walsh_table and walsh_signs at scattered points, against the oracle
     lam = 8
     ref = oracles.walsh_samples(lam, bits)
     mine = walsh_table(WalshMask(bits, lam))
     assert np.array_equal(mine.astype(np.int64), ref)
-    for x in (0, 1, 77, 255):
-        assert walsh_eval(WalshMask(bits, lam), x) == ref[x]
+    xs = np.array([0, 1, 77, 255])
+    assert np.array_equal(walsh_signs(bits, xs), ref[xs])
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_walsh_multiplicativity(a_bits, b_bits, x):
-    lam = 8
-    wa = walsh_eval(WalshMask(a_bits, lam), x)
-    wb = walsh_eval(WalshMask(b_bits, lam), x)
-    wxor = walsh_eval(WalshMask(a_bits ^ b_bits, lam), x)
+    wa, wb, wxor = (int(walsh_signs(bits, x)) for bits in (a_bits, b_bits, a_bits ^ b_bits))
     assert wa * wb == wxor
 
 
@@ -63,8 +60,7 @@ def test_walsh_signs_vector_matches_scalar():
     xs = np.arange(64, dtype=np.int64)
     signs = walsh_signs(0b10110, xs)
     assert signs.dtype == np.int8
-    ref = [walsh_eval(WalshMask(0b10110, 6), int(x)) for x in xs]
-    assert np.array_equal(signs.astype(int), ref)
+    assert np.array_equal(signs.astype(np.int64), oracles.walsh_samples(6, 0b10110))
 
 
 # ---------------------------------------------------------------------------
