@@ -4,6 +4,8 @@
 Sweeps every mask at each lambda and prints, per lambda and cumulatively:
 
   c_l1    smallest c with  ||w_A^||_1 <= c^(lam/4)          (growth base)
+  L1_C    largest lemma-1 fitted constant ||w_A^||_1^(1/|A|) / lam over
+          the non-empty masks (the value DEFAULT_BRACKETS["L1"] cites)
   c_sup   largest  c with  ||w_A^||_inf <= 2^(c) * 2^(-c|A|) (decay rate,
           the two exact-character masks absorbed into the leading constant)
   carry   largest measured rate * 2^(eps*rho) over the desk grid, i.e. the
@@ -25,10 +27,18 @@ def l1_base(lam: int) -> float:
     return float(all_mask_l1(lam).max()) ** (4.0 / lam)
 
 
+def _weights(lam: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(1 << lam, dtype=np.uint64)).astype(float)
+
+
+def l1_fitted(lam: int) -> float:
+    l1 = all_mask_l1(lam)
+    return float((l1[1:] ** (1.0 / _weights(lam)[1:])).max()) / lam
+
+
 def sup_rate(lam: int) -> float:
     sups = all_mask_sup(lam)
-    weights = np.bitwise_count(np.arange(1 << lam, dtype=np.uint64)).astype(float)
-    return float((-np.log2(sups[2:]) / weights[2:]).min())
+    return float((-np.log2(sups[2:]) / _weights(lam)[2:]).min())
 
 
 def carry_bracket(mu_values=(4, 5), rho_values=(1, 2), epsilon=0.5) -> float:
@@ -49,12 +59,12 @@ def main() -> None:
     ap.add_argument("--lambda-max", type=int, default=12)
     args = ap.parse_args()
 
-    print(f"{'lam':>4} {'c_l1':>10} {'c_sup':>10}")
+    print(f"{'lam':>4} {'c_l1':>10} {'L1_C':>10} {'c_sup':>10}")
     base_worst, rate_worst = 0.0, math.inf
     for lam in range(args.lambda_min, args.lambda_max + 1):
-        base, rate = l1_base(lam), sup_rate(lam)
+        base, fitted, rate = l1_base(lam), l1_fitted(lam), sup_rate(lam)
         base_worst, rate_worst = max(base_worst, base), min(rate_worst, rate)
-        print(f"{lam:>4} {base:>10.6f} {rate:>10.6f}")
+        print(f"{lam:>4} {base:>10.6f} {fitted:>10.6f} {rate:>10.6f}")
     print(f"\nl1 growth base sup over sweep : {base_worst:.6f}"
           f"  (explicit bound uses {2 + math.sqrt(2):.6f})")
     print(f"sup-norm decay rate inf       : {rate_worst:.17g}")

@@ -370,9 +370,10 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
     Measure once, judge many: each mask occurrence gets at most one row, and
     every lemma takes its scalars from it (full sum for L1, L3 and L5, max
     for L2, residue-class and interval slice sums for L4 and L6); only the
-    scalars outlive the mask.  The exhaustive family reads full sums from
-    the product tree and maxima from the max-product fold (the rows' floats
-    by both).  The L4 and L6 draws come first, one check per (lemma, mask).
+    scalars outlive the mask.  The exhaustive family reads full sums and
+    maxima from the all-mask folds: the maxima are the rows' floats, the sums
+    add in another order and can differ from a row's sum in the last bits.
+    The L4 and L6 draws come first, one check per (lemma, mask).
     """
     want = set(config.lemmas)
     family = mask_family(config, lam)

@@ -6,11 +6,11 @@ budget defaults to 2 GiB (lam = 28 with 8-byte accumulators) and can be
 widened per call, per CLI flag, or through the WSL_MAX_MEM_GIB environment
 variable.
 
-Sign sieves, transforms and the all-mask l1 sweep are worked as numbered
-tasks of _two_way at every size; _splits alone decides whether a forked
-child and the caller share them (SPLIT_MIN entries or more and two usable
-CPUs) or the caller runs them in order.  Sieve and transform tasks write an
-anonymous shared mapping; sweep tasks return their part.
+Sign sieves and transforms are worked as numbered tasks of _two_way at
+every size; _splits alone decides whether a forked child and the caller
+share them (SPLIT_MIN entries or more and two usable CPUs) or the caller
+runs them in order.  Sieve and transform tasks write an anonymous shared
+mapping; transform tasks also return their peaks.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def _claim(queue: int, fn, parent: int | None = None) -> dict:
 
 
 def _two_way(fn, tasks: int, n: int) -> list:
-    """[fn(0), ..., fn(tasks - 1)] for work of n entries, where fn(i) either
-    writes only task i's part of a table made by _shared_empty(n, ...) or
-    returns its part, which a child pickles back.
+    """[fn(0), ..., fn(tasks - 1)] for work of n entries, where fn(i) writes
+    only task i's part of a table made by _shared_empty(n, ...) and may
+    return a small result, which a child pickles back.
 
     When _splits(n), a forked child and the caller each take the next
     untaken task number from one pipe until none is left, so when one of

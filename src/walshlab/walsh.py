@@ -8,9 +8,9 @@ over bits inside A.  The factor for bit j depends only on k mod 2^(lam-j)
 and on whether j is in A, so each lambda caches |cos| and |sin| over one
 period per bit, and a mask's magnitude row is lam broadcast multiplies of
 those tables with no trigonometric call.  No dense spectrum is stored.
-All-mask sweeps keep the rows' floats: sup by a fold, l1 by a product tree
-whose subtrees below the low mask bits are tasks of limits._two_way, so two
-processes share the large sweeps with the same floats.
+All-mask sweeps fold the frequency bits out in O(lam * 2^lam), in one
+process: by max for sup, with the rows' floats, and by sum for l1, whose
+pairwise additions can differ from a row's sum in the last bits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import _two_way
+from .limits import require_table_bytes
 
 
 @dataclass(frozen=True)
@@ -180,49 +180,38 @@ def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
 # ---------------------------------------------------------------------------
 # exhaustive mask sweeps
 
-# the l1 sweep's tasks are the 2^_SWEEP_BITS subtrees below its low mask
-# bits; 1 to 4 bits timed alike at lam=14 on two CPUs
-_SWEEP_BITS = 3
+# bytes per 2^lam entries at the fold's peak with the period tables uncached,
+# as tracemalloc measured it at lam 16-18: 8 for the rows, 16 for their
+# product and 32-34 for the tables, rounded up
+_FOLD_BYTES = 64
+
+
+def _fold(lam: int, selector, reduce) -> np.ndarray:
+    """reduce over the selected frequencies of every mask's row at once, in
+    O(lam * 2^lam): level j multiplies each row (mask bits 0..j-1) by bit j's
+    |cos| and |sin| period, appending mask bit j, then reduces over frequency
+    bit lam-j-1, which no later factor reads (0.0: unselected).  Every level
+    reuses the same two arrays: the rows and their doubled product."""
+    require_table_bytes(lam, _FOLD_BYTES, what="all-mask fold")
+    cos_t, sin_t = _period_tables(lam)
+    acc = np.zeros(1 << lam)
+    acc[_selector_slice(lam, selector)] = 1.0
+    prod = np.empty(2 << lam)
+    for j in range(lam):
+        n = 1 << (lam - j)
+        rows, pairs = acc.reshape(-1, n), prod.reshape(2, -1, n)
+        np.multiply(rows, cos_t[j][:n], out=pairs[0])
+        np.multiply(rows, sin_t[j][:n], out=pairs[1])
+        halves = prod.reshape(-1, 2, n // 2)
+        reduce(halves[:, 0], halves[:, 1], out=acc.reshape(-1, n // 2))
+    return acc
 
 
 def mask_sweep(lam: int, selector) -> np.ndarray:
-    """l1 norm of every mask's row by a depth-first product tree, in the
-    per-mask factor order, so sums are bit-identical.  Task p of
-    limits._two_way is the subtree whose low _SWEEP_BITS mask bits are p: it
-    forms that prefix row in bit order, runs the recursion below it with each
-    prefix product in place in one of lam+1 rows of its own (O(2^(lam+1))
-    vector multiplies in all), and returns its masks' l1 values, which land
-    at out[p::2^_SWEEP_BITS].  Two processes share the tasks when 2^lam times
-    the selected frequencies reach SPLIT_MIN; each mask gets the same
-    multiplies either way."""
-    ks = np.arange(1 << lam, dtype=np.int64)[_selector_slice(lam, selector)]
-    cos_t, sin_t = _period_tables(lam)
-    cos_f = [t[ks & (len(t) - 1)] for t in cos_t]
-    sin_f = [t[ks & (len(t) - 1)] for t in sin_t]
-    low = min(_SWEEP_BITS, lam)
-
-    def subtree(p: int) -> np.ndarray:
-        depth = [np.ones(len(ks))] + [np.empty(len(ks)) for _ in range(lam)]
-        for j in range(low):
-            np.multiply(depth[j], sin_f[j] if (p >> j) & 1 else cos_f[j], out=depth[j + 1])
-        part = np.empty(1 << (lam - low), dtype=np.float64)
-
-        def rec(j: int, high: int):
-            if j == lam:
-                part[high] = np.add.reduce(depth[lam])
-                return
-            np.multiply(depth[j], cos_f[j], out=depth[j + 1])
-            rec(j + 1, high)
-            np.multiply(depth[j], sin_f[j], out=depth[j + 1])
-            rec(j + 1, high | (1 << (j - low)))
-
-        rec(low, 0)
-        return part
-
-    out = np.empty(1 << lam, dtype=np.float64)
-    for p, part in enumerate(_two_way(subtree, 1 << low, len(ks) << lam)):
-        out[p :: 1 << low] = part
-    return out
+    """l1 norm of every mask's row by the sum fold; its float additions pair
+    up frequencies by bit, so a mask's value can differ from
+    l1_accumulate's in the last bits."""
+    return _fold(lam, selector, np.add)
 
 
 def all_mask_l1(lam: int, selector=None) -> np.ndarray:
@@ -231,17 +220,7 @@ def all_mask_l1(lam: int, selector=None) -> np.ndarray:
 
 
 def all_mask_sup(lam: int, selector=None) -> np.ndarray:
-    """Sup norm of the coefficient table for every mask, folding frequency
-    bits in O(lam * 2^lam): level j multiplies each row (mask bits 0..j-1) by
-    bit j's |cos| and |sin| period, appending mask bit j, then keeps the max
-    over frequency bit lam-j-1, which no later factor reads (0.0: unselected)."""
-    cos_t, sin_t = _period_tables(lam)
-    acc = np.zeros((1, 1 << lam))
-    acc[0, _selector_slice(lam, selector or FullRange())] = 1.0
-    for j in range(lam):
-        n = 1 << (lam - j)
-        # rounding x * c is monotone in x for c >= 0, so max-then-multiply gives
-        # _row(lam, bits)[sel].max() bit for bit, in the same order j = 0..lam-1
-        prod = (acc * np.stack((cos_t[j][:n], sin_t[j][:n]))[:, None, :]).reshape(-1, n)
-        acc = np.maximum(prod[:, : n // 2], prod[:, n // 2 :])
-    return acc.reshape(-1)
+    """Sup norm of the coefficient table for every mask, by the max fold:
+    rounding x * c is monotone in x for c >= 0, so max-then-multiply gives
+    _row(lam, bits)[sel].max() bit for bit, in the same order j = 0..lam-1."""
+    return _fold(lam, selector or FullRange(), np.maximum)

@@ -89,7 +89,8 @@ def test_lemma3_explicit_bound_holds_everywhere_small():
     assert float(l1.max()) <= bound
     worst = int(np.argmax(l1))
     rep = check_lemma3(lam, WalshMask(worst, lam))
-    assert rep.passed and rep.lhs == float(l1[worst])
+    # the sweep's sum fold and the mask's own row sum add in different orders
+    assert rep.passed and rep.lhs == pytest.approx(float(l1[worst]), rel=1e-15, abs=0)
 
 
 def test_lemma4_residue_class():
@@ -187,7 +188,7 @@ def test_exhaustive_scan_matches_per_mask_checks():
             cfg = ScanConfig(lam, lam, mask_family="all", lemmas=(lemma,))
             sweep = scan_lemma_at(cfg, lemma, lam)
             direct = [check(lam, WalshMask(bits, lam)) for bits in range(1 << lam)]
-            assert sweep == direct, (lam, lemma)
+            oracles.assert_reports_match(sweep, direct)
 
 
 def test_exhaustive_scan_rejects_large_lambda():
@@ -219,7 +220,11 @@ def test_run_scan_matches_per_mask_oracle(seed, family, lam_max, lemmas):
     cfg = ScanConfig(6, lam_max, mask_family=family, count=64, seed=seed, lemmas=lemmas)
     if family == "random":
         assert len(set(mask_family(cfg, 6))) < 64
-    assert run_scan(cfg) == oracles.per_mask_scan(cfg)
+    if family == "all":
+        # L1, L3 and L5 read their l1 sums from the all-mask fold
+        oracles.assert_reports_match(run_scan(cfg), oracles.per_mask_scan(cfg))
+    else:
+        assert run_scan(cfg) == oracles.per_mask_scan(cfg)
 
 
 def _count_rows(monkeypatch) -> Counter:

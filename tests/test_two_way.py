@@ -1,15 +1,14 @@
-"""Sign sieve, transform and l1 sweep tasks: two processes or in order.
+"""Sign sieve and transform tasks: two processes or in order.
 
-Every sign sieve, transform and all-mask l1 sweep is worked as numbered
-tasks; a forked child and the caller share them when the work reaches
-limits.SPLIT_MIN (table entries, or masks times selected frequencies for the
-sweep) and two CPUs are usable.  The split tests force the fork by reporting
-two CPUs, so they run on a one-CPU machine too, and take their reference
-with one CPU reported, where the tasks run in order in-process.  Smaller
-tables always run the tasks in order; the tests below SPLIT_MIN forbid the
-fork and compare the task path with oracles.axis_fwht, whose whole-array
-stages run in the same order, so even float spectra agree byte for byte.
-Sign tables and spectra are also checked against independent oracles.
+Every sign sieve and transform is worked as numbered tasks; a forked child
+and the caller share them when the table reaches limits.SPLIT_MIN entries
+and two CPUs are usable.  The split tests force the fork by reporting two
+CPUs, so they run on a one-CPU machine too, and take their reference with
+one CPU reported, where the tasks run in order in-process.  Smaller tables
+always run the tasks in order; the tests below SPLIT_MIN forbid the fork
+and compare the task path with oracles.axis_fwht, whose whole-array stages
+run in the same order, so even float spectra agree byte for byte.  Sign
+tables and spectra are also checked against independent oracles.
 """
 
 import os
@@ -24,25 +23,18 @@ import pytest
 
 import oracles
 from walshlab import (
-    FullRange,
-    Interval,
-    ResidueClass,
     WalshMask,
-    all_mask_l1,
     max_correlation,
     sequence,
     spectrum,
     theorem_scan,
     walsh_table,
 )
-from walshlab import fwht, limits, walsh
+from walshlab import fwht, limits
 from walshlab.cli import dispatch
 from walshlab.sieve import DEFAULT_SEGMENT
 
 LAM = limits.SPLIT_MIN.bit_length() - 1
-# the smallest lambda whose full-range l1 sweep forks: 2^lam masks times 2^lam
-# frequencies reach SPLIT_MIN
-SWEEP_LAM = (LAM + 1) // 2
 
 
 def _cpus(monkeypatch, cpus):
@@ -252,67 +244,14 @@ def test_fork_count(monkeypatch, lam, cpus, forks):
     _no_children()
 
 
-_SWEEP_SELECTORS = [FullRange(), ResidueClass(3, 2), Interval(5, 200)]
-
-
-@pytest.mark.parametrize("lam", [SWEEP_LAM, 14])
-@pytest.mark.parametrize("selector", _SWEEP_SELECTORS, ids=repr)
-def test_split_l1_sweep_bytes_equal_one_process(monkeypatch, selector, lam):
-    ks = np.arange(1 << lam)[walsh._selector_slice(lam, selector)]
-    # a selector whose sweep stays below SPLIT_MIN at this lambda gets a
-    # threshold it reaches, so every case forks
-    monkeypatch.setattr(limits, "SPLIT_MIN", min(limits.SPLIT_MIN, len(ks) << lam))
-    forks = _count_forks(monkeypatch)
-    split, ref = _both(monkeypatch, lambda: all_mask_l1(lam, selector))
-    assert len(forks) == 1
-    assert split.tobytes() == ref.tobytes()
-    _no_children()
-
-
-@pytest.mark.parametrize("lam, cpus, forks", [
-    (SWEEP_LAM - 1, {0, 1}, 0),   # below SPLIT_MIN
-    (SWEEP_LAM, {0}, 0),          # one usable CPU
-    (SWEEP_LAM, {0, 1}, 1),
-])
-def test_l1_sweep_fork_count(monkeypatch, lam, cpus, forks):
-    _cpus(monkeypatch, cpus)
-    calls = _count_forks(monkeypatch)
-    all_mask_l1(lam)
-    assert len(calls) == forks
-    _no_children()
-
-
-def _failing_sweep_task(monkeypatch):
-    """Make every l1 sweep task raise in the child; the caller first sleeps
-    in its own first task, so the child is sure to take one."""
-    parent, real = os.getpid(), limits._two_way
-
-    def two_way(fn, tasks, n):
-        slept = []
-
-        def task(i):
-            if os.getpid() != parent:
-                raise RuntimeError("sweep failure in the child")
-            if not slept:
-                slept.append(i)
-                time.sleep(0.3)
-            return fn(i)
-
-        return real(task, tasks, n)
-
-    monkeypatch.setattr(walsh, "_two_way", two_way)
-
-
-def test_failed_sweep_child_raises_child_process_error(monkeypatch, capsys):
+def test_exhaustive_lemma_check_never_forks(monkeypatch, capsys):
+    """The all-mask sums and maxima are folds in one process; only sign
+    sieves and transforms reach _two_way."""
     _cpus(monkeypatch, {0, 1})
-    _failing_sweep_task(monkeypatch)
-    with pytest.raises(ChildProcessError, match="sweep failure in the child"):
-        all_mask_l1(14)
-    _no_children()
-    assert dispatch(["lemma-check", "--lemma", "3", "--lambda", "14", "--masks", "all"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: worker failed") and "sweep failure in the child" in err
-    assert "Traceback" not in err
+    calls = _count_forks(monkeypatch)
+    assert dispatch(["lemma-check", "--lemma", "3", "--lambda", "14", "--masks", "all"]) == 0
+    assert '"lemma_id": "L3"' in capsys.readouterr().out
+    assert not calls
     _no_children()
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from walshlab import (
     walsh_signs,
     walsh_table,
 )
+from walshlab import limits, walsh
 from walshlab.walsh import _selector_slice, coefficient_values, magnitude_row, mask_sweep
 
 
@@ -210,12 +212,17 @@ def test_sup_norm_is_max_of_magnitudes():
 # exhaustive sweeps
 
 
+def _near(value: float):
+    """The l1 sum fold adds in another order than a row's own sum."""
+    return pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_sweep_matches_per_mask_rows_bit_identical():
     lam = 8
     l1 = all_mask_l1(lam)
     sup = all_mask_sup(lam)
     for bits in range(0, 1 << lam, 17):
-        assert l1[bits] == l1_accumulate(WalshMask(bits, lam))
+        assert l1[bits] == _near(l1_accumulate(WalshMask(bits, lam)))
         assert sup[bits] == sup_norm(WalshMask(bits, lam))
 
 
@@ -223,7 +230,7 @@ def test_sweep_with_selector():
     lam = 6
     out = mask_sweep(lam, FullRange())
     for bits in (0, 1, 0b111, 0b101010):
-        assert out[bits] == l1_accumulate(WalshMask(bits, lam))
+        assert out[bits] == _near(l1_accumulate(WalshMask(bits, lam)))
 
 
 def _fold_selectors(lam):
@@ -252,7 +259,7 @@ def test_l1_sweep_at_the_exhaustive_cap():
     lam = 14
     l1 = all_mask_l1(lam)
     for bits in [0, 1, (1 << lam) - 1, *range(0, 1 << lam, 97)]:
-        assert l1[bits] == l1_accumulate(WalshMask(bits, lam))
+        assert l1[bits] == _near(l1_accumulate(WalshMask(bits, lam)))
 
 
 @pytest.mark.parametrize("lam", range(1, 9))
@@ -264,6 +271,31 @@ def test_sup_fold_against_trig_oracle(lam):
         np.testing.assert_allclose(all_mask_sup(lam, selector), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("lam", range(1, 9))
+def test_l1_fold_against_trig_oracle(lam):
+    ks = np.arange(1 << lam)
+    for selector in (FullRange(), ResidueClass(1 % (1 << (lam - 1)), lam - 1)):
+        sel = ks[_selector_slice(lam, selector)]
+        want = [oracles.trig_magnitudes(lam, bits, sel).sum() for bits in range(1 << lam)]
+        np.testing.assert_allclose(all_mask_l1(lam, selector), want, rtol=1e-12)
+
+
+def _oracle_selectors(lam):
+    """FullRange, ResidueClass(3, 2) and Interval(5, 200) where lam admits them."""
+    return [FullRange()] + [ResidueClass(3, 2)] * (lam > 2) + [Interval(5, 200)] * (lam >= 8)
+
+
+@pytest.mark.parametrize("lam", [*range(1, 13), 14])
+def test_l1_fold_within_four_ulp_of_fsum(lam):
+    masks = range(1 << lam) if lam <= 12 else [0, 1, (1 << lam) - 1, *range(0, 1 << lam, 97)]
+    for selector in _oracle_selectors(lam):
+        l1 = all_mask_l1(lam, selector)
+        sel = _selector_slice(lam, selector)
+        for bits in masks:
+            exact = math.fsum(walsh._row(lam, bits)[sel].tolist())
+            assert abs(l1[bits] - exact) <= 4 * np.spacing(exact), (selector, bits)
+
+
 @pytest.mark.parametrize(
     "selector", [ResidueClass(3, 2), ResidueClass(0, 5), Interval(5, 200), Interval(0, 256)],
     ids=repr,
@@ -273,7 +305,7 @@ def test_sweep_with_residue_and_interval_selectors(selector):
     l1 = all_mask_l1(lam, selector)
     sup = all_mask_sup(lam, selector)
     for bits in range(1 << lam):
-        assert l1[bits] == l1_accumulate(WalshMask(bits, lam), selector)
+        assert l1[bits] == _near(l1_accumulate(WalshMask(bits, lam), selector))
         assert sup[bits] == sup_norm(WalshMask(bits, lam), selector)
 
 
@@ -296,3 +328,33 @@ def test_sweep_determinism():
     a = all_mask_sup(10)
     b = all_mask_sup(10)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("lam", [16, 17, 18])
+@pytest.mark.parametrize("sweep", [all_mask_l1, all_mask_sup])
+def test_fold_charge_covers_its_measured_peak(sweep, lam):
+    walsh._period_tables.cache_clear()  # the first fold at a lambda builds them
+    tracemalloc.start()
+    try:
+        sweep(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= peak / limits.require_table_bytes(lam, walsh._FOLD_BYTES) <= 1.0
+
+
+@pytest.mark.parametrize("sweep", [all_mask_l1, all_mask_sup])
+def test_fold_refuses_before_allocating(monkeypatch, sweep):
+    walsh._period_tables.cache_clear()
+    monkeypatch.setenv(limits.ENV_MAX_MEM, "0.0005")  # 512 KiB; lam=14 needs 1 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(limits.ResourceLimitError, match="all-mask fold at lambda=14"):
+            sweep(14)
+        monkeypatch.delenv(limits.ENV_MAX_MEM)
+        with pytest.raises(limits.ResourceLimitError, match="lambda=30"):
+            sweep(30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
