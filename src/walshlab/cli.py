@@ -17,14 +17,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .fwht import max_correlation
+from .fwht import sign_max_correlations
 from .lemmas import CheckReport, ScanConfig, _ratio, run_scan, scan_lemma_at
 from .limits import ResourceLimitError, require_table_bytes
 from .report import RunManifest, emit_csv, write_manifest_json
-from .sieve import KINDS, SIGN_KINDS, dump_sequence, sequence
+from .sieve import KINDS, SIGN_KINDS, stream_sequence
 from .sums import (
     BilinearConfig,
     SplitConfig,
@@ -123,9 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(args) -> bool:
+    """Whether the run writes the AWS1 dump to --out (the manifest then goes
+    to stdout as JSON)."""
+    return args.command == "sieve" and args.out is not None and args.out.suffix == ".bin"
+
+
 def _sieve_reports(args):
-    seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
-    total = float(seq.values.sum())
+    total, nonzero = stream_sequence(args.kind, args.lam, args.out if _dumps(args) else None,
+                                     max_mem_gib=args.max_mem_gib)
     lhs = abs(total)
     n = float(1 << args.lam)
     rhs = _PSI_CEILING * n if args.kind == "von_mangoldt" else n
@@ -133,18 +137,16 @@ def _sieve_reports(args):
         "lambda": args.lam,
         "kind": args.kind,
         "prefix_sum": total,
-        "nonzero": int(np.count_nonzero(seq.values)),
+        "nonzero": nonzero,
     }
-    report = CheckReport("SIEVE", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)
-    dump = args.out is not None and args.out.suffix == ".bin"
-    return [report], seq if dump else None
+    return [CheckReport("SIEVE", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
 
 
 def _spectrum_reports(args):
-    seq = sequence(args.kind, args.lam, max_mem_gib=args.max_mem_gib)
-    mask, value = max_correlation(seq.values, max_mem_gib=args.max_mem_gib)
+    peaks, nonzero = sign_max_correlations(args.kind, [args.lam], max_mem_gib=args.max_mem_gib)
+    mask, value = peaks[0]
     lhs = float(abs(value))
-    rhs = float(np.abs(seq.values).sum())
+    rhs = float(nonzero)
     params = {
         "lambda": args.lam,
         "kind": args.kind,
@@ -152,16 +154,14 @@ def _spectrum_reports(args):
         "peak_weight": mask.weight,
         "peak_value": float(value),
     }
-    report = CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)
-    return [report], None
+    return [CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
 
 
 def _theorem_scan(args):
     lo, hi = args.lambda_min, args.lambda_max
     if lo < 1 or hi < lo:
         raise ValueError(f"bad lambda range [{lo}, {hi}]")
-    return hi, lambda: (
-        theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib), None)
+    return hi, lambda: theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib)
 
 
 def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
@@ -169,7 +169,8 @@ def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
     error, not a vacuous pass."""
     def run():
         reports = scan(ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
-                                  count=args.count, seed=args.seed, lemmas=lemmas))
+                                  count=args.count, seed=args.seed, lemmas=lemmas),
+                       args.max_mem_gib)
         checked = {r.lemma_id for r in reports}
         missing = [str(k) for k in lemmas if f"L{k}" not in checked]
         if missing:
@@ -177,7 +178,7 @@ def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
                 f"lemma {','.join(missing)} has no check on the "
                 f"{args.masks} mask family at lambda {lo}" + (f"..{hi}" if hi > lo else "")
             )
-        return reports, None
+        return reports
 
     return hi, run
 
@@ -196,48 +197,47 @@ def _bilinear(args, report):
 
     def run():
         beta = coefficient_table(args.coef, cfg.n_count, args.seed)
-        return [report(dataclasses.replace(cfg, beta=beta))], None
+        return [report(dataclasses.replace(cfg, beta=beta))]
 
     return cfg.lam, run
 
 
 # subcommand -> prepare(args), which returns the lambda its table guard
-# charges and a run() giving (reports, AWS1 payload or None)
+# charges and a run() giving its reports
 _COMMANDS = {
     "sieve": lambda a: (a.lam, lambda: _sieve_reports(a)),
     "spectrum": lambda a: (a.lam, lambda: _spectrum_reports(a)),
     "theorem-scan": _theorem_scan,
     "lemma-check": lambda a: _lemma_scan(
-        a, a.lam, a.lam, (a.lemma,), lambda c: scan_lemma_at(c, a.lemma, a.lam)),
+        a, a.lam, a.lam, (a.lemma,), lambda c, gib: scan_lemma_at(c, a.lemma, a.lam, gib)),
     "scan": lambda a: _lemma_scan(a, a.lambda_min, a.lambda_max, a.lemmas, run_scan),
     "bilinear": lambda a: _bilinear(a, cauchy_schwarz_chain),
     "quadform": lambda a: _bilinear(a, quadform_report),
     "carry-rate": lambda a: _bilinear(a, carry_report),
-    "type1": lambda a: (a.mu + a.nu, lambda: ([type1_report(a.mask, a.mu, a.nu)], None)),
-    "split": lambda a: (a.lam, lambda: ([split_report(SplitConfig(
-        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))], None)),
+    "type1": lambda a: (a.mu + a.nu, lambda: [type1_report(a.mask, a.mu, a.nu)]),
+    "split": lambda a: (a.lam, lambda: [split_report(SplitConfig(
+        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))]),
 }
 
 # parsed arguments that route output rather than shape the run
 _NOT_CONFIG = ("command", "out", "format", "max_mem_gib")
 
 
-def _run(args):
-    """Returns (manifest, binary_payload or None)."""
+def _run(args) -> RunManifest:
+    """The run's manifest; a sieve's AWS1 dump is written while it runs."""
     lam, run = _COMMANDS[args.command](args)
     require_table_bytes(lam, max_mem_gib=args.max_mem_gib, what=f"{args.command} table")
-    reports, binary_out = run()
+    reports = run()
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     manifest = RunManifest(
         command=args.command, config=config, seed=args.seed, reports=tuple(reports)
     )
-    return manifest, binary_out
+    return manifest
 
 
-def _write_output(args, manifest: RunManifest, binary_payload) -> None:
+def _write_output(args, manifest: RunManifest) -> None:
     out, fmt = args.out, args.format
-    if binary_payload is not None:
-        dump_sequence(binary_payload, out)
+    if _dumps(args):
         out, fmt = None, "json"
     if fmt is None:
         fmt = "csv" if out is not None and out.suffix == ".csv" else "json"
@@ -257,8 +257,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        manifest, binary_payload = _run(args)
-        _write_output(args, manifest, binary_payload)
+        manifest = _run(args)
+        _write_output(args, manifest)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

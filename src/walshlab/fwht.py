@@ -10,7 +10,9 @@ _CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
 
 Every table is transformed as the same tasks, which limits._two_way shares
 with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
-copied and runs the in-block stages, then, after one join, each half of the
+filled (copied from a plain table, or sieved in place by the sign kernel of
+sign_max_correlations) and runs the in-block stages, then, after one join,
+each half of the
 columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
 every cross-block stage.  Every entry sees the same additions in the same
 order either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .limits import ResourceLimitError, _shared_empty, _two_way, require_table_bytes
-from .sieve import DEFAULT_SEGMENT
+from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _sign_kernel
 from .walsh import WalshMask
 
 # int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
@@ -126,15 +128,24 @@ def _table_lam(values: np.ndarray) -> int:
     return n.bit_length() - 1
 
 
-def _check_width(peak: int, n: int, dtype) -> None:
-    """ResourceLimitError if a transform of n entries bounded by peak can
-    overflow integer accumulators of dtype."""
+def _int_accumulator(bound: int, n: int):
+    """The narrowest exact accumulator dtype for a transform of n integers
+    bounded by bound; ResourceLimitError if even int64 can overflow."""
+    dtype = np.int32 if float(bound) * n < 2.0**31 else np.int64
     bits = 8 * np.dtype(dtype).itemsize
-    if peak and float(peak) * float(n) >= 2.0 ** (bits - 1):
+    if bound and float(bound) * float(n) >= 2.0 ** (bits - 1):
         raise ResourceLimitError(
-            f"transform output can reach {peak} * 2^{n.bit_length() - 1}, "
+            f"transform output can reach {bound} * 2^{n.bit_length() - 1}, "
             f"which overflows {bits}-bit accumulators"
         )
+    return dtype
+
+
+def _copy_of(values: np.ndarray):
+    """The fill step of a plain table: copy its part into the buffer."""
+    def fill(part: np.ndarray, lo: int) -> None:
+        part[...] = values[lo : lo + len(part)]
+    return fill
 
 
 def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:
@@ -155,35 +166,32 @@ def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:
     return peaks
 
 
-def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
-    """Stages 0..top-1 over a fresh copy of values in the narrowest exact
-    accumulator (|values| <= bound), and the peak (entry, index) of each
-    prefix 2^lam in lambdas.
+def _transform(fill, n: int, dtype, lambdas: list, top: int):
+    """Stages 0..top-1 over a fresh buffer of n entries of dtype, which
+    fill(part, lo) fills with entries lo..lo+len(part)-1 of the table:
+    the buffer, the peak (entry, index) of each prefix 2^lam in lambdas,
+    and fill's results in order.
 
     The work is tasks of limits._two_way: first each run of DEFAULT_SEGMENT
-    entries (or the whole smaller table) is copied and runs the in-block
-    stages, then each half of the columns runs the cross-block stages.  Each
-    column half finds its own peak of a prefix above the block; the larger
-    is kept, ties to the smaller index, which may lie in either half.
+    entries (or the whole smaller table) is filled and runs the in-block
+    stages while it is in cache, then each half of the columns runs the
+    cross-block stages.  Each column half finds its own peak of a prefix
+    above the block; the larger is kept, ties to the smaller index, which
+    may lie in either half.
     """
-    n = len(values)
-    if np.issubdtype(values.dtype, np.integer):
-        dtype = np.int32 if float(bound) * n < 2.0**31 else np.int64
-        _check_width(bound, n, dtype)
-    else:
-        dtype = np.float64
     buf = _shared_empty(n, dtype)
     seg = min(n, DEFAULT_SEGMENT)
     inner = [lam for lam in lambdas if lam <= _BLOCK_BITS]
 
-    def in_blocks(i: int) -> list:
-        part = slice(i * seg, (i + 1) * seg)
-        buf[part] = values[part]
-        return _prefix_stages(buf[part], inner if i == 0 else [], min(top, _BLOCK_BITS))
+    def in_blocks(i: int) -> tuple:
+        part = buf[i * seg : (i + 1) * seg]
+        filled = fill(part, i * seg)
+        return filled, _prefix_stages(part, inner if i == 0 else [], min(top, _BLOCK_BITS))
 
-    peaks = _two_way(in_blocks, n // seg, n)[0]
+    filled, found = zip(*_two_way(in_blocks, n // seg, n))
+    peaks = found[0]
     if top <= _BLOCK_BITS:
-        return buf, peaks
+        return buf, peaks, list(filled)
 
     def across(w: int) -> list:
         tmp = np.empty(_CHUNK, dtype=buf.dtype)
@@ -197,9 +205,9 @@ def _transform(values: np.ndarray, bound: int, lambdas: list, top: int):
         _cross_stages(rows, done, top, tmp)
         return got
 
-    for found in zip(*_two_way(across, 2, n)):
-        peaks.append(min(found, key=lambda p: (-abs(p[0]), p[1])))
-    return buf, peaks
+    for pair in zip(*_two_way(across, 2, n)):
+        peaks.append(min(pair, key=lambda p: (-abs(p[0]), p[1])))
+    return buf, peaks, list(filled)
 
 
 def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray:
@@ -208,8 +216,12 @@ def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray
     entries, as the transform ran; a float table gives float64."""
     lam = _table_lam(values)
     require_table_bytes(lam, 8, max_mem_gib, what="transform buffer")
-    bound = _magnitude_bound(values) if np.issubdtype(values.dtype, np.integer) else 0
-    return _transform(values, bound, [], lam)[0]
+    n = len(values)
+    if np.issubdtype(values.dtype, np.integer):
+        dtype = _int_accumulator(_magnitude_bound(values), n)
+    else:
+        dtype = np.float64
+    return _transform(_copy_of(values), n, dtype, [], lam)[0]
 
 
 def max_correlation(
@@ -221,6 +233,27 @@ def max_correlation(
     raw transform is exact integer arithmetic.
     """
     return prefix_max_correlations(values, [_table_lam(values)], max_mem_gib)[0]
+
+
+def _check_prefixes(lambdas, top: int) -> list:
+    """lambdas as a list, or ValueError unless they increase within 1..top."""
+    lambdas, done = list(lambdas), 0
+    for lam in lambdas:
+        if not done < lam <= top:
+            raise ValueError(
+                f"prefix lambdas must increase within 1..{top}, got {lam} after {done}"
+            )
+        done = lam
+    return lambdas
+
+
+def _sign_peaks(fill, lambdas: list, top: int):
+    """The (mask, value) peak of each prefix 2^lam in lambdas of the sign
+    table on [0, 2^top) that fill writes, and fill's results."""
+    n = 1 << top
+    _, peaks, filled = _transform(fill, n, _int_accumulator(1, n), lambdas,
+                                  lambdas[-1] if lambdas else 0)
+    return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)], filled
 
 
 def prefix_max_correlations(
@@ -238,16 +271,27 @@ def prefix_max_correlations(
     require_table_bytes(top, 8, max_mem_gib, what="transform buffer")
     if not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"max_correlation needs an integer sign table, got {values.dtype}")
-    bound = _magnitude_bound(values)
-    if bound > 1:
+    if _magnitude_bound(values) > 1:
         raise ValueError("max_correlation needs entries in {-1, 0, 1}")
+    return _sign_peaks(_copy_of(values), _check_prefixes(lambdas, top), top)[0]
+
+
+def sign_max_correlations(
+    kind: str, lambdas, max_mem_gib: float | None = None
+) -> tuple[list[tuple[WalshMask, int]], int]:
+    """prefix_max_correlations of the kind's sign table on [0, 2^lam) for
+    the largest lam in lambdas, and that table's nonzero count (sum |f|).
+
+    No table is kept: each in-block task sieves its segment straight into
+    the transform buffer (sieve._sign_kernel) and runs the in-block stages
+    while the segment is in cache, so one fork round fewer runs than
+    sieving first.  The peaks are those of the sieved table's transform.
+    """
+    if kind not in SIGN_KINDS:
+        raise ValueError(f"no sign table for kind {kind!r}")
     lambdas = list(lambdas)
-    done = 0
-    for lam in lambdas:
-        if not done < lam <= top:
-            raise ValueError(
-                f"prefix lambdas must increase within 1..{top}, got {lam} after {done}"
-            )
-        done = lam
-    _, peaks = _transform(values, bound, lambdas, done)
-    return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)]
+    top = lambdas[-1] if lambdas else 0
+    require_table_bytes(top, 8, max_mem_gib, what=f"{kind} table")
+    peaks, counts = _sign_peaks(_sign_kernel(top, kind == "moebius"),
+                                _check_prefixes(lambdas, top), top)
+    return peaks, sum(counts)

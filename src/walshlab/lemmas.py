@@ -364,7 +364,8 @@ def _draw_interval(rng, lam: int) -> tuple[int, int]:
     return lo, int(rng.integers(lo + 1, (1 << lam) + 1))
 
 
-def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
+def _scan_at(config: ScanConfig, lam: int,
+             max_mem_gib: float | None = None) -> list[list[CheckReport]]:
     """The reports of each lemma in config.lemmas at one lam, in that order.
 
     Measure once, judge many: each mask occurrence gets at most one row, and
@@ -396,8 +397,10 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
                 else {0, high, high | (1 << (lam - sigma)), acfg.tail_window_mask})
 
     sweep, want_full, want_top = config.mask_family == "all", bool(want & {1, 3}), 2 in want
-    fulls = all_mask_l1(lam).tolist() if sweep and want_full else [None] * len(family)
-    tops = all_mask_sup(lam).tolist() if sweep and want_top else [None] * len(family)
+    fulls = (all_mask_l1(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_full
+             else [None] * len(family))
+    tops = (all_mask_sup(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_top
+            else [None] * len(family))
     l4 = [[] for _ in rs]
     l6 = []
     for i, bits in enumerate(family):
@@ -428,9 +431,12 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
     return [judge[lemma]() for lemma in config.lemmas]
 
 
-def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]:
-    """One lemma's reports at one lam."""
-    return _scan_at(replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,)), lam)[0]
+def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
+                  max_mem_gib: float | None = None) -> list[CheckReport]:
+    """One lemma's reports at one lam; max_mem_gib is the budget of the
+    all-mask folds."""
+    config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
+    return _scan_at(config, lam, max_mem_gib)[0]
 
 
 def summarize(reports: list[CheckReport]) -> CheckReport:
@@ -448,12 +454,13 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
                        None, failures == 0)
 
 
-def run_scan(config: ScanConfig) -> list[CheckReport]:
+def run_scan(config: ScanConfig, max_mem_gib: float | None = None) -> list[CheckReport]:
     """Run every selected lemma over the grid; lam-major, then the order of
-    config.lemmas; a summary row is appended last."""
+    config.lemmas; a summary row is appended last.  max_mem_gib is the
+    budget of the all-mask folds."""
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
-        for part in _scan_at(config, lam):
+        for part in _scan_at(config, lam, max_mem_gib):
             reports.extend(part)
     reports.append(summarize(reports))
     return reports

@@ -10,7 +10,9 @@ Sign sieves and transforms are worked as numbered tasks of _two_way at
 every size; _splits alone decides whether a forked child and the caller
 share them (SPLIT_MIN entries or more and two usable CPUs) or the caller
 runs them in order.  Sieve and transform tasks write an anonymous shared
-mapping; transform tasks also return their peaks.
+mapping (a sign table, or a transform buffer that the sign sieve may fill
+in its in-block tasks); they return small results such as peaks and
+nonzero counts.
 """
 
 from __future__ import annotations

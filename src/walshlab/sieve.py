@@ -3,15 +3,19 @@
 Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
 a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
 is bounded by the output table plus one segment regardless of lam.  Moebius
-and Liouville share one factor pass that tracks the product of each entry's
-small prime factors instead of dividing them out, one segment per task of
-limits._two_way (two processes share the segments of a large table); von
-Mangoldt reuses one segment buffer and writes log p straight into the table.
-A table on [0, 2^lam) holds every smaller table as its prefix.
+and Liouville share one segment kernel that tracks the product of each
+entry's small prime factors instead of dividing them out and writes the
+signs into any integer view: the int8 table here, one segment per task of
+limits._two_way (two processes share the segments of a large table), or
+the transform buffer of fwht.sign_max_correlations.  Von Mangoldt segments
+come from one generator, which fills a whole table in place or streams one
+reused segment to stream_sequence's dump.  A table on [0, 2^lam) holds
+every smaller table as its prefix.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,8 +71,9 @@ def _first_multiple(lo: int, step: int) -> int:
     return ((lo + step - 1) // step) * step
 
 
-def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
-    """Liouville signs on [0, 2^lam), or Moebius signs when squarefree.
+def _sign_kernel(lam: int, squarefree: bool):
+    """fill(view, lo): Liouville signs of lo..lo+len(view)-1 into an integer
+    view, or Moebius signs when squarefree; returns their nonzero count.
 
     Each segment keeps a signed product of its entries' small prime factors:
     every prime-power level p^j dividing n multiplies it by -p, so its sign
@@ -82,12 +87,9 @@ def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
     # products never exceed n, so int32 holds them up to lam = 31
     dtype = np.int32 if n <= 1 << 31 else np.int64
     primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
-    out = _shared_empty(n, np.int8)
-    segments = range(0, n, DEFAULT_SEGMENT)
 
-    def sieve_segment(i: int) -> None:
-        lo = segments[i]
-        hi = min(lo + DEFAULT_SEGMENT, n)
+    def fill(view: np.ndarray, lo: int) -> int:
+        hi = lo + len(view)
         prod = np.ones(hi - lo, dtype=dtype)
         for p in primes:
             pk, factor = p, -p
@@ -101,16 +103,24 @@ def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
                 pk *= p
                 if squarefree:
                     factor = 0
-        seg = out[lo:hi]
-        np.sign(prod, out=seg, casting="unsafe")
-        big = np.abs(prod) < np.arange(lo, hi, dtype=dtype)
+        np.sign(prod, out=view, casting="unsafe")
+        big = np.abs(prod, out=prod) < np.arange(lo, hi, dtype=dtype)
         # a masked ufunc would walk the runs of this near-random mask
-        np.multiply(seg, 1 - 2 * big.view(np.int8), out=seg)
+        np.multiply(view, 1 - 2 * big.view(np.int8), out=view)
+        if lo == 0:
+            view[0] = 0  # no prime marks 0; index 1 already holds 1
+        return int(np.count_nonzero(view))
 
-    _two_way(sieve_segment, len(segments), n)
-    out[0] = 0
-    if n > 1:
-        out[1] = 1
+    return fill
+
+
+def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
+    """The int8 sign table on [0, 2^lam), one _sign_kernel segment per task."""
+    n = 1 << lam
+    out = _shared_empty(n, np.int8)
+    fill = _sign_kernel(lam, squarefree)
+    seg = min(n, DEFAULT_SEGMENT)
+    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg), n // seg, n)
     return out
 
 
@@ -128,22 +138,34 @@ def sieve_liouville(lam: int, max_mem_gib: float | None = None) -> ArithmeticSeq
     return ArithmeticSequence(lam, "liouville", _factor_pass(lam, False))
 
 
-def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
-    """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere.
+def _von_mangoldt_segments(lam: int, table: np.ndarray | None = None):
+    """Yield each segment of the von Mangoldt table on [0, 2^lam) in order,
+    holding log p at the prime powers p^k in its span and 0 elsewhere: a
+    view of table when one is given, else one float64 buffer reused by
+    every segment.
 
-    Small-prime powers are stamped directly; primes above sqrt(max) are the
-    segment entries no small prime marks composite.  It stays in one
-    process: faulting in a shared float64 table costs about what a second
-    core would save.
+    Primes above sqrt(max) are the segment entries no small prime marks
+    composite; the small-prime powers p^k, k >= 2, are stamped per segment
+    from one sorted list, over whatever the prime pass left.
     """
-    require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
     n = 1 << lam
     primes = _primes_upto(math.isqrt(n - 1)).tolist()
-    out = np.zeros(n, dtype=np.float64)
-    # n and the segment are powers of two, so every segment fills the buffer
-    composite = np.empty(min(DEFAULT_SEGMENT, n), dtype=bool)
-    for lo in range(0, n, len(composite)):
-        hi = lo + len(composite)
+    stamps = []
+    for p in primes:
+        pk = p * p
+        while pk < n:
+            stamps.append((pk, math.log(p)))
+            pk *= p
+    stamps.sort()
+    powers = np.array([pk for pk, _ in stamps], dtype=np.int64)
+    logs = np.array([logp for _, logp in stamps], dtype=np.float64)
+    # n and the segment are powers of two, so every segment has the same length
+    step = min(DEFAULT_SEGMENT, n)
+    buf = np.empty(step) if table is None else None
+    composite = np.empty(step, dtype=bool)
+    for lo in range(0, n, step):
+        hi = lo + step
+        seg = buf if table is None else table[lo:hi]
         composite.fill(False)
         if lo == 0:
             composite[:2] = True
@@ -152,17 +174,22 @@ def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> Arithmetic
             if start < hi:
                 composite[start - lo :: p] = True
         # entries below sqrt(max) escape the composite marking only if prime
-        idx = np.flatnonzero(~composite) + lo
-        out[idx] = np.log(idx.astype(np.float64))
-    # prime powers p^k, k >= 2, overwrite whatever the prime pass left
-    for p in primes:
-        logp = math.log(p)
-        pk = p * p
-        while pk < n:
-            out[pk] = logp
-            if pk > (n - 1) // p:
-                break
-            pk *= p
+        idx = np.flatnonzero(~composite)
+        seg.fill(0.0)
+        seg[idx] = np.log((idx + lo).astype(np.float64))
+        first, last = np.searchsorted(powers, (lo, hi))
+        seg[powers[first:last] - lo] = logs[first:last]
+        yield seg
+
+
+def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
+    """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere, filled
+    segment by segment in place.  It stays in one process: faulting in a
+    shared float64 table costs about what a second core would save."""
+    require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
+    out = np.empty(1 << lam)
+    for _ in _von_mangoldt_segments(lam, out):
+        pass
     return ArithmeticSequence(lam, "von_mangoldt", out)
 
 
@@ -180,15 +207,56 @@ def sequence(kind: str, lam: int, max_mem_gib: float | None = None) -> Arithmeti
     return _SIEVES[kind](lam, max_mem_gib=max_mem_gib)
 
 
+def _header(lam: int, kind: str) -> bytes:
+    return _MAGIC + bytes([lam, KINDS.index(kind)])
+
+
+def _body(values: np.ndarray) -> memoryview:
+    """AWS1 entries of a table or a segment: int8 for the sign tables,
+    little-endian float64 otherwise, without a copy where they already are."""
+    dtype = np.int8 if values.dtype == np.int8 else "<f8"
+    return memoryview(np.ascontiguousarray(values, dtype=dtype))
+
+
 def dump_sequence(seq: ArithmeticSequence, path) -> None:
     """Binary dump: magic 'AWS1', lam (uint8), kind code (uint8), then raw
     little-endian entries (int8 for the sign tables, float64 otherwise)."""
-    dtype = np.int8 if seq.values.dtype == np.int8 else "<f8"
-    arr = np.ascontiguousarray(seq.values, dtype=dtype)
     # header, then the table's own memory: no joined copy of the body
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + bytes([seq.lam, KINDS.index(seq.kind)]))
-        fh.write(memoryview(arr))
+        fh.write(_header(seq.lam, seq.kind))
+        fh.write(_body(seq.values))
+
+
+def stream_sequence(kind: str, lam: int, path=None,
+                    max_mem_gib: float | None = None) -> tuple[float, int]:
+    """Sum and nonzero count of the kind's table on [0, 2^lam), taken one
+    segment at a time, writing the table's dump_sequence bytes to path when
+    one is given.
+
+    Von Mangoldt holds one reused segment, never its table; the sign kinds
+    stream slices of their finished int8 table.  The segment sums add up as
+    a balanced pairwise tree, the way numpy's pairwise sum splits a 2^lam
+    array, so the sum is float(values.sum()) bit for bit.
+    """
+    if kind == "von_mangoldt":
+        require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
+        segments = _von_mangoldt_segments(lam)
+    else:
+        values = sequence(kind, lam, max_mem_gib=max_mem_gib).values
+        step = min(len(values), DEFAULT_SEGMENT)
+        segments = (values[lo : lo + step] for lo in range(0, len(values), step))
+    sums, nonzero = [], 0
+    with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
+        if fh is not None:
+            fh.write(_header(lam, kind))
+        for seg in segments:
+            if fh is not None:
+                fh.write(_body(seg))
+            sums.append(seg.sum())
+            nonzero += int(np.count_nonzero(seg))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return float(sums[0]), nonzero
 
 
 def load_sequence(path) -> ArithmeticSequence:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import _synthesize
-from .fwht import prefix_max_correlations
+from .fwht import sign_max_correlations
 from .lemmas import CheckReport, _ratio
-from .sieve import SIGN_KINDS, sequence
+from .sieve import SIGN_KINDS
 from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
@@ -382,7 +382,8 @@ def theorem_scan(
 
     One sieve at the largest lam serves them all, since its table holds
     every smaller table as its prefix, and one transform of it yields every
-    prefix's peak (fwht.prefix_max_correlations).
+    prefix's peak; the sieve writes straight into the transform buffer
+    (fwht.sign_max_correlations), so no sign table is kept.
     """
     if kind not in SIGN_KINDS:
         raise ValueError(f"theorem_scan supports {' and '.join(SIGN_KINDS)}, got {kind!r}")
@@ -390,8 +391,7 @@ def theorem_scan(
     if not lambdas:
         return []
     steps = sorted(set(lambdas))
-    values = sequence(kind, steps[-1], max_mem_gib=max_mem_gib).values
-    peaks = dict(zip(steps, prefix_max_correlations(values, steps, max_mem_gib=max_mem_gib)))
+    peaks = dict(zip(steps, sign_max_correlations(kind, steps, max_mem_gib=max_mem_gib)[0]))
     return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
 
 

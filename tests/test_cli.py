@@ -1,11 +1,14 @@
 """CLI: exit codes, output formats, binary dumps, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import walshlab
 from walshlab import load_sequence, manifest_from_json, parse_csv, sieve
 from walshlab.cli import dispatch
 
@@ -147,6 +150,24 @@ def test_transform_guard_honours_max_mem_flag(capsys, monkeypatch, argv):
     assert run_cli(capsys, *argv.split())[0] == 3
     code, out, err = run_cli(capsys, *argv.split(), "--max-mem-gib", "10")
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv, env, flag, want", [
+    ("lemma-check --lemma 3 --lambda 14 --masks all", None, "0.0005", 3),
+    ("scan --lambda-min 14 --lambda-max 14 --masks all --lemmas 2", None, "0.0005", 3),
+    ("lemma-check --lemma 3 --lambda 14 --masks all", "0.0005", "1", 0),
+])
+def test_all_mask_fold_guard_honours_max_mem_flag(capsys, monkeypatch, argv, env, flag, want):
+    # 0.0005 GiB passes the CLI's 8 B/entry charge at lambda 14 but not the
+    # fold's 64 B/entry, and the flag wins over the environment there too
+    if env is not None:
+        monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
+    code, out, err = run_cli(capsys, *argv.split(), "--max-mem-gib", flag)
+    assert code == want
+    if want == 3:
+        assert not out and "all-mask fold at lambda=14" in err
+    else:
+        assert err == ""
 
 
 BAD_NUMBERS = [
@@ -388,3 +409,35 @@ def test_subprocess_matches_in_process(capsys):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == inproc
+
+
+# starts its command and reports the child's own exit code and peak RSS (KiB
+# on Linux); it imports no numpy, since a child's ru_maxrss counts the
+# resident set of the process it was forked from
+_PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_kib(cwd, *argv) -> tuple:
+    env = dict(os.environ, PYTHONPATH=str(Path(walshlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK, sys.executable, "-m", "walshlab", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    code, kib = proc.stdout.split()
+    return int(code), int(kib)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_von_mangoldt_dump_holds_one_segment_not_the_table(tmp_path):
+    _, base = _peak_kib(tmp_path, "--version")
+    code, peak = _peak_kib(tmp_path, "sieve", "--kind", "von_mangoldt", "--lambda", "22",
+                           "--out", "vm.bin")
+    assert code == 0
+    assert (tmp_path / "vm.bin").stat().st_size == 6 + (8 << 22)
+    # the float64 table alone is 32 MiB; one 8 MiB segment plus scratch fits
+    assert peak - base < 16 << 10, (peak, base)

@@ -12,7 +12,7 @@ from walshlab import (
     load_sequence,
     sequence,
 )
-from walshlab.sieve import DEFAULT_SEGMENT
+from walshlab.sieve import DEFAULT_SEGMENT, stream_sequence
 
 MERTENS_SMALL = [1, 0, -1, -1, -2, -1, -2, -2, -2, -1]  # M(1)..M(10)
 
@@ -133,6 +133,21 @@ def test_dump_streams_without_copying_the_table(tmp_path):
     tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert np.array_equal(load_sequence(tmp_path / "vm.bin").values, seq.values)
+
+
+# less than one segment, exactly one, two and four
+@pytest.mark.parametrize("lam", [1, 2, 19, 20, 21, 22])
+@pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])
+def test_streamed_dump_sum_and_count_equal_the_table_path(tmp_path, kind, lam):
+    seq = sequence(kind, lam)
+    dump_sequence(seq, tmp_path / "table.bin")
+    total, nonzero = stream_sequence(kind, lam, tmp_path / "stream.bin")
+    assert (tmp_path / "stream.bin").read_bytes() == (tmp_path / "table.bin").read_bytes()
+    # bit for bit: the segment sums pair up as numpy's pairwise sum splits
+    # the whole table, so this also catches a change to numpy's summation
+    assert total.hex() == float(seq.values.sum()).hex()
+    assert nonzero == np.count_nonzero(seq.values)
+    assert stream_sequence(kind, lam) == (total, nonzero)
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])

@@ -1,14 +1,16 @@
 """Sign sieve and transform tasks: two processes or in order.
 
-Every sign sieve and transform is worked as numbered tasks; a forked child
-and the caller share them when the table reaches limits.SPLIT_MIN entries
-and two CPUs are usable.  The split tests force the fork by reporting two
-CPUs, so they run on a one-CPU machine too, and take their reference with
-one CPU reported, where the tasks run in order in-process.  Smaller tables
-always run the tasks in order; the tests below SPLIT_MIN forbid the fork
-and compare the task path with oracles.axis_fwht, whose whole-array stages
-run in the same order, so even float spectra agree byte for byte.  Sign
-tables and spectra are also checked against independent oracles.
+Every sign sieve and transform is worked as numbered tasks (the spectrum
+command and the theorem scan sieve each segment straight into the transform
+buffer in its in-block task); a forked child and the caller share them when
+the table reaches limits.SPLIT_MIN entries and two CPUs are usable.  The
+split tests force the fork by reporting two CPUs, so they run on a one-CPU
+machine too, and take their reference with one CPU reported, where the
+tasks run in order in-process.  Smaller tables always run the tasks in
+order; the tests below SPLIT_MIN forbid the fork and compare the task path
+with oracles.axis_fwht, whose whole-array stages run in the same order, so
+even float spectra agree byte for byte.  Sign tables and spectra are also
+checked against independent oracles.
 """
 
 import os
@@ -30,9 +32,9 @@ from walshlab import (
     theorem_scan,
     walsh_table,
 )
-from walshlab import fwht, limits
+from walshlab import fwht, limits, manifest_from_json, sums
 from walshlab.cli import dispatch
-from walshlab.sieve import DEFAULT_SEGMENT
+from walshlab.sieve import DEFAULT_SEGMENT, SIGN_KINDS
 
 LAM = limits.SPLIT_MIN.bit_length() - 1
 
@@ -144,6 +146,42 @@ def test_split_theorem_scan_equals_one_process(monkeypatch, kind):
         assert [r.params["lambda"] for r in split] == list(lambdas)
 
 
+def _fused_reports(capsys, kind: str, lam: int) -> tuple:
+    """The spectrum command's (peak mask, peak value, rhs) and theorem_scan's
+    reports at 1, lam/2 and lam: both sieve into the transform buffer."""
+    assert dispatch(["spectrum", "--lambda", str(lam), "--kind", kind]) in (0, 1)
+    rep = manifest_from_json(capsys.readouterr().out).reports[0]
+    lams = sorted({1, (lam + 1) // 2, lam})
+    return (rep.params["peak_mask"], rep.params["peak_value"], rep.rhs), theorem_scan(kind, lams)
+
+
+def _table_reports(kind: str, lam: int) -> tuple:
+    """_fused_reports from the sieved table: max_correlation of each prefix,
+    and rhs = sum |values|."""
+    values = sequence(kind, lam).values
+    mask, value = max_correlation(values)
+    scan = [sums._correlation_check(k, kind, *max_correlation(values[: 1 << k]))
+            for k in sorted({1, (lam + 1) // 2, lam})]
+    return (mask.bits, float(value), float(np.abs(values).sum())), scan
+
+
+# one pair; spans below the transposed width; one block; the first
+# cross-block stage; one DEFAULT_SEGMENT
+@pytest.mark.parametrize("lam", [1, 2, 7, 16, 17, 20])
+@pytest.mark.parametrize("kind", SIGN_KINDS)
+def test_in_order_fused_sieve_equals_table_path(monkeypatch, capsys, kind, lam):
+    _no_fork(monkeypatch)
+    assert _fused_reports(capsys, kind, lam) == _table_reports(kind, lam)
+
+
+@pytest.mark.parametrize("lam", [LAM, LAM + 1])
+@pytest.mark.parametrize("kind", SIGN_KINDS)
+def test_split_fused_sieve_equals_table_path(monkeypatch, capsys, kind, lam):
+    split, ref = _both(monkeypatch, lambda: _fused_reports(capsys, kind, lam))
+    assert split == ref == _table_reports(kind, lam)
+    _no_children()
+
+
 def _two_peaks(low: int, high: int, lam: int) -> np.ndarray:
     """(w_low - w_high) / 2: its spectrum is +2^(lam-1) at low, -2^(lam-1)
     at high and 0 elsewhere, so the two tie in |entry|."""
@@ -231,10 +269,22 @@ def test_parent_failure_still_reaps_the_child(monkeypatch):
     _no_children()
 
 
+@pytest.mark.parametrize("where, error", [("child", ChildProcessError),
+                                          ("parent", RuntimeError)])
+def test_fused_task_failure_reaches_the_caller(monkeypatch, where, error):
+    """A failure in a task that sieves into the transform buffer raises in
+    the caller, and no worker is left."""
+    _cpus(monkeypatch, {0, 1})
+    _fail_in(monkeypatch, where, _raise(where))
+    with pytest.raises(error, match=f"stage failure in the {where}"):
+        theorem_scan("moebius", [LAM])
+    _no_children()
+
+
 @pytest.mark.parametrize("lam, cpus, forks", [
     (LAM - 1, {0, 1}, 0),   # below SPLIT_MIN
     (LAM + 1, {0}, 0),      # one usable CPU
-    (LAM + 1, {0, 1}, 3),   # sieve, in-block stages, cross-block stages
+    (LAM + 1, {0, 1}, 2),   # sieve into in-block stages, cross-block stages
 ])
 def test_fork_count(monkeypatch, lam, cpus, forks):
     _cpus(monkeypatch, cpus)
