@@ -14,26 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from .fwht import sign_max_correlations
-from .lemmas import CheckReport, ScanConfig, _ratio, run_scan, scan_lemma_at
 from .limits import ResourceLimitError, require_table_bytes
-from .report import RunManifest, emit_csv, write_manifest_json
-from .sieve import KINDS, SIGN_KINDS, stream_sequence
-from .sums import (
-    BilinearConfig,
-    SplitConfig,
-    carry_report,
-    cauchy_schwarz_chain,
-    coefficient_table,
-    quadform_report,
-    split_report,
-    theorem_scan,
-    type1_report,
-)
+from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, emit_csv,
+                     write_manifest_json)
 
 # Rosser-Schoenfeld: psi(x) < 1.04 x for all x > 0, so the Lambda prefix
 # sum gets a real (not merely trivial) ceiling to report against
@@ -127,9 +115,9 @@ def _dumps(args) -> bool:
     return args.command == "sieve" and args.out is not None and args.out.suffix == ".bin"
 
 
-def _sieve_reports(args):
-    total, nonzero = stream_sequence(args.kind, args.lam, args.out if _dumps(args) else None,
-                                     max_mem_gib=args.max_mem_gib)
+def _sieve_reports(args, sieve):
+    total, nonzero = sieve.stream_sequence(args.kind, args.lam, args.out if _dumps(args) else None,
+                                           max_mem_gib=args.max_mem_gib)
     lhs = abs(total)
     n = float(1 << args.lam)
     rhs = _PSI_CEILING * n if args.kind == "von_mangoldt" else n
@@ -142,8 +130,9 @@ def _sieve_reports(args):
     return [CheckReport("SIEVE", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
 
 
-def _spectrum_reports(args):
-    peaks, nonzero = sign_max_correlations(args.kind, [args.lam], max_mem_gib=args.max_mem_gib)
+def _spectrum_reports(args, fwht):
+    peaks, nonzero = fwht.sign_max_correlations(args.kind, [args.lam],
+                                                max_mem_gib=args.max_mem_gib)
     mask, value = peaks[0]
     lhs = float(abs(value))
     rhs = float(nonzero)
@@ -157,22 +146,23 @@ def _spectrum_reports(args):
     return [CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
 
 
-def _theorem_scan(args):
+def _theorem_scan(args, fwht):
     lo, hi = args.lambda_min, args.lambda_max
     if lo < 1 or hi < lo:
         raise ValueError(f"bad lambda range [{lo}, {hi}]")
-    return hi, lambda: theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib)
+    return hi, lambda: fwht.theorem_scan(args.kind, range(lo, hi + 1),
+                                         max_mem_gib=args.max_mem_gib)
 
 
-def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
+def _lemma_scan(args, lemmas, lo: int, hi: int, selected: tuple, scan):
     """lemma-check and scan; a selected lemma with nothing to check is an
     error, not a vacuous pass."""
     def run():
-        reports = scan(ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
-                                  count=args.count, seed=args.seed, lemmas=lemmas),
+        reports = scan(lemmas.ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
+                                         count=args.count, seed=args.seed, lemmas=selected),
                        args.max_mem_gib)
         checked = {r.lemma_id for r in reports}
-        missing = [str(k) for k in lemmas if f"L{k}" not in checked]
+        missing = [str(k) for k in selected if f"L{k}" not in checked]
         if missing:
             raise ValueError(
                 f"lemma {','.join(missing)} has no check on the "
@@ -183,10 +173,10 @@ def _lemma_scan(args, lo: int, hi: int, lemmas: tuple, scan):
     return hi, run
 
 
-def _bilinear(args, report):
+def _bilinear(args, sums, report):
     # the config is validated before the table guard runs; the 2^nu beta
     # table is drawn only once the guard has passed
-    cfg = BilinearConfig(
+    cfg = sums.BilinearConfig(
         s_bits=args.mask,
         mu=args.mu,
         nu=args.nu,
@@ -196,27 +186,33 @@ def _bilinear(args, report):
     )
 
     def run():
-        beta = coefficient_table(args.coef, cfg.n_count, args.seed)
+        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed)
         return [report(dataclasses.replace(cfg, beta=beta))]
 
     return cfg.lam, run
 
 
-# subcommand -> prepare(args), which returns the lambda its table guard
-# charges and a run() giving its reports
+# subcommand -> (its module, prepare(args, module)); prepare returns the
+# lambda its table guard charges and a run() giving its reports.  A von
+# Mangoldt sieve gives None: stream_sequence charges its stream itself.
+# Only the command's own module is imported, when the command runs, and its
+# functions are looked up on it then, never bound at import.
 _COMMANDS = {
-    "sieve": lambda a: (a.lam, lambda: _sieve_reports(a)),
-    "spectrum": lambda a: (a.lam, lambda: _spectrum_reports(a)),
-    "theorem-scan": _theorem_scan,
-    "lemma-check": lambda a: _lemma_scan(
-        a, a.lam, a.lam, (a.lemma,), lambda c, gib: scan_lemma_at(c, a.lemma, a.lam, gib)),
-    "scan": lambda a: _lemma_scan(a, a.lambda_min, a.lambda_max, a.lemmas, run_scan),
-    "bilinear": lambda a: _bilinear(a, cauchy_schwarz_chain),
-    "quadform": lambda a: _bilinear(a, quadform_report),
-    "carry-rate": lambda a: _bilinear(a, carry_report),
-    "type1": lambda a: (a.mu + a.nu, lambda: [type1_report(a.mask, a.mu, a.nu)]),
-    "split": lambda a: (a.lam, lambda: [split_report(SplitConfig(
-        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))]),
+    "sieve": ("sieve", lambda a, m: (None if a.kind == "von_mangoldt" else a.lam,
+                                     lambda: _sieve_reports(a, m))),
+    "spectrum": ("fwht", lambda a, m: (a.lam, lambda: _spectrum_reports(a, m))),
+    "theorem-scan": ("fwht", _theorem_scan),
+    "lemma-check": ("lemmas", lambda a, m: _lemma_scan(
+        a, m, a.lam, a.lam, (a.lemma,), lambda c, gib: m.scan_lemma_at(c, a.lemma, a.lam, gib))),
+    "scan": ("lemmas", lambda a, m: _lemma_scan(
+        a, m, a.lambda_min, a.lambda_max, a.lemmas, m.run_scan)),
+    "bilinear": ("sums", lambda a, m: _bilinear(a, m, m.cauchy_schwarz_chain)),
+    "quadform": ("sums", lambda a, m: _bilinear(a, m, m.quadform_report)),
+    "carry-rate": ("sums", lambda a, m: _bilinear(a, m, m.carry_report)),
+    "type1": ("sums", lambda a, m: (a.mu + a.nu,
+                                    lambda: [m.type1_report(a.mask, a.mu, a.nu)])),
+    "split": ("sums", lambda a, m: (a.lam, lambda: [m.split_report(m.SplitConfig(
+        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))])),
 }
 
 # parsed arguments that route output rather than shape the run
@@ -225,8 +221,10 @@ _NOT_CONFIG = ("command", "out", "format", "max_mem_gib")
 
 def _run(args) -> RunManifest:
     """The run's manifest; a sieve's AWS1 dump is written while it runs."""
-    lam, run = _COMMANDS[args.command](args)
-    require_table_bytes(lam, max_mem_gib=args.max_mem_gib, what=f"{args.command} table")
+    module, prepare = _COMMANDS[args.command]
+    lam, run = prepare(args, importlib.import_module(f"{__package__}.{module}"))
+    if lam is not None:
+        require_table_bytes(lam, max_mem_gib=args.max_mem_gib, what=f"{args.command} table")
     reports = run()
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     manifest = RunManifest(

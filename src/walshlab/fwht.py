@@ -16,13 +16,17 @@ each half of the
 columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
 every cross-block stage.  Every entry sees the same additions in the same
 order either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
+theorem_scan turns the prefix peaks of one sign table into THM1 reports.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .limits import ResourceLimitError, _shared_empty, _two_way, require_table_bytes
+from .report import CheckReport, _ratio
 from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _sign_kernel
 from .walsh import WalshMask
 
@@ -295,3 +299,43 @@ def sign_max_correlations(
     peaks, counts = _sign_peaks(_sign_kernel(top, kind == "moebius"),
                                 _check_prefixes(lambdas, top), top)
     return peaks, sum(counts)
+
+
+def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> CheckReport:
+    """Max |correlation| value of a sign table against 2^(lam - lam^(1/10)).
+
+    Records the argmax mask, its weight, and the empirical exponent
+    log2 |value| / lam (None for an identically-zero table).
+    """
+    rhs = 2.0 ** (lam - lam**0.1)
+    lhs = float(abs(value))
+    exponent = math.log2(lhs) / lam if value else None
+    params = {
+        "lambda": lam,
+        "kind": kind,
+        "mask": mask.bits,
+        "weight": mask.weight,
+        "value": int(value),
+        "exponent": exponent,
+    }
+    return CheckReport("THM1", params, lhs, rhs, _ratio(lhs, rhs), None, lhs < rhs)
+
+
+def theorem_scan(
+    kind: str, lambdas, max_mem_gib: float | None = None
+) -> list[CheckReport]:
+    """The THM1 check of the kind's sign table at each lam, in the order given.
+
+    One sieve at the largest lam serves them all, since its table holds
+    every smaller table as its prefix, and one transform of it yields every
+    prefix's peak; the sieve writes straight into the transform buffer
+    (sign_max_correlations), so no sign table is kept.
+    """
+    if kind not in SIGN_KINDS:
+        raise ValueError(f"theorem_scan supports {' and '.join(SIGN_KINDS)}, got {kind!r}")
+    lambdas = list(lambdas)
+    if not lambdas:
+        return []
+    steps = sorted(set(lambdas))
+    peaks = dict(zip(steps, sign_max_correlations(kind, steps, max_mem_gib=max_mem_gib)[0]))
+    return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]

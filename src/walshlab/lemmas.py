@@ -28,6 +28,7 @@ from .approximant import (
     band_profile,
     l2_error,
 )
+from .report import CheckReport, _ratio
 from .walsh import (
     Interval,
     ResidueClass,
@@ -41,12 +42,6 @@ from .walsh import (
 
 EXPLICIT_BASE = 2.0 + math.sqrt(2.0)
 EXPLICIT_TOL = 1e-9
-
-LEMMA_IDS = (
-    "L1", "L2", "L3", "L4", "L5", "L6",
-    "THM1", "CARRY", "TYPE1", "SPLIT",
-    "BILIN", "QUAD", "SIEVE", "SPECTRUM", "SUMMARY",
-)
 
 DEFAULT_BRACKETS = {
     "L1": 10.0,   # exhaustive fitted C maxes at 0.4814 for lam <= 14
@@ -66,60 +61,6 @@ INTERVALS_PER_MASK = 4
 # e(2^(lam-1) x / 2^lam).  Their coefficient tables are point masses, so a
 # decay exponent fitted on them carries no information.
 _CHARACTER_MASKS = (0, 1)
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """One check outcome: inputs, both sides, and the verdict.
-
-    fitted_constant is None for explicit-constant checks.  passed maps to
-    the JSON/CSV field "pass".
-    """
-
-    lemma_id: str
-    params: dict
-    lhs: float
-    rhs: float
-    ratio: float
-    fitted_constant: float | None
-    passed: bool
-
-    def __post_init__(self):
-        if self.lemma_id not in LEMMA_IDS:
-            raise ValueError(f"unknown lemma_id {self.lemma_id!r}")
-        object.__setattr__(self, "lhs", float(self.lhs))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        object.__setattr__(self, "ratio", float(self.ratio))
-        if self.fitted_constant is not None:
-            object.__setattr__(self, "fitted_constant", float(self.fitted_constant))
-        object.__setattr__(self, "passed", bool(self.passed))
-
-    def as_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "fitted_constant": self.fitted_constant,
-            "pass": self.passed,
-        }
-
-
-def report_from_dict(d: dict) -> CheckReport:
-    return CheckReport(
-        lemma_id=d["lemma_id"],
-        params=d["params"],
-        lhs=d["lhs"],
-        rhs=d["rhs"],
-        ratio=d["ratio"],
-        fitted_constant=d["fitted_constant"],
-        passed=d["pass"],
-    )
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    return lhs / rhs if rhs else float(lhs)
 
 
 @dataclass(frozen=True)

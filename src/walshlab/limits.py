@@ -52,6 +52,22 @@ def resolve_max_mem_gib(explicit: float | None = None) -> float:
     return gib
 
 
+def require_bytes(need: int, max_mem_gib: float | None, what: str, how: str) -> int:
+    """Check that need bytes fit the memory budget.
+
+    Returns need; raises ResourceLimitError naming what, need and how need
+    was counted when it exceeds the budget.
+    """
+    budget = int(resolve_max_mem_gib(max_mem_gib) * 2**30)
+    if need > budget:
+        raise ResourceLimitError(
+            f"{what} requires {need} bytes ({how}); "
+            f"budget is {budget} bytes "
+            f"(raise --max-mem-gib or {ENV_MAX_MEM} to override)"
+        )
+    return need
+
+
 def require_table_bytes(
     lam: int,
     bytes_per_entry: int = 8,
@@ -66,16 +82,8 @@ def require_table_bytes(
     """
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
-    budget = int(resolve_max_mem_gib(max_mem_gib) * 2**30)
-    need = (1 << lam) * bytes_per_entry
-    if need > budget:
-        raise ResourceLimitError(
-            f"{what} at lambda={lam} requires {need} bytes "
-            f"({bytes_per_entry} per entry over 2^{lam}); "
-            f"budget is {budget} bytes "
-            f"(raise --max-mem-gib or {ENV_MAX_MEM} to override)"
-        )
-    return need
+    return require_bytes((1 << lam) * bytes_per_entry, max_mem_gib, f"{what} at lambda={lam}",
+                         f"{bytes_per_entry} per entry over 2^{lam}")
 
 
 # sign sieve plus max_correlation, split against one process on a quiet 2-vCPU

@@ -1,7 +1,8 @@
 """Deterministic serialization of check runs.
 
-JSON is the canonical format: a RunManifest captures the command, its
-config, the seed, and every CheckReport, and serializes with sorted keys
+A CheckReport is one check's outcome, whatever layer made it.  JSON is
+the canonical format: a RunManifest captures the command, its config, the
+seed, and every CheckReport, and serializes with sorted keys
 so identical runs produce byte-identical output, streamed to files in
 chunks.  CSV is a lossy tabular projection for plotting: per-check params
 are flattened into one JSON string column (they differ across lemmas).
@@ -22,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .lemmas import CheckReport, report_from_dict
+
+# the sieved kinds; a kind's AWS1 code is its index in KINDS
+SIGN_KINDS = ("moebius", "liouville")
+KINDS = SIGN_KINDS + ("von_mangoldt",)
+
+LEMMA_IDS = (
+    "L1", "L2", "L3", "L4", "L5", "L6",
+    "THM1", "CARRY", "TYPE1", "SPLIT",
+    "BILIN", "QUAD", "SIEVE", "SPECTRUM", "SUMMARY",
+)
 
 CSV_HEADER = (
     "lemma_id",
@@ -34,6 +44,60 @@ CSV_HEADER = (
     "fitted_constant",
     "pass",
 )
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """One check outcome: inputs, both sides, and the verdict.
+
+    fitted_constant is None for explicit-constant checks.  passed maps to
+    the JSON/CSV field "pass".
+    """
+
+    lemma_id: str
+    params: dict
+    lhs: float
+    rhs: float
+    ratio: float
+    fitted_constant: float | None
+    passed: bool
+
+    def __post_init__(self):
+        if self.lemma_id not in LEMMA_IDS:
+            raise ValueError(f"unknown lemma_id {self.lemma_id!r}")
+        object.__setattr__(self, "lhs", float(self.lhs))
+        object.__setattr__(self, "rhs", float(self.rhs))
+        object.__setattr__(self, "ratio", float(self.ratio))
+        if self.fitted_constant is not None:
+            object.__setattr__(self, "fitted_constant", float(self.fitted_constant))
+        object.__setattr__(self, "passed", bool(self.passed))
+
+    def as_dict(self) -> dict:
+        return {
+            "lemma_id": self.lemma_id,
+            "params": self.params,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "ratio": self.ratio,
+            "fitted_constant": self.fitted_constant,
+            "pass": self.passed,
+        }
+
+
+def report_from_dict(d: dict) -> CheckReport:
+    return CheckReport(
+        lemma_id=d["lemma_id"],
+        params=d["params"],
+        lhs=d["lhs"],
+        rhs=d["rhs"],
+        ratio=d["ratio"],
+        fitted_constant=d["fitted_constant"],
+        passed=d["pass"],
+    )
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    return lhs / rhs if rhs else float(lhs)
 
 
 @dataclass(frozen=True)

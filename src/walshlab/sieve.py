@@ -22,13 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .limits import _shared_empty, _two_way, require_table_bytes
-
-SIGN_KINDS = ("moebius", "liouville")
-# a kind's AWS1 code is its index here
-KINDS = SIGN_KINDS + ("von_mangoldt",)
+from .limits import _shared_empty, _two_way, require_bytes, require_table_bytes
+from .report import KINDS, SIGN_KINDS
 
 DEFAULT_SEGMENT = 1 << 20
+
+# a von Mangoldt stream holds one float64 segment, its composite flags and
+# the indices and logs of its primes (tracemalloc: 10.9-11.3 MiB per
+# 2^20-entry segment at lam 20-30, 13.3 B per entry at lam 12), plus the
+# sieving primes up to sqrt(2^lam) as flags, arrays, a list and the sorted
+# prime-power stamps (13.9 B per integer to 2^20 at lam 40, 12.5 to 2^22
+# at lam 44; the prime density falls as lam grows)
+STREAM_BYTES = 16
+PRIME_BYTES = 24
 
 _MAGIC = b"AWS1"
 
@@ -233,13 +239,20 @@ def stream_sequence(kind: str, lam: int, path=None,
     segment at a time, writing the table's dump_sequence bytes to path when
     one is given.
 
-    Von Mangoldt holds one reused segment, never its table; the sign kinds
+    Von Mangoldt holds one reused segment and the sieving primes up to
+    sqrt(2^lam), never its table, and is charged for those; the sign kinds
     stream slices of their finished int8 table.  The segment sums add up as
     a balanced pairwise tree, the way numpy's pairwise sum splits a 2^lam
     array, so the sum is float(values.sum()) bit for bit.
     """
     if kind == "von_mangoldt":
-        require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
+        if lam < 1:
+            raise ValueError(f"lam must be a positive bit length, got {lam}")
+        seg, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
+        require_bytes(STREAM_BYTES * seg + (PRIME_BYTES << half), max_mem_gib,
+                      f"von mangoldt stream at lambda={lam}",
+                      f"{STREAM_BYTES} per entry over a {seg}-entry segment, "
+                      f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
         segments = _von_mangoldt_segments(lam)
     else:
         values = sequence(kind, lam, max_mem_gib=max_mem_gib).values

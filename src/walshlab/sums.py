@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import _synthesize
-from .fwht import sign_max_correlations
-from .lemmas import CheckReport, _ratio
-from .sieve import SIGN_KINDS
+from .report import CheckReport, _ratio
 from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
@@ -352,47 +350,7 @@ def spectral_split(config: SplitConfig) -> SplitResult:
 
 
 # ---------------------------------------------------------------------------
-# correlation scans and report builders
-
-
-def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> CheckReport:
-    """Max |correlation| value of a sign table against 2^(lam - lam^(1/10)).
-
-    Records the argmax mask, its weight, and the empirical exponent
-    log2 |value| / lam (None for an identically-zero table).
-    """
-    rhs = 2.0 ** (lam - lam**0.1)
-    lhs = float(abs(value))
-    exponent = math.log2(lhs) / lam if value else None
-    params = {
-        "lambda": lam,
-        "kind": kind,
-        "mask": mask.bits,
-        "weight": mask.weight,
-        "value": int(value),
-        "exponent": exponent,
-    }
-    return CheckReport("THM1", params, lhs, rhs, _ratio(lhs, rhs), None, lhs < rhs)
-
-
-def theorem_scan(
-    kind: str, lambdas, max_mem_gib: float | None = None
-) -> list[CheckReport]:
-    """The THM1 check of the kind's sign table at each lam, in the order given.
-
-    One sieve at the largest lam serves them all, since its table holds
-    every smaller table as its prefix, and one transform of it yields every
-    prefix's peak; the sieve writes straight into the transform buffer
-    (fwht.sign_max_correlations), so no sign table is kept.
-    """
-    if kind not in SIGN_KINDS:
-        raise ValueError(f"theorem_scan supports {' and '.join(SIGN_KINDS)}, got {kind!r}")
-    lambdas = list(lambdas)
-    if not lambdas:
-        return []
-    steps = sorted(set(lambdas))
-    peaks = dict(zip(steps, sign_max_correlations(kind, steps, max_mem_gib=max_mem_gib)[0]))
-    return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]
+# report builders
 
 
 def _bilinear_params(config: BilinearConfig, **extra) -> dict:
@@ -434,8 +392,8 @@ def quadform_report(config: BilinearConfig) -> CheckReport:
 
 def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
     """Type-I sum (the bilinear sum with all-ones beta) against its trivial
-    bound M * N."""
-    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu))
+    bound M * N.  It has no shifts, so its config takes rho = 0."""
+    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0))
     rhs = float((1 << mu) * (1 << nu))
     params = {"lambda": mu + nu, "mask": s_bits, "mu": mu, "nu": nu}
     return CheckReport("TYPE1", params, value, rhs, _ratio(value, rhs), None,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
 
 import walshlab
@@ -314,6 +315,50 @@ def test_bilinear_quadform_carry_type1_split(capsys):
                            "--mu", "1", "--h", "4")
     assert code == 0
     assert manifest_from_json(out).reports[0].lemma_id == "SPLIT"
+
+
+@pytest.mark.parametrize("mask", [0, 1, 2, 3, 7])
+def test_type1_at_smallest_ranges_matches_naive_sum(capsys, mask):
+    # type1 has no shifts, so N = 2 needs no room for any
+    code, out, err = run_cli(capsys, "type1", "--mask", hex(mask), "--mu", "1", "--nu", "1")
+    assert code == 0, err
+    rep = manifest_from_json(out).reports[0]
+    assert rep.lhs == oracles.naive_type1(mask, 1, 1)
+
+
+def test_von_mangoldt_stream_is_charged_its_segment(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("sieve", "--kind", "von_mangoldt", "--lambda", "23")
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
+    assert code == 0, err
+    assert tight == default
+    # a sign sieve holds its whole table and is still refused at that budget
+    code, out, err = run_cli(capsys, "sieve", "--kind", "moebius", "--lambda", "23",
+                             "--max-mem-gib", "0.05")
+    assert code == 3 and out == ""
+    assert "resource limit: sieve table at lambda=23 requires 67108864 bytes" in err
+
+
+@pytest.mark.parametrize("lam", ["60", "99"])
+def test_von_mangoldt_stream_guard_counts_its_sieving_primes(capsys, tmp_path, monkeypatch, lam):
+    # the primes to sqrt(2^lam) outgrow the default budget long before any
+    # segment is sieved, so the guard refuses the run
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WSL_MAX_MEM_GIB", raising=False)
+    code, out, err = run_cli(capsys, "sieve", "--kind", "von_mangoldt", "--lambda", lam,
+                             "--out", "vm.bin")
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: von mangoldt stream at lambda={lam} requires ")
+    assert "sieving range" in err and not (tmp_path / "vm.bin").exists()
+
+
+@pytest.mark.parametrize("lam", ["0", "-3"])
+def test_von_mangoldt_stream_rejects_empty_tables(capsys, lam):
+    code, out, err = run_cli(capsys, "sieve", "--kind", "von_mangoldt", "--lambda", lam)
+    assert code == 2 and out == ""
+    assert f"lam must be a positive bit length, got {lam}" in err
 
 
 # ---------------------------------------------------------------------------

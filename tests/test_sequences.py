@@ -12,7 +12,8 @@ from walshlab import (
     load_sequence,
     sequence,
 )
-from walshlab.sieve import DEFAULT_SEGMENT, stream_sequence
+from walshlab import sieve
+from walshlab.sieve import DEFAULT_SEGMENT, PRIME_BYTES, STREAM_BYTES, stream_sequence
 
 MERTENS_SMALL = [1, 0, -1, -1, -2, -1, -2, -2, -2, -1]  # M(1)..M(10)
 
@@ -114,6 +115,46 @@ def test_von_mangoldt_peak_is_the_table_plus_one_segment():
     tracemalloc.stop()
     # the 8 MiB float64 table plus the segment's few MiB of scratch
     assert peak <= (8 + 4) << 20, peak
+
+
+class _Charged(Exception):
+    pass
+
+
+def _stream_charge(monkeypatch, lam: int) -> int:
+    """The bytes stream_sequence charges a von Mangoldt stream at lam,
+    caught at its guard, before any sieving."""
+    def stop(need, *rest):
+        raise _Charged(need)
+
+    with monkeypatch.context() as m, pytest.raises(_Charged) as exc:
+        m.setattr(sieve, "require_bytes", stop)
+        stream_sequence("von_mangoldt", lam)
+    return exc.value.args[0]
+
+
+@pytest.mark.parametrize("lam", [12, 16, 20, 23])
+def test_von_mangoldt_stream_charge_covers_its_peak(tmp_path, monkeypatch, lam):
+    charge = _stream_charge(monkeypatch, lam)
+    tracemalloc.start()
+    stream_sequence("von_mangoldt", lam, tmp_path / "vm.bin")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= charge, (peak, charge)
+    # one segment and the sieving primes: far below the 8 B/entry table
+    assert charge <= (STREAM_BYTES + PRIME_BYTES) * min(1 << lam, DEFAULT_SEGMENT)
+
+
+def test_von_mangoldt_stream_charge_covers_its_sieving_primes(monkeypatch):
+    # at lam 40 the sieving primes to 2^20 and their prime-power stamps
+    # outgrow a charge for the segment alone; the setup and first segment
+    # hold the stream's peak
+    charge = _stream_charge(monkeypatch, 40)
+    tracemalloc.start()
+    next(sieve._von_mangoldt_segments(40))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert STREAM_BYTES * DEFAULT_SEGMENT < peak <= charge, (peak, charge)
 
 
 def test_factor_pass_spot_check_lambda_24():

@@ -396,7 +396,7 @@ def test_theorem_scan_kinds():
 
 def test_zero_sequence_exponent_is_none():
     from walshlab import max_correlation
-    from walshlab.sums import _correlation_check
+    from walshlab.fwht import _correlation_check
 
     rep = _correlation_check(4, "moebius", *max_correlation(np.zeros(16, dtype=np.int8)))
     assert rep.params["exponent"] is None

@@ -16,7 +16,7 @@ from walshlab import (
 )
 from walshlab import fwht
 from walshlab.fwht import _CHUNK, _NARROW, DEFAULT_BLOCK, _peak
-from walshlab.sums import _correlation_check
+from walshlab.fwht import _correlation_check
 
 
 def test_delta_transforms_to_all_ones():

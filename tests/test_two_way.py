@@ -32,7 +32,7 @@ from walshlab import (
     theorem_scan,
     walsh_table,
 )
-from walshlab import fwht, limits, manifest_from_json, sums
+from walshlab import fwht, limits, manifest_from_json
 from walshlab.cli import dispatch
 from walshlab.sieve import DEFAULT_SEGMENT, SIGN_KINDS
 
@@ -160,7 +160,7 @@ def _table_reports(kind: str, lam: int) -> tuple:
     and rhs = sum |values|."""
     values = sequence(kind, lam).values
     mask, value = max_correlation(values)
-    scan = [sums._correlation_check(k, kind, *max_correlation(values[: 1 << k]))
+    scan = [fwht._correlation_check(k, kind, *max_correlation(values[: 1 << k]))
             for k in sorted({1, (lam + 1) // 2, lam})]
     return (mask.bits, float(value), float(np.abs(values).sum())), scan
 
