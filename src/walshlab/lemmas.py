@@ -28,6 +28,7 @@ from .approximant import (
     band_profile,
     l2_error,
 )
+from .limits import require_bytes
 from .report import CheckReport, _ratio
 from .walsh import (
     Interval,
@@ -55,6 +56,12 @@ DEFAULT_BRACKETS = {
 R_VALUES = (2, 4, 6)
 T_GRID = (3, 4, 5)
 INTERVALS_PER_MASK = 4
+
+# bytes a random-family scan holds per drawn mask and per report it keeps,
+# rounded up from tracemalloc peaks of run_scan at lam 8-16 and counts
+# 1000-4000: about 65 B per mask with no report, 450-710 B per report
+_MASK_BYTES = 128
+_REPORT_BYTES = 768
 
 # masks whose Walsh function is itself an additive character: the empty mask
 # (the constant 1) and the lone lowest bit, whose sign function is exactly
@@ -372,11 +379,27 @@ def _scan_at(config: ScanConfig, lam: int,
     return [judge[lemma]() for lemma in config.lemmas]
 
 
+def _require_report_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
+    """Charge a random-family scan its drawn masks and kept reports before
+    anything is drawn; --count sets their number.  Lemma 5 rows come from a
+    fixed quartet of tail masks, so they are not charged per mask."""
+    if config.mask_family != "random":
+        return
+    lams = range(config.lambda_min, config.lambda_max + 1)
+    reports = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
+                  for lam in lams for k in config.lemmas)
+    require_bytes(config.count * (len(lams) * _MASK_BYTES + reports * _REPORT_BYTES),
+                  max_mem_gib, what=f"random-mask scan of {config.count} masks",
+                  how=f"{_MASK_BYTES} B per mask and lambda, {_REPORT_BYTES} B per report, "
+                      f"{reports} reports per mask")
+
+
 def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
                   max_mem_gib: float | None = None) -> list[CheckReport]:
     """One lemma's reports at one lam; max_mem_gib is the budget of the
-    all-mask folds."""
+    random family's reports and of the all-mask folds."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
+    _require_report_bytes(config, max_mem_gib)
     return _scan_at(config, lam, max_mem_gib)[0]
 
 
@@ -398,7 +421,8 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
 def run_scan(config: ScanConfig, max_mem_gib: float | None = None) -> list[CheckReport]:
     """Run every selected lemma over the grid; lam-major, then the order of
     config.lemmas; a summary row is appended last.  max_mem_gib is the
-    budget of the all-mask folds."""
+    budget of the random family's reports and of the all-mask folds."""
+    _require_report_bytes(config, max_mem_gib)
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
         for part in _scan_at(config, lam, max_mem_gib):

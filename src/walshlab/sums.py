@@ -4,7 +4,9 @@ Ranges are dyadic throughout: m ~ M means M <= m < 2M with M = 2^mu.  A
 product m*n with m ~ 2^mu, n ~ 2^nu needs mu+nu+2 bits, so Walsh masks here
 live in that extended ambient width and are read at absolute bit positions.
 Every quantity is computed exactly and compared against its predicted bound;
-the implied constants are measured, never assumed.
+the implied constants are measured, never assumed.  The sum objects form
+their products in the narrowest exact integer width (_product_dtype); the
+shifted quadratic form works on parity bits packed 8 per byte along m.
 """
 
 from __future__ import annotations
@@ -121,9 +123,19 @@ def coefficient_table(kind: str, count: int, seed: int) -> np.ndarray | None:
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
+def _product_dtype(config: BilinearConfig):
+    """The integer width every sum object forms its products in.
+
+    Each product is m*(n + l*2^K) with m < 2M and n + l*2^K < 3N (L*2^K < N),
+    so int32 is exact whenever 6*M*N < 2^31, which holds for every config up
+    to mu+nu = 28; int64 otherwise."""
+    return np.int32 if 6 * config.m_count * config.n_count < 1 << 31 else np.int64
+
+
 def _ranges(config: BilinearConfig):
-    m = np.arange(config.m_count, 2 * config.m_count, dtype=np.int64)
-    n = np.arange(config.n_count, 2 * config.n_count, dtype=np.int64)
+    dtype = _product_dtype(config)
+    m = np.arange(config.m_count, 2 * config.m_count, dtype=dtype)
+    n = np.arange(config.n_count, 2 * config.n_count, dtype=dtype)
     return m, n
 
 
@@ -156,41 +168,54 @@ class QuadFormResult:
 def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
     """sum over n ~ N, |l| < L of |sum over m ~ M of w_S(mn) w_S(m(n+l*2^K))|.
 
-    One int8 sign table covers every row the shifts reach,
-    [N - (L-1)*2^K, 2N + (L-1)*2^K) by m ~ M; each shift l is then a
-    row-wise product-sum of two slices of it.  All arithmetic is integer,
-    so the value is exact.  The l = 0 diagonal contributes exactly N*M.
-    Shifted arguments are always positive under the L*2^K < N
-    precondition; nonpositive ones (unreachable through validated configs)
-    are skipped and counted in clipped_terms.  The M*N/L prefactor of the
-    enclosing estimate is reported separately, never multiplied in.
+    One table holds the parity bits of w_S(mn) for every row the shifts
+    reach, [N - (L-1)*2^K, 2N + (L-1)*2^K), packed 8 per byte along m ~ M
+    with zero padding.  Each shift l then takes a row's inner sum as
+    M - 2*popcount(base row XOR shifted row), exact integer arithmetic.
+    The l = 0 diagonal contributes exactly N*M.  Shifted arguments are
+    always positive under the L*2^K < N precondition; nonpositive ones
+    (unreachable through validated configs) are skipped and counted in
+    clipped_terms.  The M*N/L prefactor of the enclosing estimate is
+    reported separately, never multiplied in.
     """
     m, _ = _ranges(config)
-    big_n, big_l = config.n_count, config.shift_count
+    big_m, big_n, big_l = config.m_count, config.n_count, config.shift_count
     step = 1 << config.k_shift
     lo = max(big_n - (big_l - 1) * step, 1)
     hi = 2 * big_n + (big_l - 1) * step
-    # the table has fewer than 3N rows (1-byte cells); signing N/4 rows at a
-    # time keeps a block's int64 products and masked bits near 4 bytes per
-    # entry of M*N, so the whole stays within the 8 B/entry the CLI charges
-    table = np.empty((hi - lo, len(m)), dtype=np.int8)
-    block = max(big_n // 4, 1)
+    # fewer than 3N rows of M/8 bytes (768 KiB at mu7 nu14 rho3), stored
+    # word-major in words of up to 8 bytes so each shift's XOR and popcount
+    # run over contiguous rows, and filled from blocks of about 1 MiB of
+    # products.  At mu7 nu14 rho3 tracemalloc peaks at 1.94 MiB here and at
+    # 2.24 MiB in the carry rate, both well within the 8 B per entry of M*N
+    # (16 MiB) that the CLI charges
+    row_bytes = (big_m + 7) // 8
+    word = np.dtype(f"u{min(row_bytes, 8)}")
+    table = np.empty((row_bytes // word.itemsize, hi - lo), dtype=word)
+    block = max((1 << 20) // (m.itemsize * big_m), 1)
+    prods = np.empty((block, big_m), dtype=m.dtype)
+    bits = np.empty((block, big_m), dtype=np.uint8)
+    mask = m.dtype.type(config.s_bits)
     for start in range(lo, hi, block):
-        rows = np.arange(start, min(start + block, hi), dtype=np.int64)
-        table[start - lo : start - lo + len(rows)] = walsh_signs(
-            config.s_bits, np.outer(rows, m)
-        )
-    base = table[big_n - lo : 2 * big_n - lo]
+        rows = np.arange(start, min(start + block, hi), dtype=m.dtype)
+        p, b = prods[: len(rows)], bits[: len(rows)]
+        np.multiply(rows[:, None], m, out=p)
+        np.bitwise_count(np.bitwise_and(p, mask, out=p), out=b)
+        b &= 1
+        table[:, start - lo : start - lo + len(rows)] = np.packbits(b, axis=1).view(word).T
+    base = table[:, big_n - lo : 2 * big_n - lo]
     total = 0
     clipped = 0
     for ell in range(-big_l + 1, big_l):
         first = big_n + ell * step
         skip = min(max(1 - first, 0), big_n)  # rows with n + l*2^K <= 0
-        clipped += skip * len(m)
-        rows = table[first + skip - lo : first + big_n - lo]
-        dots = (base[skip:] * rows).sum(axis=1, dtype=np.int64)
-        total += int(np.abs(dots).sum())
-    prefactor = config.m_count * config.n_count / big_l
+        clipped += skip * big_m
+        shifted = table[:, first + skip - lo : first + big_n - lo]
+        flips = np.zeros(big_n - skip, dtype=np.int64)
+        for here, there in zip(base[:, skip:], shifted):
+            flips += np.bitwise_count(here ^ there)
+        total += int(np.abs(big_m - 2 * flips).sum())
+    prefactor = big_m * big_n / big_l
     return QuadFormResult(float(total), clipped, prefactor)
 
 
@@ -202,6 +227,11 @@ class CarryResult:
     low_count: int
     total: int
     first_checked_bit: int     # smallest position counted as the high window
+
+
+def _both_signs(row: np.ndarray, step: int, n_count: int) -> int:
+    """Nonzero entries among the triples (n, l) and (n, -l) of a step's row."""
+    return int(np.count_nonzero(row[:, step:]) + np.count_nonzero(row[:, :n_count]))
 
 
 def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
@@ -218,29 +248,41 @@ def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     tau = config.k_shift + config.mu + config.rho + config.epsilon * config.rho
     first_bad = math.floor(tau) + 1
     low_mask = (1 << config.k_shift) - 1
-    # XORs of nonnegative products have no sign bit, so a set bit at or
-    # above first_bad (capped at the sign bit) or below K is a bad triple
-    outside = low_mask | ~((1 << min(first_bad, 63)) - 1)
-    steps = [ell << config.k_shift
-             for ell in range(-config.shift_count + 1, config.shift_count) if ell]
-    # blocks of about 1 MiB per buffer, all allocated once
-    rows = max((1 << 17) // len(n), 1)
-    mn = np.empty((rows, len(n)), dtype=np.int64)
-    diff = np.empty_like(mn)
-    hits = np.empty_like(mn)
+    # read as unsigned, an XOR with a set bit at or above first_bad is one
+    # above 2^first_bad - 1; capping first_bad at the width's sign bit, which
+    # no XOR of nonnegative products sets, keeps that bound in range
+    above = (1 << min(first_bad, 8 * m.itemsize - 1)) - 1
+    steps = [ell << config.k_shift for ell in range(1, config.shift_count)]
+    # each block of m-rows takes its products with every n + l*2^K at once.
+    # For a step l*2^K > 0, d = m*(n' + step) XOR m*n' over n' in
+    # [N - step, 2N) holds both signs of l: its last N columns are the
+    # triples (n, l), its first N the triples (n, -l) at n = n' + step.
+    # Buffers of about 1 MiB each, all allocated once
+    span = (config.shift_count - 1) << config.k_shift
+    shifted = np.arange(n[0] - span, n[-1] + span + 1, dtype=m.dtype)
+    rows = max((1 << 20) // (m.itemsize * len(shifted)), 1)
+    prods = np.empty((rows, len(shifted)), dtype=m.dtype)
+    unsigned = prods.view(f"u{m.itemsize}")
+    diff = np.empty((rows, len(n) + span), dtype=unsigned.dtype)
+    hits = np.empty(diff.shape, dtype=bool)
     bad = 0
     low = 0
     for lo in range(0, len(m), rows):
         mb = m[lo : lo + rows, None]
-        base, d, h = mn[: len(mb)], diff[: len(mb)], hits[: len(mb)]
-        np.multiply(mb, n, out=base)
+        np.multiply(mb, shifted, out=prods[: len(mb)])
+        p = unsigned[: len(mb)]
         for step in steps:
-            # m*(n + step) = m*n + m*step
-            np.add(base, mb * step, out=d)
-            np.bitwise_xor(d, base, out=d)
-            low += int(np.count_nonzero(np.bitwise_and(d, low_mask, out=h)))
-            bad += int(np.count_nonzero(np.bitwise_and(d, outside, out=h)))
-    total = len(m) * len(n) * len(steps)
+            width = len(n) + step
+            d, h = diff[: len(mb), :width], hits[: len(mb), :width]
+            np.bitwise_xor(p[:, span : span + width], p[:, span - step : span - step + width],
+                           out=d)
+            np.greater(d, above, out=h)
+            if low_mask:  # the window below K is empty when K = 0
+                np.bitwise_and(d, low_mask, out=d)
+                low += _both_signs(d, step, len(n))
+                np.logical_or(h, d, out=h)
+            bad += _both_signs(h, step, len(n))
+    total = 2 * len(m) * len(n) * len(steps)
     if total == 0:
         return CarryResult(0.0, 0.0, 0, 0, 0, first_bad)
     return CarryResult(bad / total, low / total, bad, low, total, first_bad)

@@ -146,18 +146,22 @@ def coefficient_values(lam: int, bits: int, ks: np.ndarray) -> np.ndarray:
 
 def walsh_table(mask: WalshMask) -> np.ndarray:
     """All 2^lam sample values of w_A as int8."""
-    xs = np.arange(1 << mask.lam, dtype=np.int64)
+    xs = np.arange(1 << mask.lam, dtype=np.int32 if mask.lam <= 31 else np.int64)
     return walsh_signs(mask.bits, xs)
 
 
 def walsh_signs(bits: int, args: np.ndarray) -> np.ndarray:
-    """Parity character of masked bits, for arbitrary nonnegative integers.
+    """Parity character of masked bits, for arbitrary nonnegative integers,
+    in the arguments' own integer width.
 
     Positions above the mask's top bit never contribute, so arguments wider
-    than the mask's ambient bit-length are fine.
+    than the mask's ambient bit-length are fine; mask bits at or above the
+    arguments' width never match a set bit of a nonnegative argument, so
+    they are dropped.
     """
     args = np.asarray(args)
-    parity = np.bitwise_count(np.bitwise_and(args, np.int64(bits))) & 1
+    mask = args.dtype.type(bits & np.iinfo(args.dtype).max)
+    parity = np.bitwise_count(np.bitwise_and(args, mask)) & 1
     return (1 - 2 * parity.astype(np.int8)).astype(np.int8)
 
 

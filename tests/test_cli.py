@@ -129,6 +129,27 @@ def test_oversized_random_beta_exits_three(capsys, command):
     assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "scan --lambda-min 8 --lambda-max 8 --masks random --count 10000000000000 --lemmas 1",
+    "lemma-check --lemma 1 --lambda 8 --masks random --count 10000000000000",
+])
+def test_oversized_mask_count_exits_three(capsys, argv):
+    # the masks and reports are charged before any mask is drawn
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: random-mask scan of 10000000000000 masks")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count, want", [("1000", 0), ("2000", 3)])
+def test_mask_count_charge_honours_max_mem_flag(capsys, count, want):
+    # 0.001 GiB holds 1000 masks at 128 + 768 B each, not 2000
+    code, out, err = run_cli(capsys, "lemma-check", "--lemma", "1", "--lambda", "8",
+                             "--count", count, "--max-mem-gib", "0.001")
+    assert code == want
+    assert ("resource limit: random-mask scan" in err) == (want == 3)
+
+
 def test_max_mem_flag_tightens_limit(capsys):
     code, _, _ = run_cli(capsys, "sieve", "--lambda", "22",
                          "--max-mem-gib", "0.001")

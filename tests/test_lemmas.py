@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -286,3 +287,23 @@ def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():
     reps = scan_lemma_at(cfg, 5, 8)
     assert reps and all(r.passed for r in reps)
     assert all(r.params["sigma"] == 2 for r in reps)  # min(4, lam-6)
+
+
+@pytest.mark.parametrize("lam, lemmas", [(8, (1, 2, 3, 4, 6)), (12, (1, 2, 3, 4, 6)),
+                                         (16, (6,)), (12, (2,))])
+def test_random_scan_charge_covers_its_peak(monkeypatch, lam, lemmas):
+    # the charge is taken before any draw.  With the CLI's 8 B/entry table
+    # charge, which covers a mask's row, it covers the scan's traced peak
+    # within a factor of two.  The period tables are a fixed cost per lam
+    # (2 MiB at lam 16), not a per-mask one, so they are built first
+    config = ScanConfig(lam, lam, "random", 2000, 0, lemmas)
+    charges = []
+    monkeypatch.setattr(walshlab.lemmas, "require_bytes",
+                        lambda need, *rest, **kw: charges.append(need))
+    walshlab.walsh._period_tables(lam)
+    tracemalloc.start()
+    run_scan(config)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    [charge] = charges
+    assert peak <= charge + (8 << lam) <= 2 * peak, (peak, charge)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from walshlab import sums
 from walshlab import (
     BilinearConfig,
     SplitConfig,
@@ -103,18 +104,28 @@ def test_type1_report_trivial_bound():
 
 
 def test_bilinear_matches_naive_loop():
-    cfg = BilinearConfig(s_bits=0b10110, mu=3, nu=5)
-    assert bilinear_sum(cfg) == oracles.naive_bilinear(0b10110, 3, 5)
-    beta = coefficient_table("random", 1 << 5, 7)
-    cfg2 = BilinearConfig(s_bits=0b10110, mu=3, nu=5, beta=beta)
-    assert bilinear_sum(cfg2) == pytest.approx(
-        oracles.naive_bilinear(0b10110, 3, 5, beta), abs=1e-9
-    )
+    # int32 products, with and without beta
+    for s_bits, mu, nu in [(0b10110, 3, 5), (0x1B5, 2, 6), (0b111, 1, 4)]:
+        cfg = BilinearConfig(s_bits=s_bits, mu=mu, nu=nu)
+        assert sums._ranges(cfg)[0].dtype == np.int32
+        assert bilinear_sum(cfg) == oracles.naive_bilinear(s_bits, mu, nu)
+        beta = coefficient_table("random", 1 << nu, 7)
+        cfg2 = BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, beta=beta)
+        assert bilinear_sum(cfg2) == pytest.approx(
+            oracles.naive_bilinear(s_bits, mu, nu, beta), abs=1e-9
+        )
 
 
 def test_bilinear_trivial_bound():
     cfg = BilinearConfig(s_bits=0x1F3, mu=4, nu=6)
     assert bilinear_sum(cfg) <= (1 << 4) * (1 << 6) + 1e-9
+
+
+@pytest.mark.parametrize("mu, nu, dtype", [(14, 14, np.int32), (14, 15, np.int64),
+                                           (1, 27, np.int32), (1, 28, np.int64)])
+def test_product_width_rule_boundary(mu, nu, dtype):
+    # products stay below 2M * 3N = 6 * 2^(mu+nu): int32 up to mu+nu = 28
+    assert sums._product_dtype(BilinearConfig(s_bits=1, mu=mu, nu=nu)) is dtype
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +156,33 @@ def test_quadform_wide_shifts_match_naive_loop(mu, nu, rho, k_shift):
     mine = shifted_quadratic_form(cfg)
     ref, clipped = oracles.naive_quadform(0b1011001, mu, nu, rho, k_shift)
     assert mine.value == ref and mine.clipped_terms == clipped
+
+
+@pytest.mark.parametrize("mu, nu, rho, k_shift", [(1, 1, 0, 0), (1, 3, 1, 0), (1, 5, 1, 2),
+                                                  (1, 4, 2, 0), (2, 5, 1, 1), (2, 6, 2, 3)])
+@pytest.mark.parametrize("s_bits", [0b1, 0b110, 0b101101, 0b1110011])
+def test_packed_quadform_with_padding_bits_matches_naive_loop(mu, nu, rho, k_shift, s_bits):
+    # M = 2 or 4 fills only part of each packed byte; the padding must not count
+    s_bits &= (1 << (mu + nu + 2)) - 1
+    cfg = BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=rho, k_shift=k_shift)
+    mine = shifted_quadratic_form(cfg)
+    ref, clipped = oracles.naive_quadform(s_bits, mu, nu, rho, k_shift)
+    assert mine.value == ref and mine.clipped_terms == clipped
+
+
+@pytest.mark.parametrize("mu, nu, rho, k_shift", [(1, 4, 1, 0), (3, 6, 2, 2), (4, 7, 1, 3)])
+def test_forced_int64_matches_int32_and_naive_loop(monkeypatch, mu, nu, rho, k_shift):
+    cfg = BilinearConfig(s_bits=0b1011001, mu=mu, nu=nu, rho=rho, k_shift=k_shift)
+    assert sums._product_dtype(cfg) is np.int32
+    narrow = (shifted_quadratic_form(cfg), carry_truncation_rate(cfg))
+    monkeypatch.setattr(sums, "_product_dtype", lambda config: np.int64)
+    assert sums._ranges(cfg)[0].dtype == np.int64
+    wide = (shifted_quadratic_form(cfg), carry_truncation_rate(cfg))
+    assert wide == narrow
+    ref, clipped = oracles.naive_quadform(0b1011001, mu, nu, rho, k_shift)
+    assert (wide[0].value, wide[0].clipped_terms) == (ref, clipped)
+    rate, low = oracles.naive_carry_rate(mu, nu, rho, 0.5, k_shift)
+    assert (wide[1].rate, wide[1].low_rate) == (rate, low)
 
 
 def test_quadform_clips_nonpositive_shifts_like_naive_loop():
@@ -254,6 +292,19 @@ def test_carry_blocked_anchor_and_bounded_memory():
     assert (res.bad_count, res.low_count, res.total) == (5490688, 0, 29360128)
     assert res.first_checked_bit == 12
     assert peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("s_bits, value", [(0x6, 4194304.0), (0x2A5A5, 4090416.0)])
+def test_quadform_anchor_and_bounded_memory(s_bits, value):
+    # packed parity rows: 3N rows of M/8 bytes (768 KiB) plus 1 MiB blocks
+    # of int32 products; the peak measured 1.94 MiB
+    cfg = BilinearConfig(s_bits=s_bits, mu=7, nu=14, rho=3)
+    tracemalloc.start()
+    res = shifted_quadratic_form(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (res.value, res.clipped_terms) == (value, 0)
+    assert peak < 2.25 * (1 << 20), peak
 
 
 def test_carry_report_bracket():

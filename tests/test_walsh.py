@@ -65,6 +65,30 @@ def test_walsh_signs_vector_matches_scalar():
     assert np.array_equal(signs.astype(np.int64), oracles.walsh_samples(6, 0b10110))
 
 
+@pytest.mark.parametrize("bits", [(1 << 30) | 0b1011, (1 << 40) | 0b1011,
+                                  (1 << 40) | (1 << 30) | 0b101, 1 << 40])
+def test_walsh_signs_keep_a_narrow_argument_width(bits):
+    # mask bits at or above an argument's width match no set bit of a
+    # nonnegative argument: int32 and int64 give the same signs
+    xs = np.random.default_rng(3).integers(0, 1 << 31, size=4096)
+    xs[:3] = 0, (1 << 30) | 0b1011, (1 << 31) - 1
+    wide = walsh_signs(bits, xs)
+    narrow = walsh_signs(bits, xs.astype(np.int32))
+    assert wide.dtype == narrow.dtype == np.int8
+    assert np.array_equal(narrow, wide)
+    ref = [1 - 2 * ((int(x) & bits).bit_count() & 1) for x in xs]
+    assert np.array_equal(wide, ref)
+
+
+@pytest.mark.parametrize("lam", [1, 10, 16])
+def test_walsh_table_unchanged_with_int32_indices(lam):
+    for bits in {0, 1, 1 << (lam - 1), (1 << lam) - 1, 0x5A5A & ((1 << lam) - 1)}:
+        table = walsh_table(WalshMask(bits, lam))
+        assert table.dtype == np.int8
+        assert np.array_equal(table, walsh_signs(bits, np.arange(1 << lam, dtype=np.int64)))
+        assert np.array_equal(table.astype(np.int64), oracles.walsh_samples(lam, bits))
+
+
 # ---------------------------------------------------------------------------
 # trigonometric coefficients
 
