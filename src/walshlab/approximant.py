@@ -18,8 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import SYNTHESIS_LAMBDA_CAP, ResourceLimitError
-from .walsh import WalshMask, coefficient_values, magnitude_row, walsh_table
+from .limits import require_table_bytes
+from .walsh import WalshMask, _row, _table_bytes, coefficient_values, walsh_table
+
+# bytes per grid entry: a synthesis holds the scattered spectrum and its
+# complex samples; the band audit the real samples and their complex copy
+# and transform, besides the period tables.  FFT plans and small buffers
+# are fixed (tracemalloc: up to about 140 KiB over a lemma 5 audit)
+_SYNTH_BYTES = 2 * 16
+_AUDIT_BYTES = 8 + 2 * 16
+_FFT_SCRATCH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,17 +97,21 @@ def _window_frequencies(lam: int, half_width: int) -> np.ndarray:
     return np.concatenate([low, high])
 
 
-def _synthesize(lam: int, ks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _synthesize(lam: int, ks: np.ndarray, coef: np.ndarray,
+                max_mem_gib: float | None = None) -> np.ndarray:
     """sum over k of coef_k e(kx/2^lam) at every x < 2^lam, by scattering
     the coefficients (distinct ks) into a length-2^lam array and running one
-    inverse FFT."""
+    inverse FFT.  Callers keep their own arrays within the charge, which
+    the scattered spectrum frees when this returns."""
+    require_table_bytes(lam, _SYNTH_BYTES, max_mem_gib, "synthesis", _FFT_SCRATCH)
     n = 1 << lam
     spectrum = np.zeros(n, dtype=np.complex128)
     spectrum[ks] = coef
     return np.fft.ifft(spectrum) * n
 
 
-def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledApproximant:
+def build_approximant(mask: WalshMask, config: ApproximantConfig,
+                      max_mem_gib: float | None = None) -> SampledApproximant:
     """Synthesize W_A(x) = sum_k eta(|k|) w^(k) e(kx/2^lam) over x < 2^lam.
 
     |k| means distance to the nearest multiple of 2^lam.  The mask must sit
@@ -113,12 +125,6 @@ def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledAppr
             f"{config.lam - config.sigma}; the approximant is only defined "
             "for tail masks"
         )
-    if config.lam > SYNTHESIS_LAMBDA_CAP:
-        need = (1 << config.lam) * 16
-        raise ResourceLimitError(
-            f"dense synthesis at lambda={config.lam} needs {need} bytes of "
-            f"complex samples; cap is lambda <= {SYNTHESIS_LAMBDA_CAP}"
-        )
     n = 1 << config.lam
     cutoff = 2 * config.k1 * (1 << config.sigma)
     ks = _window_frequencies(config.lam, cutoff)
@@ -127,7 +133,7 @@ def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledAppr
     keep = weights > 0.0
     ks, weights = ks[keep], weights[keep]
     coef = coefficient_values(config.lam, mask.bits, ks) * weights
-    values = _synthesize(config.lam, ks, coef)
+    values = _synthesize(config.lam, ks, coef, max_mem_gib)
     # the window is symmetric and coefficients come in conjugate pairs, so
     # the synthesis is real up to rounding; anything larger is a kernel bug
     imag_peak = float(np.abs(values.imag).max())
@@ -146,7 +152,7 @@ def l2_error(approx: SampledApproximant) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def band_profile(approx: SampledApproximant) -> dict:
+def band_profile(approx: SampledApproximant, max_mem_gib: float | None = None) -> dict:
     """Frequency-side audit of a synthesized substitute.
 
     Returns the largest coefficient magnitude outside the window
@@ -156,18 +162,14 @@ def band_profile(approx: SampledApproximant) -> dict:
     frequency space by a forward FFT.
     """
     cfg = approx.config
+    require_table_bytes(cfg.lam, _AUDIT_BYTES, max_mem_gib, "band audit",
+                        _table_bytes(cfg.lam) + _FFT_SCRATCH)
     n = 1 << cfg.lam
-    coeffs = np.fft.fft(approx.values) / n
-    ks = np.arange(n, dtype=np.int64)
-    sym = np.minimum(ks, n - ks)
+    mags = np.abs(np.fft.fft(approx.values) / n)
     window = 1 << (cfg.sigma + cfg.t)
-    outside = sym > window
-    support_leak = float(np.abs(coeffs[outside]).max()) if outside.any() else 0.0
-    exact = magnitude_row(cfg.lam, approx.mask.bits, ks)
-    domination_excess = float((np.abs(coeffs) - exact).max())
-    sup = float(np.abs(approx.values).max())
-    return {
-        "support_leak": support_leak,
-        "domination_excess": domination_excess,
-        "sup_norm": sup,
-    }
+    # |k| > window is the run window < k < n - window
+    outside = mags[window + 1 : n - window]
+    support_leak = float(outside.max()) if outside.size else 0.0
+    mags -= _row(cfg.lam, approx.mask.bits)
+    return {"support_leak": support_leak, "domination_excess": float(mags.max()),
+            "sup_norm": float(np.abs(approx.values).max())}

@@ -6,7 +6,8 @@ to --out as JSON/CSV picked by --format or the file extension.  `sieve
 manifest on stdout.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (a
-run with nothing to check included), 3 resource limit.
+run with nothing to check included), 3 resource limit, which the library
+functions a command calls charge themselves (--max-mem-gib).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .limits import ResourceLimitError, require_table_bytes
+from .limits import ResourceLimitError
 from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, emit_csv,
                      write_manifest_json)
 
@@ -150,69 +151,50 @@ def _theorem_scan(args, fwht):
     lo, hi = args.lambda_min, args.lambda_max
     if lo < 1 or hi < lo:
         raise ValueError(f"bad lambda range [{lo}, {hi}]")
-    return hi, lambda: fwht.theorem_scan(args.kind, range(lo, hi + 1),
-                                         max_mem_gib=args.max_mem_gib)
+    return fwht.theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib)
 
 
 def _lemma_scan(args, lemmas, lo: int, hi: int, selected: tuple, scan):
     """lemma-check and scan; a selected lemma with nothing to check is an
     error, not a vacuous pass."""
-    def run():
-        reports = scan(lemmas.ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
-                                         count=args.count, seed=args.seed, lemmas=selected),
-                       args.max_mem_gib)
-        checked = {r.lemma_id for r in reports}
-        missing = [str(k) for k in selected if f"L{k}" not in checked]
-        if missing:
-            raise ValueError(
-                f"lemma {','.join(missing)} has no check on the "
-                f"{args.masks} mask family at lambda {lo}" + (f"..{hi}" if hi > lo else "")
-            )
-        return reports
-
-    return hi, run
+    reports = scan(lemmas.ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
+                                     count=args.count, seed=args.seed, lemmas=selected),
+                   args.max_mem_gib)
+    checked = {r.lemma_id for r in reports}
+    missing = [str(k) for k in selected if f"L{k}" not in checked]
+    if missing:
+        raise ValueError(f"lemma {','.join(missing)} has no check on the {args.masks} mask "
+                         f"family at lambda {lo}" + (f"..{hi}" if hi > lo else ""))
+    return reports
 
 
-def _bilinear(args, sums, report):
-    # the config is validated before the table guard runs; the 2^nu beta
-    # table is drawn only once the guard has passed
-    cfg = sums.BilinearConfig(
-        s_bits=args.mask,
-        mu=args.mu,
-        nu=args.nu,
-        rho=args.rho,
-        k_shift=args.k_shift,
-        epsilon=args.epsilon,
-    )
-
-    def run():
-        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed)
-        return [report(dataclasses.replace(cfg, beta=beta))]
-
-    return cfg.lam, run
+def _bilinear(args, sums, report, draws_beta: bool = False):
+    """The sum command's report.  Only the bilinear sum reads beta, which is
+    drawn once the config is valid."""
+    cfg = sums.BilinearConfig(args.mask, args.mu, args.nu, args.rho, args.k_shift, args.epsilon)
+    if draws_beta:
+        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed, args.max_mem_gib)
+        cfg = dataclasses.replace(cfg, beta=beta)
+    return [report(cfg, args.max_mem_gib)]
 
 
-# subcommand -> (its module, prepare(args, module)); prepare returns the
-# lambda its table guard charges and a run() giving its reports.  A von
-# Mangoldt sieve gives None: stream_sequence charges its stream itself.
-# Only the command's own module is imported, when the command runs, and its
+# subcommand -> (its module, run(args, module) giving the reports).  Only
+# the command's own module is imported, when the command runs, and its
 # functions are looked up on it then, never bound at import.
 _COMMANDS = {
-    "sieve": ("sieve", lambda a, m: (None if a.kind == "von_mangoldt" else a.lam,
-                                     lambda: _sieve_reports(a, m))),
-    "spectrum": ("fwht", lambda a, m: (a.lam, lambda: _spectrum_reports(a, m))),
+    "sieve": ("sieve", _sieve_reports),
+    "spectrum": ("fwht", _spectrum_reports),
     "theorem-scan": ("fwht", _theorem_scan),
     "lemma-check": ("lemmas", lambda a, m: _lemma_scan(
         a, m, a.lam, a.lam, (a.lemma,), lambda c, gib: m.scan_lemma_at(c, a.lemma, a.lam, gib))),
     "scan": ("lemmas", lambda a, m: _lemma_scan(
         a, m, a.lambda_min, a.lambda_max, a.lemmas, m.run_scan)),
-    "bilinear": ("sums", lambda a, m: _bilinear(a, m, m.cauchy_schwarz_chain)),
+    "bilinear": ("sums", lambda a, m: _bilinear(a, m, m.cauchy_schwarz_chain, draws_beta=True)),
     "quadform": ("sums", lambda a, m: _bilinear(a, m, m.quadform_report)),
     "carry-rate": ("sums", lambda a, m: _bilinear(a, m, m.carry_report)),
-    "type1": ("sums", lambda a, m: (a.mu + a.nu,
-                                    lambda: [m.type1_report(a.mask, a.mu, a.nu)])),
-    "split": ("sums", lambda a, m: (a.lam, lambda: [m.split_report(m.SplitConfig(
-        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))])),
+    "type1": ("sums", lambda a, m: [m.type1_report(a.mask, a.mu, a.nu, a.max_mem_gib)]),
+    "split": ("sums", lambda a, m: [m.split_report(m.SplitConfig(
+        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param), a.max_mem_gib)]),
 }
 
 # parsed arguments that route output rather than shape the run
@@ -221,16 +203,10 @@ _NOT_CONFIG = ("command", "out", "format", "max_mem_gib")
 
 def _run(args) -> RunManifest:
     """The run's manifest; a sieve's AWS1 dump is written while it runs."""
-    module, prepare = _COMMANDS[args.command]
-    lam, run = prepare(args, importlib.import_module(f"{__package__}.{module}"))
-    if lam is not None:
-        require_table_bytes(lam, max_mem_gib=args.max_mem_gib, what=f"{args.command} table")
-    reports = run()
+    module, run = _COMMANDS[args.command]
+    reports = run(args, importlib.import_module(f"{__package__}.{module}"))
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    manifest = RunManifest(
-        command=args.command, config=config, seed=args.seed, reports=tuple(reports)
-    )
-    return manifest
+    return RunManifest(command=args.command, config=config, seed=args.seed, reports=reports)
 
 
 def _write_output(args, manifest: RunManifest) -> None:

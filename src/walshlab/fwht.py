@@ -7,6 +7,7 @@ so a table runs in int32 when that bound fits (sign tables up to lam = 30)
 and in int64 otherwise, and a predicted overflow raises before any work
 happens.  Each stage runs in place through one reusable temporary of
 _CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
+_transform charges the buffer and its task scratch before allocating them.
 
 Every table is transformed as the same tasks, which limits._two_way shares
 with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
@@ -25,9 +26,9 @@ import math
 
 import numpy as np
 
-from .limits import ResourceLimitError, _shared_empty, _two_way, require_table_bytes
+from .limits import ResourceLimitError, _shared_empty, _splits, _two_way, require_table_bytes
 from .report import CheckReport, _ratio
-from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _sign_kernel
+from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _sign_kernel, _sign_scratch
 from .walsh import WalshMask
 
 # int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
@@ -36,6 +37,9 @@ DEFAULT_BLOCK = 1 << 16
 _BLOCK_BITS = DEFAULT_BLOCK.bit_length() - 1
 _NARROW = 7
 _CHUNK = 1 << 16
+# stage scratch per task process, in entries: temporary, transposed block,
+# peak magnitudes (tracemalloc: 0.6 MiB over int32 buffers at lam 18-21)
+_STAGE_SCRATCH = 4 * _CHUNK
 
 
 def _peak(entries: np.ndarray, stride: int = 0, offset: int = 0):
@@ -170,11 +174,15 @@ def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:
     return peaks
 
 
-def _transform(fill, n: int, dtype, lambdas: list, top: int):
+def _transform(make_fill, fill_scratch: int, n: int, dtype, lambdas: list, top: int,
+               max_mem_gib: float | None):
     """Stages 0..top-1 over a fresh buffer of n entries of dtype, which
     fill(part, lo) fills with entries lo..lo+len(part)-1 of the table:
     the buffer, the peak (entry, index) of each prefix 2^lam in lambdas,
     and fill's results in order.
+
+    First the buffer and, per task process, the larger of fill_scratch and
+    the stage scratch are charged; then fill = make_fill() is made.
 
     The work is tasks of limits._two_way: first each run of DEFAULT_SEGMENT
     entries (or the whole smaller table) is filled and runs the in-block
@@ -183,6 +191,10 @@ def _transform(fill, n: int, dtype, lambdas: list, top: int):
     above the block; the larger is kept, ties to the smaller index, which
     may lie in either half.
     """
+    itemsize = np.dtype(dtype).itemsize
+    scratch = max(fill_scratch, min(n, _STAGE_SCRATCH) * itemsize) * (1 + _splits(n))
+    require_table_bytes(n.bit_length() - 1, itemsize, max_mem_gib, "transform buffer", scratch)
+    fill = make_fill()
     buf = _shared_empty(n, dtype)
     seg = min(n, DEFAULT_SEGMENT)
     inner = [lam for lam in lambdas if lam <= _BLOCK_BITS]
@@ -219,13 +231,12 @@ def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray
     function, indexed by mask bits.  An integer table gives int32 or int64
     entries, as the transform ran; a float table gives float64."""
     lam = _table_lam(values)
-    require_table_bytes(lam, 8, max_mem_gib, what="transform buffer")
     n = len(values)
     if np.issubdtype(values.dtype, np.integer):
         dtype = _int_accumulator(_magnitude_bound(values), n)
     else:
         dtype = np.float64
-    return _transform(_copy_of(values), n, dtype, [], lam)[0]
+    return _transform(lambda: _copy_of(values), 0, n, dtype, [], lam, max_mem_gib)[0]
 
 
 def max_correlation(
@@ -251,12 +262,13 @@ def _check_prefixes(lambdas, top: int) -> list:
     return lambdas
 
 
-def _sign_peaks(fill, lambdas: list, top: int):
+def _sign_peaks(make_fill, fill_scratch: int, lambdas: list, top: int,
+                max_mem_gib: float | None):
     """The (mask, value) peak of each prefix 2^lam in lambdas of the sign
-    table on [0, 2^top) that fill writes, and fill's results."""
+    table on [0, 2^top) that make_fill()'s fill writes, and fill's results."""
     n = 1 << top
-    _, peaks, filled = _transform(fill, n, _int_accumulator(1, n), lambdas,
-                                  lambdas[-1] if lambdas else 0)
+    _, peaks, filled = _transform(make_fill, fill_scratch, n, _int_accumulator(1, n), lambdas,
+                                  lambdas[-1] if lambdas else 0, max_mem_gib)
     return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)], filled
 
 
@@ -272,12 +284,12 @@ def prefix_max_correlations(
     strictly and lie in 1..log2(len(values)).
     """
     top = _table_lam(values)
-    require_table_bytes(top, 8, max_mem_gib, what="transform buffer")
     if not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"max_correlation needs an integer sign table, got {values.dtype}")
     if _magnitude_bound(values) > 1:
         raise ValueError("max_correlation needs entries in {-1, 0, 1}")
-    return _sign_peaks(_copy_of(values), _check_prefixes(lambdas, top), top)[0]
+    return _sign_peaks(lambda: _copy_of(values), 0, _check_prefixes(lambdas, top), top,
+                       max_mem_gib)[0]
 
 
 def sign_max_correlations(
@@ -295,9 +307,9 @@ def sign_max_correlations(
         raise ValueError(f"no sign table for kind {kind!r}")
     lambdas = list(lambdas)
     top = lambdas[-1] if lambdas else 0
-    require_table_bytes(top, 8, max_mem_gib, what=f"{kind} table")
-    peaks, counts = _sign_peaks(_sign_kernel(top, kind == "moebius"),
-                                _check_prefixes(lambdas, top), top)
+    lambdas = _check_prefixes(lambdas, top)
+    peaks, counts = _sign_peaks(lambda: _sign_kernel(top, kind == "moebius"), _sign_scratch(top),
+                                lambdas, top, max_mem_gib)
     return peaks, sum(counts)
 
 

@@ -28,13 +28,14 @@ from .approximant import (
     band_profile,
     l2_error,
 )
-from .limits import require_bytes
+from .limits import require_bytes, require_table_bytes
 from .report import CheckReport, _ratio
 from .walsh import (
     Interval,
     ResidueClass,
     WalshMask,
     _row,
+    _table_bytes,
     all_mask_l1,
     all_mask_sup,
     l1_accumulate,
@@ -62,6 +63,9 @@ INTERVALS_PER_MASK = 4
 # 1000-4000: about 65 B per mask with no report, 450-710 B per report
 _MASK_BYTES = 128
 _REPORT_BYTES = 768
+# a scan's draws, lists and few reports beside its row and period tables
+# (tracemalloc: 84 KiB with 4 random masks, 41 reports, at lam 14-16)
+_SCAN_SCRATCH = 1 << 17
 
 # masks whose Walsh function is itself an additive character: the empty mask
 # (the constant 1) and the lone lowest bit, whose sign function is exactly
@@ -215,7 +219,8 @@ def check_lemma4(lam: int, r: int, a: int, mask: WalshMask) -> CheckReport:
     return _l4_verdict(lam, r, a, mask.bits, lhs)
 
 
-def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
+def check_lemma5(config: ApproximantConfig, mask: WalshMask,
+                 max_mem_gib: float | None = None) -> CheckReport:
     """Aggregated tail-mask audit: coefficient mass, substitute quality,
     and band limits.
 
@@ -226,12 +231,13 @@ def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
     exceeds the exact coefficients, and stays below sup norm 3.
     """
     _require_stream_lam(config.lam, mask)
-    return _lemma5_audit(config, mask, l1_accumulate(mask))
+    return _lemma5_audit(config, mask, l1_accumulate(mask), max_mem_gib)
 
 
-def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> CheckReport:
+def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
+                  max_mem_gib: float | None = None) -> CheckReport:
     """Lemma 5's report from the measured l1 norm; synthesizes the substitute
-    once per t (config.t is normally on the grid and reuses its copy)."""
+    once per t and audits config.t's (normally on the grid) before the next."""
     lam, sigma = config.lam, config.sigma
     scale = (2.0**sigma) ** 0.25
     log_sq = math.log(lam) ** 2
@@ -239,11 +245,15 @@ def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> Che
     rhs = scale * DEFAULT_BRACKETS["L5"] ** log_sq
 
     grid = tuple(t for t in T_GRID if sigma + t <= lam - 1)
-    approx = {t: build_approximant(mask, replace(config, t=t)) for t in grid}
-    errors = [l2_error(approx[t]) for t in grid]
+    errors, profile = [], None
+    for t in grid:
+        ap = build_approximant(mask, replace(config, t=t), max_mem_gib)
+        errors.append(l2_error(ap))
+        if t == config.t:
+            profile = band_profile(ap, max_mem_gib)
     slope = _fit_slope(grid, errors)
-    ap = approx[config.t] if config.t in approx else build_approximant(mask, config)
-    profile = band_profile(ap)
+    if profile is None:
+        profile = band_profile(build_approximant(mask, config, max_mem_gib), max_mem_gib)
 
     sub_ok = {
         "fitted_in_bracket": fitted <= DEFAULT_BRACKETS["L5"],
@@ -349,6 +359,7 @@ def _scan_at(config: ScanConfig, lam: int,
              else [None] * len(family))
     tops = (all_mask_sup(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_top
             else [None] * len(family))
+    require_table_bytes(lam, 8, max_mem_gib, "per-mask rows", _table_bytes(lam) + _SCAN_SCRATCH)
     l4 = [[] for _ in rs]
     l6 = []
     for i, bits in enumerate(family):
@@ -366,13 +377,14 @@ def _scan_at(config: ScanConfig, lam: int,
             l4[k].append(_l4_verdict(lam, r, a, bits, float(row[a::1 << r].sum())))
         for lo, hi in intervals[i]:
             l6.append(_l6_verdict(lam, lo, hi, bits, float(row[lo:hi].sum())))
+        del row  # before the next row is built
 
     judge = {
         1: lambda: [_l1_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
         2: lambda: [_l2_verdict(lam, b, tops[i]) for i, b in enumerate(family)],
         3: lambda: [_l3_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
         4: lambda: [rep for reps in l4 for rep in reps],
-        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i])
+        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i], max_mem_gib)
                     for i, b in enumerate(family) if b in tail],
         6: lambda: list(l6),
     }
@@ -396,8 +408,8 @@ def _require_report_bytes(config: ScanConfig, max_mem_gib: float | None) -> None
 
 def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
                   max_mem_gib: float | None = None) -> list[CheckReport]:
-    """One lemma's reports at one lam; max_mem_gib is the budget of the
-    random family's reports and of the all-mask folds."""
+    """One lemma's reports at one lam; max_mem_gib is the budget of every
+    charge the scan makes."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
     _require_report_bytes(config, max_mem_gib)
     return _scan_at(config, lam, max_mem_gib)[0]
@@ -421,7 +433,7 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
 def run_scan(config: ScanConfig, max_mem_gib: float | None = None) -> list[CheckReport]:
     """Run every selected lemma over the grid; lam-major, then the order of
     config.lemmas; a summary row is appended last.  max_mem_gib is the
-    budget of the random family's reports and of the all-mask folds."""
+    budget of every charge the scan makes."""
     _require_report_bytes(config, max_mem_gib)
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):

@@ -1,10 +1,10 @@
 """Resource guards shared by sieves, transforms, synthesis, and the CLI.
 
-Every dense object in this package lives on a 2^lam grid, so one byte-budget
-check covers sieving, transform accumulators, and report-driving scans.  The
-budget defaults to 2 GiB (lam = 28 with 8-byte accumulators) and can be
-widened per call, per CLI flag, or through the WSL_MAX_MEM_GIB environment
-variable.
+Each function that allocates a dense object charges it, from its dtype and
+shape plus measured scratch, to one byte budget before allocating.  The
+budget defaults to 2 GiB (a lam = 28 sign transform with int32 accumulators)
+and can be widened per call, per CLI flag, or through the WSL_MAX_MEM_GIB
+environment variable.
 
 Sign sieves and transforms are worked as numbered tasks of _two_way at
 every size; _splits alone decides whether a forked child and the caller
@@ -27,12 +27,6 @@ import numpy as np
 DEFAULT_MAX_MEM_GIB = 2.0
 ENV_MAX_MEM = "WSL_MAX_MEM_GIB"
 
-# Synthesis is one length-2^lam inverse FFT, but its complex samples, the
-# forward transform of the band audit and the exact magnitude row it is
-# compared with are not charged to any byte guard yet; this cap bounds them
-# until one does.
-SYNTHESIS_LAMBDA_CAP = 18
-
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds the configured memory budget."""
@@ -43,7 +37,10 @@ def resolve_max_mem_gib(explicit: float | None = None) -> float:
     A budget that is not a finite positive number raises ValueError."""
     if explicit is None:
         explicit = os.environ.get(ENV_MAX_MEM) or DEFAULT_MAX_MEM_GIB
-    gib = float(explicit)
+    try:
+        gib = float(explicit)
+    except ValueError:
+        gib = math.nan
     if not (math.isfinite(gib) and gib > 0):
         raise ValueError(
             f"memory budget must be a finite positive GiB count, got {explicit!r} "
@@ -68,22 +65,14 @@ def require_bytes(need: int, max_mem_gib: float | None, what: str, how: str) -> 
     return need
 
 
-def require_table_bytes(
-    lam: int,
-    bytes_per_entry: int = 8,
-    max_mem_gib: float | None = None,
-    what: str = "table",
-) -> int:
-    """Check that a length-2^lam table fits the memory budget.
-
-    Returns the byte requirement; raises ResourceLimitError naming it when it
-    exceeds the budget.  bytes_per_entry defaults to 8 because transforms
-    accumulate in 64-bit cells even when storage is narrower.
-    """
+def require_table_bytes(lam: int, bytes_per_entry: int, max_mem_gib: float | None = None,
+                        what: str = "table", scratch: int = 0) -> int:
+    """require_bytes for bytes_per_entry over 2^lam entries plus scratch."""
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
-    return require_bytes((1 << lam) * bytes_per_entry, max_mem_gib, f"{what} at lambda={lam}",
-                         f"{bytes_per_entry} per entry over 2^{lam}")
+    return require_bytes((bytes_per_entry << lam) + scratch, max_mem_gib,
+                         f"{what} at lambda={lam}", f"{bytes_per_entry} per entry over 2^{lam}"
+                         + (f" plus {scratch} of scratch" if scratch else ""))
 
 
 # sign sieve plus max_correlation, split against one process on a quiet 2-vCPU

@@ -2,15 +2,16 @@
 
 Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
 a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
-is bounded by the output table plus one segment regardless of lam.  Moebius
-and Liouville share one segment kernel that tracks the product of each
-entry's small prime factors instead of dividing them out and writes the
-signs into any integer view: the int8 table here, one segment per task of
-limits._two_way (two processes share the segments of a large table), or
-the transform buffer of fwht.sign_max_correlations.  Von Mangoldt segments
-come from one generator, which fills a whole table in place or streams one
-reused segment to stream_sequence's dump.  A table on [0, 2^lam) holds
-every smaller table as its prefix.
+is bounded by the output table plus one segment per process regardless of
+lam, which each sieve charges before it starts.  Moebius and Liouville share
+one segment kernel that tracks the product of each entry's small prime
+factors instead of dividing them out and writes the signs into any integer
+view: the int8 table here, one segment per task of limits._two_way (two
+processes share the segments of a large table), or the transform buffer of
+fwht.sign_max_correlations.  Von Mangoldt segments come from one generator,
+which fills a whole table in place or streams one reused segment to
+stream_sequence's dump.  A table on [0, 2^lam) holds every smaller table as
+its prefix.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .limits import _shared_empty, _two_way, require_bytes, require_table_bytes
+from .limits import _shared_empty, _splits, _two_way, require_bytes, require_table_bytes
 from .report import KINDS, SIGN_KINDS
 
 DEFAULT_SEGMENT = 1 << 20
 
-# a von Mangoldt stream holds one float64 segment, its composite flags and
-# the indices and logs of its primes (tracemalloc: 10.9-11.3 MiB per
-# 2^20-entry segment at lam 20-30, 13.3 B per entry at lam 12), plus the
+# a von Mangoldt segment holds float64 values, its composite flags and the
+# indices and logs of its primes (tracemalloc: 10.9-11.3 MiB per 2^20-entry
+# stream segment at lam 20-30, 13.3 B per entry at lam 12), plus the
 # sieving primes up to sqrt(2^lam) as flags, arrays, a list and the sorted
 # prime-power stamps (13.9 B per integer to 2^20 at lam 40, 12.5 to 2^22
 # at lam 44; the prime density falls as lam grows)
@@ -77,6 +78,19 @@ def _first_multiple(lo: int, step: int) -> int:
     return ((lo + step - 1) // step) * step
 
 
+def _sign_products(lam: int) -> np.dtype:
+    """_sign_kernel's product dtype: products never exceed 2^lam."""
+    return np.dtype(np.int32 if lam <= 31 else np.int64)
+
+
+def _sign_scratch(lam: int) -> int:
+    """Bytes a process running _sign_kernel(lam) holds besides its views: the
+    sieving primes, and a segment's products, index range and flag bytes
+    (tracemalloc: 9.0 B per entry with int32 products at lam 18-21)."""
+    seg = min(1 << lam, DEFAULT_SEGMENT)
+    return (PRIME_BYTES << (lam + 1) // 2) + (2 * _sign_products(lam).itemsize + 1) * seg
+
+
 def _sign_kernel(lam: int, squarefree: bool):
     """fill(view, lo): Liouville signs of lo..lo+len(view)-1 into an integer
     view, or Moebius signs when squarefree; returns their nonzero count.
@@ -90,8 +104,7 @@ def _sign_kernel(lam: int, squarefree: bool):
     are skipped; on squarefree n Moebius and Liouville agree.
     """
     n = 1 << lam
-    # products never exceed n, so int32 holds them up to lam = 31
-    dtype = np.int32 if n <= 1 << 31 else np.int64
+    dtype = _sign_products(lam)
     primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
 
     def fill(view: np.ndarray, lo: int) -> int:
@@ -120,28 +133,44 @@ def _sign_kernel(lam: int, squarefree: bool):
     return fill
 
 
-def _factor_pass(lam: int, squarefree: bool) -> np.ndarray:
-    """The int8 sign table on [0, 2^lam), one _sign_kernel segment per task."""
+def _factor_pass(lam: int, kind: str, max_mem_gib: float | None) -> ArithmeticSequence:
+    """The kind's int8 sign table on [0, 2^lam), one _sign_kernel segment
+    per task."""
+    if lam < 1:
+        raise ValueError(f"lam must be a positive bit length, got {lam}")
     n = 1 << lam
+    require_table_bytes(lam, 1, max_mem_gib, f"{kind} table", _sign_scratch(lam) * (1 + _splits(n)))
     out = _shared_empty(n, np.int8)
-    fill = _sign_kernel(lam, squarefree)
+    fill = _sign_kernel(lam, kind == "moebius")
     seg = min(n, DEFAULT_SEGMENT)
     _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg), n // seg, n)
-    return out
+    return ArithmeticSequence(lam, kind, out)
 
 
 def sieve_moebius(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Moebius table on [0, 2^lam): the shared factor pass with the p^2
     level zeroing every non-squarefree entry."""
-    require_table_bytes(lam, 8, max_mem_gib, what="moebius table")
-    return ArithmeticSequence(lam, "moebius", _factor_pass(lam, True))
+    return _factor_pass(lam, "moebius", max_mem_gib)
 
 
 def sieve_liouville(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
     """Liouville table: (-1)^Omega(n) with multiplicity, from the shared
     factor pass with every prime-power level counted."""
-    require_table_bytes(lam, 8, max_mem_gib, what="liouville table")
-    return ArithmeticSequence(lam, "liouville", _factor_pass(lam, False))
+    return _factor_pass(lam, "liouville", max_mem_gib)
+
+
+def _require_von_mangoldt(lam: int, whole: bool, max_mem_gib: float | None) -> None:
+    """Charge a von Mangoldt sieve its float64 table when whole, and in any
+    case one segment with its scratch and the sieving primes."""
+    if lam < 1:
+        raise ValueError(f"lam must be a positive bit length, got {lam}")
+    seg, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
+    table = (8 << lam) - 8 * seg if whole else 0
+    require_bytes(table + STREAM_BYTES * seg + (PRIME_BYTES << half), max_mem_gib,
+                  f"von mangoldt {'table' if whole else 'stream'} at lambda={lam}",
+                  (f"8 per entry over 2^{lam}, " if whole else "")
+                  + f"{STREAM_BYTES} per entry over a {seg}-entry segment, "
+                  f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
 
 
 def _von_mangoldt_segments(lam: int, table: np.ndarray | None = None):
@@ -192,7 +221,7 @@ def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> Arithmetic
     """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere, filled
     segment by segment in place.  It stays in one process: faulting in a
     shared float64 table costs about what a second core would save."""
-    require_table_bytes(lam, 8, max_mem_gib, what="von mangoldt table")
+    _require_von_mangoldt(lam, True, max_mem_gib)
     out = np.empty(1 << lam)
     for _ in _von_mangoldt_segments(lam, out):
         pass
@@ -246,13 +275,7 @@ def stream_sequence(kind: str, lam: int, path=None,
     array, so the sum is float(values.sum()) bit for bit.
     """
     if kind == "von_mangoldt":
-        if lam < 1:
-            raise ValueError(f"lam must be a positive bit length, got {lam}")
-        seg, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
-        require_bytes(STREAM_BYTES * seg + (PRIME_BYTES << half), max_mem_gib,
-                      f"von mangoldt stream at lambda={lam}",
-                      f"{STREAM_BYTES} per entry over a {seg}-entry segment, "
-                      f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
+        _require_von_mangoldt(lam, False, max_mem_gib)
         segments = _von_mangoldt_segments(lam)
     else:
         values = sequence(kind, lam, max_mem_gib=max_mem_gib).values
@@ -273,7 +296,8 @@ def stream_sequence(kind: str, lam: int, path=None,
 
 
 def load_sequence(path) -> ArithmeticSequence:
-    """Inverse of dump_sequence, validating header, length and sign entries."""
+    """Inverse of dump_sequence, validating header, length, and entries:
+    signs in {-1, 0, 1}, von Mangoldt values finite and nonnegative."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC or len(raw) < 6:
         raise ValueError(f"{path}: bad header {raw[:6]!r}, want magic {_MAGIC!r} + 2 bytes")
@@ -292,6 +316,8 @@ def load_sequence(path) -> ArithmeticSequence:
     values = np.frombuffer(body, dtype=dtype)
     if dtype != np.int8:
         values = values.astype(np.float64)
+        if not (np.isfinite(values).all() and values.min() >= 0):
+            raise ValueError(f"{path}: {kind} table holds a non-finite or negative entry")
     elif values.min() < -1 or values.max() > 1:
         raise ValueError(f"{path}: {kind} sign table holds a byte outside {{-1, 0, 1}}")
     else:

@@ -7,6 +7,7 @@ Every quantity is computed exactly and compared against its predicted bound;
 the implied constants are measured, never assumed.  The sum objects form
 their products in the narrowest exact integer width (_product_dtype); the
 shifted quadratic form works on parity bits packed 8 per byte along m.
+Each charges its blocks, tables and N-entry vectors before allocating.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import _synthesize
+from .limits import require_bytes
 from .report import CheckReport, _ratio
 from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
 SPLIT_BRACKET = 8.0   # measured L1 truncation error stays below 2.1 * 2^(-H)
 S2_CAP = 8            # largest high-half weight a split accepts
+_SUM_SCRATCH = 1 << 16  # numpy's small buffers: about 35 KiB at mu4 nu10
+# a split's mode tuple: frequency, coefficient, np.unique's copies and
+# inverse (tracemalloc: 65.0-65.2 B per tuple at 2^16-2^20 tuples)
+_TUPLE_BYTES = 72
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,15 @@ class BilinearConfig:
         return np.asarray(self.beta, dtype=np.float64)
 
 
-def coefficient_table(kind: str, count: int, seed: int) -> np.ndarray | None:
-    """Generator for beta tables: all-ones or seeded signs."""
+def coefficient_table(kind: str, count: int, seed: int,
+                      max_mem_gib: float | None = None) -> np.ndarray | None:
+    """Generator for beta tables: all-ones or seeded signs, charged before
+    they are drawn."""
     if kind == "ones":
         return None
     if kind == "random":
+        require_bytes(16 * count + _SUM_SCRATCH, max_mem_gib, f"beta table of {count} entries",
+                      "16 per entry for the draws and their float64 copy")
         # key [seed, 2, count]: the 2 once told beta from alpha, and stays so
         # each seed draws the signs it always did (perfbench's oracle redraws them)
         rng = np.random.default_rng([seed, 2, count])
@@ -132,6 +142,15 @@ def _product_dtype(config: BilinearConfig):
     return np.int32 if 6 * config.m_count * config.n_count < 1 << 31 else np.int64
 
 
+def _require_sum_bytes(config: BilinearConfig, what: str, fixed: int, per_n: int,
+                       max_mem_gib: float | None) -> None:
+    """Charge a sum object fixed bytes of blocks and tables, and per_n bytes
+    per n ~ N besides the config's 8-byte beta entries."""
+    require_bytes(fixed + (8 + per_n) * config.n_count + _SUM_SCRATCH, max_mem_gib,
+                  f"{what} at mu={config.mu}, nu={config.nu}",
+                  f"{fixed} of blocks and tables, {8 + per_n} per entry over N={config.n_count}")
+
+
 def _ranges(config: BilinearConfig):
     dtype = _product_dtype(config)
     m = np.arange(config.m_count, 2 * config.m_count, dtype=dtype)
@@ -143,12 +162,15 @@ def _ranges(config: BilinearConfig):
 # sum objects
 
 
-def bilinear_sum(config: BilinearConfig) -> float:
+def bilinear_sum(config: BilinearConfig, max_mem_gib: float | None = None) -> float:
     """sum over m ~ M of |sum over n ~ N of beta_n w_S(m n)|.
 
     The outer coefficients enter the estimate only through |alpha| <= 1, so
     the dominating absolute form is the computed quantity.
     """
+    item = np.dtype(_product_dtype(config)).itemsize
+    # a row's products and their masked copy, then its float64 signs
+    _require_sum_bytes(config, "bilinear sum", 0, 2 * item + 8, max_mem_gib)
     m, n = _ranges(config)
     beta = config.beta_table()
     total = 0.0
@@ -165,7 +187,8 @@ class QuadFormResult:
     prefactor: float  # the M*N/L factor, reported alongside, never multiplied in
 
 
-def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
+def shifted_quadratic_form(config: BilinearConfig,
+                           max_mem_gib: float | None = None) -> QuadFormResult:
     """sum over n ~ N, |l| < L of |sum over m ~ M of w_S(mn) w_S(m(n+l*2^K))|.
 
     One table holds the parity bits of w_S(mn) for every row the shifts
@@ -178,7 +201,6 @@ def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
     clipped_terms.  The M*N/L prefactor of the enclosing estimate is
     reported separately, never multiplied in.
     """
-    m, _ = _ranges(config)
     big_m, big_n, big_l = config.m_count, config.n_count, config.shift_count
     step = 1 << config.k_shift
     lo = max(big_n - (big_l - 1) * step, 1)
@@ -186,13 +208,16 @@ def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
     # fewer than 3N rows of M/8 bytes (768 KiB at mu7 nu14 rho3), stored
     # word-major in words of up to 8 bytes so each shift's XOR and popcount
     # run over contiguous rows, and filled from blocks of about 1 MiB of
-    # products.  At mu7 nu14 rho3 tracemalloc peaks at 1.94 MiB here and at
-    # 2.24 MiB in the carry rate, both well within the 8 B per entry of M*N
-    # (16 MiB) that the CLI charges
+    # products and their parity bytes.  Each shift then holds int64 flip
+    # counts, a row's XOR and popcounts, and |M - 2 flips|: 32 B per n
     row_bytes = (big_m + 7) // 8
+    item = np.dtype(_product_dtype(config)).itemsize
+    block = max((1 << 20) // (item * big_m), 1)
+    _require_sum_bytes(config, "quadratic form",
+                       row_bytes * (hi - lo) + block * big_m * (item + 1), 32, max_mem_gib)
+    m, _ = _ranges(config)
     word = np.dtype(f"u{min(row_bytes, 8)}")
     table = np.empty((row_bytes // word.itemsize, hi - lo), dtype=word)
-    block = max((1 << 20) // (m.itemsize * big_m), 1)
     prods = np.empty((block, big_m), dtype=m.dtype)
     bits = np.empty((block, big_m), dtype=np.uint8)
     mask = m.dtype.type(config.s_bits)
@@ -234,7 +259,8 @@ def _both_signs(row: np.ndarray, step: int, n_count: int) -> int:
     return int(np.count_nonzero(row[:, step:]) + np.count_nonzero(row[:, :n_count]))
 
 
-def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
+def carry_truncation_rate(config: BilinearConfig,
+                          max_mem_gib: float | None = None) -> CarryResult:
     """Fraction of (m, n, l) triples, l != 0, where the digits of m*n and
     m*(n + l*2^K) differ above the carry window or below the shift scale.
 
@@ -244,6 +270,12 @@ def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     rated.  Differences below K are impossible and counted separately as a
     sanity channel (always zero).
     """
+    item = np.dtype(_product_dtype(config)).itemsize
+    span = (config.shift_count - 1) << config.k_shift
+    cols = config.n_count + 2 * span  # every shifted n
+    rows = max((1 << 20) // (item * cols), 1)
+    _require_sum_bytes(config, "carry rate", rows * (cols * item + (cols - span) * (item + 1)),
+                       2 * item, max_mem_gib)
     m, n = _ranges(config)
     tau = config.k_shift + config.mu + config.rho + config.epsilon * config.rho
     first_bad = math.floor(tau) + 1
@@ -258,9 +290,7 @@ def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     # [N - step, 2N) holds both signs of l: its last N columns are the
     # triples (n, l), its first N the triples (n, -l) at n = n' + step.
     # Buffers of about 1 MiB each, all allocated once
-    span = (config.shift_count - 1) << config.k_shift
     shifted = np.arange(n[0] - span, n[-1] + span + 1, dtype=m.dtype)
-    rows = max((1 << 20) // (m.itemsize * len(shifted)), 1)
     prods = np.empty((rows, len(shifted)), dtype=m.dtype)
     unsigned = prods.view(f"u{m.itemsize}")
     diff = np.empty((rows, len(n) + span), dtype=unsigned.dtype)
@@ -304,6 +334,8 @@ class SplitConfig:
     h_param: int
 
     def __post_init__(self):
+        if self.lam < 1:
+            raise ValueError(f"lam must be a positive bit length, got {self.lam}")
         if not 0 <= self.s_bits < (1 << self.lam):
             raise ValueError(f"mask {self.s_bits:#x} out of range for lam={self.lam}")
         if self.lam > 16:
@@ -362,7 +394,7 @@ def _square_wave_modes(h_param: int) -> list[tuple[int, complex]]:
     return modes
 
 
-def spectral_split(config: SplitConfig) -> SplitResult:
+def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> SplitResult:
     """Truncate each square-wave factor of the high half to 2^H modes and
     multiply out, returning the product frequency set and its exact mean
     absolute error against w_{S2}.
@@ -371,6 +403,9 @@ def spectral_split(config: SplitConfig) -> SplitResult:
     S2 position from the lowest up, merged by frequency; a frequency whose
     merged coefficient cancels to zero stays in the set.  The truncation is
     put on the 2^lam grid by one inverse FFT."""
+    tuples = 1 << (config.h_param * config.s2_weight)
+    require_bytes(_TUPLE_BYTES * tuples, max_mem_gib, f"split sumset of {tuples} mode tuples",
+                  f"{_TUPLE_BYTES} per tuple")
     lam = config.lam
     n = 1 << lam
     modes = _square_wave_modes(config.h_param)
@@ -385,10 +420,10 @@ def spectral_split(config: SplitConfig) -> SplitResult:
     freqs, slot = np.unique(tuple_freqs, return_inverse=True)
     coeffs = np.zeros(len(freqs), dtype=np.complex128)
     np.add.at(coeffs, slot, tuple_coefs)
-    vals = _synthesize(lam, freqs, coeffs)
-    w = walsh_table(WalshMask(config.s2_bits, lam)).astype(np.float64)
-    err = float(np.abs(vals - w).sum())
-    return SplitResult(freqs, coeffs, err / n, 1 << (config.h_param * config.s2_weight))
+    vals = _synthesize(lam, freqs, coeffs, max_mem_gib)
+    vals -= walsh_table(WalshMask(config.s2_bits, lam))
+    err = float(np.abs(vals).sum())
+    return SplitResult(freqs, coeffs, err / n, tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +438,15 @@ def _bilinear_params(config: BilinearConfig, **extra) -> dict:
             "advisories": config.advisories, **extra}
 
 
-def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
+def cauchy_schwarz_chain(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
     """(bilinear sum)^2 against (MN/L) * (2L-1) * quadratic form.
 
     The testable shape of the range-splitting step: squaring the outer sum
     and shift-averaging the inner variable dominates the bilinear sum by the
     shifted quadratic form times MN/L.
     """
-    bil = bilinear_sum(config)
-    quad = shifted_quadratic_form(config)
+    bil = bilinear_sum(config, max_mem_gib)
+    quad = shifted_quadratic_form(config, max_mem_gib)
     lhs = bil * bil
     rhs = quad.prefactor * (2 * config.shift_count - 1) * quad.value
     params = _bilinear_params(config, bilinear=bil, quadform=quad.value,
@@ -421,9 +456,9 @@ def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
                        lhs <= rhs * (1.0 + 1e-12))
 
 
-def quadform_report(config: BilinearConfig) -> CheckReport:
+def quadform_report(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
     """Quadratic form against its trivial bound (2L-1) * N * M."""
-    quad = shifted_quadratic_form(config)
+    quad = shifted_quadratic_form(config, max_mem_gib)
     rhs = (2 * config.shift_count - 1) * config.n_count * config.m_count
     params = _bilinear_params(config, prefactor=quad.prefactor,
                               clipped_terms=quad.clipped_terms)
@@ -432,19 +467,20 @@ def quadform_report(config: BilinearConfig) -> CheckReport:
                        quad.value <= rhs + 1e-9)
 
 
-def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
+def type1_report(s_bits: int, mu: int, nu: int,
+                 max_mem_gib: float | None = None) -> CheckReport:
     """Type-I sum (the bilinear sum with all-ones beta) against its trivial
     bound M * N.  It has no shifts, so its config takes rho = 0."""
-    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0))
+    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0), max_mem_gib)
     rhs = float((1 << mu) * (1 << nu))
     params = {"lambda": mu + nu, "mask": s_bits, "mu": mu, "nu": nu}
     return CheckReport("TYPE1", params, value, rhs, _ratio(value, rhs), None,
                        value <= rhs + 1e-9)
 
 
-def carry_report(config: BilinearConfig) -> CheckReport:
+def carry_report(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
     """Measured carry-escape rate against CARRY_BRACKET * 2^(-eps*rho)."""
-    res = carry_truncation_rate(config)
+    res = carry_truncation_rate(config, max_mem_gib)
     scale = 2.0 ** (-config.epsilon * config.rho)
     rhs = CARRY_BRACKET * scale
     params = _bilinear_params(config, epsilon=config.epsilon, low_rate=res.low_rate,
@@ -456,9 +492,9 @@ def carry_report(config: BilinearConfig) -> CheckReport:
                        fitted, passed)
 
 
-def split_report(config: SplitConfig) -> CheckReport:
+def split_report(config: SplitConfig, max_mem_gib: float | None = None) -> CheckReport:
     """Truncation L1 error against SPLIT_BRACKET * 2^(-H), with the size cap."""
-    res = spectral_split(config)
+    res = spectral_split(config, max_mem_gib)
     scale = 2.0 ** (-config.h_param)
     rhs = SPLIT_BRACKET * scale
     params = {

@@ -92,6 +92,13 @@ def _selector_slice(lam: int, selector) -> slice:
 # vectorized kernels
 
 
+def _table_bytes(lam: int) -> int:
+    """Bytes of _period_tables(lam): float64 |cos| and |sin| over each
+    bit's period, tiled to min(2^lam, 1024) entries (32 B per entry of
+    2^lam plus 128 KiB from lam 10 up)."""
+    return 16 * sum(max(1 << (lam - j), min(1 << lam, 1024)) for j in range(lam))
+
+
 # cached per lambda (about 2 MiB at lam=16), never per mask
 @functools.cache
 def _period_tables(lam: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

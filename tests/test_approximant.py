@@ -51,11 +51,16 @@ def test_build_rejects_mask_outside_tail_window():
         build_approximant(WalshMask(0b1, 10), cfg)
 
 
-def test_build_rejects_oversized_lambda():
-    with pytest.raises(ResourceLimitError):
-        build_approximant(
-            WalshMask(1 << 18, 19), ApproximantConfig(19, 4, 4)
-        )
+def test_build_rejects_oversized_lambda(monkeypatch):
+    # the synthesis charges its two complex arrays before allocating them:
+    # 32 GiB at lambda 30 against the default 2 GiB, and 16 MiB at lambda 19
+    # against a 1 MiB budget
+    monkeypatch.delenv("WSL_MAX_MEM_GIB", raising=False)
+    with pytest.raises(ResourceLimitError, match="synthesis at lambda=30 requires 34360000512"):
+        build_approximant(WalshMask(1 << 29, 30), ApproximantConfig(30, 4, 4))
+    with pytest.raises(ResourceLimitError, match="synthesis at lambda=19"):
+        build_approximant(WalshMask(1 << 18, 19), ApproximantConfig(19, 4, 4),
+                          max_mem_gib=2**-10)
 
 
 def test_empty_mask_reproduced_exactly():

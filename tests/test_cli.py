@@ -10,7 +10,7 @@ import oracles
 import pytest
 
 import walshlab
-from walshlab import load_sequence, manifest_from_json, parse_csv, sieve
+from walshlab import limits, load_sequence, manifest_from_json, parse_csv, sieve
 from walshlab.cli import dispatch
 
 
@@ -122,7 +122,9 @@ def test_resource_limit_exits_three(capsys):
 
 @pytest.mark.parametrize("command", ["bilinear", "quadform", "carry-rate"])
 def test_oversized_random_beta_exits_three(capsys, command):
-    # the 2^40-entry beta table is drawn only after the table guard refuses
+    # the bilinear sum's 2^40-entry beta table is charged before it is drawn;
+    # the quadratic form and the carry rate read no beta, draw none, and
+    # their own charges refuse before they allocate
     code, out, err = run_cli(capsys, command, "--mask", "0x6", "--mu", "4", "--nu", "40",
                              "--coef", "random")
     assert code == 3 and out == ""
@@ -180,8 +182,9 @@ def test_transform_guard_honours_max_mem_flag(capsys, monkeypatch, argv):
     ("lemma-check --lemma 3 --lambda 14 --masks all", "0.0005", "1", 0),
 ])
 def test_all_mask_fold_guard_honours_max_mem_flag(capsys, monkeypatch, argv, env, flag, want):
-    # 0.0005 GiB passes the CLI's 8 B/entry charge at lambda 14 but not the
-    # fold's 64 B/entry, and the flag wins over the environment there too
+    # 0.0005 GiB (512 KiB) is refused by the fold's 64 B/entry at lambda 14
+    # (1 MiB), which charges before the scan's rows do, and the flag wins
+    # over the environment there too
     if env is not None:
         monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
     code, out, err = run_cli(capsys, *argv.split(), "--max-mem-gib", flag)
@@ -201,6 +204,7 @@ BAD_NUMBERS = [
     ("sieve --lambda 8 --max-mem-gib 0", None, "memory budget"),
     ("sieve --lambda 8", "inf", "memory budget"),
     ("sieve --lambda 8", "-1", "memory budget"),
+    ("sieve --lambda 8", "abc", "memory budget"),
 ]
 
 
@@ -250,40 +254,44 @@ def test_scan_with_one_lemma_unchecked_exits_two(capsys):
     assert "error: lemma 5 has no check on the random mask family at lambda 5..6" in err
 
 
-# every subcommand once: the exact manifest config and its table guard
+# every subcommand once: the exact manifest config, and the library guard
+# its run meets first
 SUBCOMMAND_CONFIGS = [
     ("sieve --lambda 8 --kind liouville --seed 3",
-     {"kind": "liouville", "lam": 8, "seed": 3}),
+     {"kind": "liouville", "lam": 8, "seed": 3}, "liouville table at lambda=8"),
     ("sieve --lambda 8 --out table.bin",
-     {"kind": "moebius", "lam": 8, "seed": 0}),
+     {"kind": "moebius", "lam": 8, "seed": 0}, "moebius table at lambda=8"),
     ("spectrum --lambda 8",
-     {"kind": "moebius", "lam": 8, "seed": 0}),
+     {"kind": "moebius", "lam": 8, "seed": 0}, "transform buffer at lambda=8"),
     ("theorem-scan --lambda-min 8 --lambda-max 10 --kind liouville",
-     {"kind": "liouville", "lambda_max": 10, "lambda_min": 8, "seed": 0}),
+     {"kind": "liouville", "lambda_max": 10, "lambda_min": 8, "seed": 0},
+     "transform buffer at lambda=10"),
     ("lemma-check --lemma 3 --lambda 8 --masks structured",
-     {"count": 64, "lam": 8, "lemma": 3, "masks": "structured", "seed": 0}),
+     {"count": 64, "lam": 8, "lemma": 3, "masks": "structured", "seed": 0},
+     "per-mask rows at lambda=8"),
     ("scan --lambda-min 8 --lambda-max 9 --count 4 --lemmas 3,1",
      {"count": 4, "lambda_max": 9, "lambda_min": 8, "lemmas": [3, 1],
-      "masks": "random", "seed": 0}),
+      "masks": "random", "seed": 0}, "random-mask scan of 4 masks"),
     ("bilinear --mask 0x6 --mu 4 --nu 6 --coef random --seed 5",
      {"coef": "random", "epsilon": 0.5, "k_shift": 0, "mask": 6, "mu": 4, "nu": 6,
-      "rho": 1, "seed": 5}),
+      "rho": 1, "seed": 5}, "beta table of 64 entries"),
     ("quadform --mask 0x6 --mu 4 --nu 6 --rho 2 --k-shift 2",
      {"coef": "ones", "epsilon": 0.5, "k_shift": 2, "mask": 6, "mu": 4, "nu": 6,
-      "rho": 2, "seed": 0}),
+      "rho": 2, "seed": 0}, "quadratic form at mu=4, nu=6"),
     ("carry-rate --mask 0x6 --mu 4 --nu 6 --rho 2 --epsilon 0.25",
      {"coef": "ones", "epsilon": 0.25, "k_shift": 0, "mask": 6, "mu": 4, "nu": 6,
-      "rho": 2, "seed": 0}),
+      "rho": 2, "seed": 0}, "carry rate at mu=4, nu=6"),
     ("type1 --mask 0x6 --mu 4 --nu 6",
-     {"mask": 6, "mu": 4, "nu": 6, "seed": 0}),
+     {"mask": 6, "mu": 4, "nu": 6, "seed": 0}, "bilinear sum at mu=4, nu=6"),
     ("split --mask 0x3000 --lambda 14 --mu 1 --h 4",
-     {"h_param": 4, "lam": 14, "mask": 12288, "mu": 1, "seed": 0}),
+     {"h_param": 4, "lam": 14, "mask": 12288, "mu": 1, "seed": 0},
+     "split sumset of 256 mode tuples"),
 ]
 
 
-@pytest.mark.parametrize("command, config", SUBCOMMAND_CONFIGS,
-                         ids=[c for c, _ in SUBCOMMAND_CONFIGS])
-def test_subcommand_config_and_guard(capsys, tmp_path, monkeypatch, command, config):
+@pytest.mark.parametrize("command, config, guard", SUBCOMMAND_CONFIGS,
+                         ids=[c for c, _, _ in SUBCOMMAND_CONFIGS])
+def test_subcommand_config_and_guard(capsys, tmp_path, monkeypatch, command, config, guard):
     monkeypatch.chdir(tmp_path)
     argv = command.split()
     code, out, _ = run_cli(capsys, *argv)
@@ -291,7 +299,29 @@ def test_subcommand_config_and_guard(capsys, tmp_path, monkeypatch, command, con
     assert json.loads(out)["config"] == config
     code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "1e-9")
     assert code == 3 and out == ""
-    assert f"resource limit: {argv[0]} table at lambda=" in err
+    assert err.startswith(f"resource limit: {guard} requires ") and "Traceback" not in err
+
+
+# every subcommand that takes a lambda, with the lambda put in place of {}
+LAMBDA_COMMANDS = [
+    "sieve --kind moebius --lambda {}",
+    "sieve --kind liouville --lambda {}",
+    "sieve --kind von_mangoldt --lambda {}",
+    "spectrum --lambda {}",
+    "theorem-scan --lambda-min {0} --lambda-max {0}",
+    "lemma-check --lemma 1 --lambda {}",
+    "scan --lambda-min {0} --lambda-max {0}",
+    "split --mask 0x0 --lambda {} --mu 1 --h 1",
+]
+
+
+@pytest.mark.parametrize("lam", ["0", "-3"])
+@pytest.mark.parametrize("template", LAMBDA_COMMANDS)
+def test_nonpositive_lambda_exits_two(capsys, tmp_path, monkeypatch, template, lam):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *template.format(lam).split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +385,19 @@ def test_von_mangoldt_stream_is_charged_its_segment(capsys, tmp_path, monkeypatc
     code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
     assert code == 0, err
     assert tight == default
-    # a sign sieve holds its whole table and is still refused at that budget
-    code, out, err = run_cli(capsys, "sieve", "--kind", "moebius", "--lambda", "23",
-                             "--max-mem-gib", "0.05")
+    # a sign sieve holds its whole int8 table, 8 MiB, and in each process 9 B
+    # per entry of one 2^20-entry segment plus the sieving primes: it fits
+    # 0.05 GiB as well, and is refused at 0.01 GiB
+    argv = ("sieve", "--kind", "moebius", "--lambda", "23")
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
+    assert code == 0, err
+    assert tight == default
+    code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "0.01")
     assert code == 3 and out == ""
-    assert "resource limit: sieve table at lambda=23 requires 67108864 bytes" in err
+    need = (1 << 23) + sieve._sign_scratch(23) * (1 + limits._splits(1 << 23))
+    assert f"resource limit: moebius table at lambda=23 requires {need} bytes" in err
 
 
 @pytest.mark.parametrize("lam", ["60", "99"])
@@ -496,6 +534,21 @@ def _peak_kib(cwd, *argv) -> tuple:
                           check=True)
     code, kib = proc.stdout.split()
     return int(code), int(kib)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_spectrum_rss_stays_within_its_charge(capsys, tmp_path):
+    # at lambda 22 the transform buffer is a shared mapping, which
+    # tracemalloc cannot see: the run's peak RSS above an interpreter that
+    # has imported numpy (--version) must fit what the guard charged
+    argv = ("spectrum", "--lambda", "22")
+    code, _, err = run_cli(capsys, *argv, "--max-mem-gib", "1e-9")
+    assert code == 3
+    charge = int(err.split(" requires ")[1].split()[0])
+    _, base = _peak_kib(tmp_path, "--version")
+    code, peak = _peak_kib(tmp_path, *argv)
+    assert code == 0
+    assert (peak - base) << 10 <= charge, (peak, base, charge)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")

@@ -292,18 +292,19 @@ def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():
 @pytest.mark.parametrize("lam, lemmas", [(8, (1, 2, 3, 4, 6)), (12, (1, 2, 3, 4, 6)),
                                          (16, (6,)), (12, (2,))])
 def test_random_scan_charge_covers_its_peak(monkeypatch, lam, lemmas):
-    # the charge is taken before any draw.  With the CLI's 8 B/entry table
-    # charge, which covers a mask's row, it covers the scan's traced peak
-    # within a factor of two.  The period tables are a fixed cost per lam
-    # (2 MiB at lam 16), not a per-mask one, so they are built first
+    # the masks and reports are charged before any draw, and the rows and
+    # period tables once per lam; both are held at once, so together they
+    # cover the scan's traced peak within a factor of two
     config = ScanConfig(lam, lam, "random", 2000, 0, lemmas)
     charges = []
+    monkeypatch.setattr(walshlab.limits, "require_bytes",
+                        lambda need, *rest, **kw: charges.append(need))
     monkeypatch.setattr(walshlab.lemmas, "require_bytes",
                         lambda need, *rest, **kw: charges.append(need))
-    walshlab.walsh._period_tables(lam)
+    walshlab.walsh._period_tables.cache_clear()
     tracemalloc.start()
     run_scan(config)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    [charge] = charges
-    assert peak <= charge + (8 << lam) <= 2 * peak, (peak, charge)
+    reports, rows = charges
+    assert peak <= reports + rows <= 2 * peak, (peak, charges)

@@ -267,6 +267,19 @@ def test_load_rejects_sign_bytes_outside_unit(tmp_path, code):
     assert load_sequence(path).values.tolist() == [0, 1, -1, 1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+def test_load_rejects_von_mangoldt_entries_that_are_not_finite_logs(tmp_path, bad):
+    # a von Mangoldt body [0, bad, log 2, 0] used to load as it stood
+    path = tmp_path / "vm.bin"
+    body = np.array([0.0, bad, np.log(2.0), 0.0], dtype="<f8").tobytes()
+    path.write_bytes(b"AWS1" + bytes([2, 2]) + body)
+    with pytest.raises(ValueError, match="non-finite or negative") as err:
+        load_sequence(path)
+    assert str(path) in str(err.value)
+    path.write_bytes(b"AWS1" + bytes([2, 2]) + body.replace(body[8:16], bytes(8)))
+    assert load_sequence(path).values.tolist() == [0.0, 0.0, np.log(2.0), 0.0]
+
+
 def test_sequence_length_validation():
     with pytest.raises(ValueError, match="length"):
         ArithmeticSequence(3, "moebius", np.zeros(7, dtype=np.int8))

@@ -1,4 +1,6 @@
 import math
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from walshlab import (
     walsh_signs,
     walsh_table,
 )
-from walshlab import limits, walsh
+from walshlab import approximant, fwht, lemmas, limits, sieve, sums, walsh
 from walshlab.walsh import _selector_slice, coefficient_values, magnitude_row, mask_sweep
 
 
@@ -365,6 +367,81 @@ def test_fold_charge_covers_its_measured_peak(sweep, lam):
     finally:
         tracemalloc.stop()
     assert 0.5 <= peak / limits.require_table_bytes(lam, walsh._FOLD_BYTES) <= 1.0
+
+
+def _bilinear_chain(mu, nu):
+    # as the bilinear command runs it: beta is drawn under its own charge
+    cfg = sums.BilinearConfig(0x6, mu, nu, rho=3)
+    beta = sums.coefficient_table("random", cfg.n_count, 0)
+    return sums.cauchy_schwarz_chain(dataclasses.replace(cfg, beta=beta))
+
+
+# every path that charges the memory budget, as (name, sizes, make) with
+# make(size) giving the call to measure; its inputs are built beforehand
+CHARGED_PATHS = [
+    ("moebius sieve", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_moebius(lam)),
+    ("liouville sieve", (18, 21), lambda lam: lambda: sieve.sieve_liouville(lam)),
+    ("sign transform", (18, 19, 20, 21),
+     lambda lam: lambda: fwht.sign_max_correlations("moebius", [lam])),
+    ("plain spectrum", (18, 19, 20, 21),
+     lambda lam: functools.partial(fwht.spectrum, sieve.sieve_liouville(lam).values)),
+    ("float spectrum", (18, 21), lambda lam: functools.partial(
+        fwht.spectrum, sieve.sieve_moebius(lam).values.astype(np.float64))),
+    ("prefix peaks", (18, 21), lambda lam: functools.partial(
+        fwht.prefix_max_correlations, sieve.sieve_moebius(lam).values, [lam - 4, lam])),
+    ("von mangoldt table", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_von_mangoldt(lam)),
+    ("per-mask rows", (14, 15, 16), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(lam, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
+    ("lemma 5 audit", (14, 15, 16), lambda lam: lambda: lemmas.check_lemma5(
+        approximant.ApproximantConfig(lam, 4, 4), WalshMask(0b1011 << (lam - 4), lam))),
+    ("lemma 5 scan", (14, 15, 16), lambda lam: lambda: lemmas.scan_lemma_at(
+        lemmas.ScanConfig(lam, lam, "structured", lemmas=(5,)), 5, lam)),
+    ("band audit", (14, 16), lambda lam: functools.partial(
+        approximant.band_profile, approximant.build_approximant(
+            WalshMask(1 << (lam - 1), lam), approximant.ApproximantConfig(lam, 4, 4)))),
+    ("split", (14, 15, 16), lambda lam: lambda: sums.split_report(
+        sums.SplitConfig(0b11 << (lam - 2), lam, 1, 4))),
+    ("split sumset", (14, 16), lambda lam: lambda: sums.split_report(
+        sums.SplitConfig(0b1111 << (lam - 4), lam, 2, 5))),
+    ("bilinear", ((7, 14), (8, 16)), lambda mn: lambda: _bilinear_chain(*mn)),
+    ("quadform", ((7, 14), (8, 16)), lambda mn: lambda: sums.quadform_report(
+        sums.BilinearConfig(0x6, *mn, rho=3))),
+    ("carry-rate", ((7, 14), (8, 16)), lambda mn: lambda: sums.carry_report(
+        sums.BilinearConfig(0x6, *mn, rho=3))),
+    ("type1", ((7, 14), (8, 16)), lambda mn: lambda: sums.type1_report(0x6, *mn)),
+]
+
+
+@pytest.mark.parametrize("make, size", [(make, size) for _, sizes, make in CHARGED_PATHS
+                                        for size in sizes],
+                         ids=[f"{name}-{size}" for name, sizes, _ in CHARGED_PATHS
+                              for size in sizes])
+def test_charge_covers_its_measured_peak(monkeypatch, make, size):
+    # the largest charge a path makes is what decides whether it runs: it
+    # must cover the path's traced peak, and not by more than a factor of
+    # two.  One warm-up run first, so imports and FFT plans are not counted
+    # as the path's own; the period tables are then built again, as at the
+    # first call at a lambda
+    charges = []
+    real = limits.require_bytes
+
+    def spy(need, *rest, **kw):
+        charges.append(need)
+        return real(need, *rest, **kw)
+
+    for mod in (limits, sieve, lemmas, sums):
+        monkeypatch.setattr(mod, "require_bytes", spy)
+    run = make(size)
+    run()
+    walsh._period_tables.cache_clear()
+    charges.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= peak / max(charges) <= 1.0, (peak, charges)
 
 
 @pytest.mark.parametrize("sweep", [all_mask_l1, all_mask_sup])
