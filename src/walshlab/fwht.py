@@ -2,18 +2,21 @@
 
 The transform sends a length-2^lam table f to all 2^lam unnormalized
 correlations sum_x f(x) * (-1)^popcount(A & x) in O(lam * 2^lam) additions.
-Integer tables stay exact: every partial sum is bounded by max|f| * 2^lam,
-so a table runs in int32 when that bound fits (sign tables up to lam = 30)
-and in int64 otherwise, and a predicted overflow raises before any work
-happens.  Each stage runs in place through one reusable temporary of
-_CHUNK entries; spans below 2^_NARROW run on a transposed copy of a block.
-_transform charges the buffer and its task scratch before allocating them.
+Integer tables stay exact: after stage s every partial sum is bounded by
+max|f| * 2^(s+1), so a table runs in int32 when max|f| * 2^lam fits (sign
+tables up to lam = 30) and in int64 otherwise, and a predicted overflow
+raises before any work happens.  Its first k stages, for the largest k with
+max|f| * 2^k < 2^15 (14 for sign tables), run in int16 in the first half
+of each part's bytes, which is then widened in place.  Each stage runs in
+place through one reusable temporary of _CHUNK entries; spans below
+2^_NARROW run on a transposed copy of a block.  _transform charges the
+buffer and its task scratch before allocating them.
 
 Every table is transformed as the same tasks, which limits._two_way shares
 with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
 filled (copied from a plain table, or sieved in place by the sign kernel of
-sign_max_correlations) and runs the in-block stages, then, after one join,
-each half of the
+sign_max_correlations, with the run's own bytes as its products) and runs
+the in-block stages, then, after one join, each half of the
 columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
 every cross-block stage.  Every entry sees the same additions in the same
 order either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
@@ -38,7 +41,7 @@ _BLOCK_BITS = DEFAULT_BLOCK.bit_length() - 1
 _NARROW = 7
 _CHUNK = 1 << 16
 # stage scratch per task process, in entries: temporary, transposed block,
-# peak magnitudes (tracemalloc: 0.6 MiB over int32 buffers at lam 18-21)
+# peak magnitudes (tracemalloc: 0.5 MiB over int32 buffers at lam 18-21)
 _STAGE_SCRATCH = 4 * _CHUNK
 
 
@@ -149,40 +152,80 @@ def _int_accumulator(bound: int, n: int):
     return dtype
 
 
+def _int16_stages(bound: int) -> int:
+    """The largest k with bound * 2^k < 2^15 (0 if there is none): stages
+    0..k-1 of a table bounded by bound stay exact in int16."""
+    return max((2**15 - 1) // max(bound, 1), 1).bit_length() - 1
+
+
 def _copy_of(values: np.ndarray):
     """The fill step of a plain table: copy its part into the buffer."""
-    def fill(part: np.ndarray, lo: int) -> None:
-        part[...] = values[lo : lo + len(part)]
+    def fill(out: np.ndarray, lo: int, work: np.ndarray) -> None:
+        out[...] = values[lo : lo + len(out)]
     return fill
 
 
-def _prefix_stages(buf: np.ndarray, lambdas, top: int) -> list:
-    """Stages 0..top-1 of buf in place (spans below len(buf)), and the peak
-    of each prefix 2^lam in lambdas, read once its first lam stages are done.
+def _widen(part: np.ndarray) -> None:
+    """Widen the int16 entries held in the first half of part's bytes to
+    part's dtype in place, top chunk first, so no chunk is written before
+    the entries under it are read.  Each chunk passes through one int16
+    buffer: numpy casts an overlapping int16 view into a wider array front
+    to back without a copy, so part[:] = part.view(np.int16)[:len(part)]
+    gives wrong entries and no error."""
+    narrow = part.view(np.int16)[: len(part)]
+    tmp = np.empty(min(len(part), _CHUNK), dtype=np.int16)
+    for lo in reversed(range(0, len(part), _CHUNK)):
+        hi = min(lo + _CHUNK, len(part))
+        np.copyto(tmp[: hi - lo], narrow[lo:hi])
+        part[lo:hi] = tmp[: hi - lo]
 
-    A prefix below 2^_NARROW transforms a copy instead, so buf runs each
+
+def _prefix_stages(part: np.ndarray, lambdas, top: int, k: int) -> list:
+    """Stages 0..top-1 of part in place (spans below len(part)), and the
+    peak of each prefix 2^lam in lambdas, read once its first lam stages are
+    done.  When k > 0 part holds its entries as int16 in the first half of
+    its bytes: stages 0..k-1 run there, and the entries are widened to
+    part's dtype before the stages past k, or at the end.
+
+    A prefix below 2^_NARROW transforms a copy instead, so part runs each
     stage once, its transposed stages in one pass.
     """
-    peaks, done = [], 0
-    for lam in lambdas:
-        block = buf[: 1 << lam].copy() if lam < _NARROW else buf
-        _stages(block, done if done >= _NARROW else 0, lam)
-        done = lam
-        peaks.append(_peak(block[: 1 << lam]))
-    if done < top:
-        _stages(buf, done if done >= _NARROW else 0, top)
+    view = part.view(np.int16)[: len(part)] if k else part
+    peaks, ran = [], 0
+    for i, lam in enumerate([*lambdas, top]):
+        if view is not part and lam > k:
+            if ran < k:
+                _stages(view, ran, k)
+            _widen(part)
+            view, ran = part, k
+        if lam < _NARROW and i < len(lambdas):
+            block = view[: 1 << lam].copy()
+            _stages(block, ran, lam)
+        else:
+            block = view
+            if ran < lam:
+                _stages(view, ran, lam)
+                ran = lam
+        if i < len(lambdas):
+            peaks.append(_peak(block[: 1 << lam]))
+    if view is not part:
+        _widen(part)
     return peaks
 
 
-def _transform(make_fill, fill_scratch: int, n: int, dtype, lambdas: list, top: int,
-               max_mem_gib: float | None):
-    """Stages 0..top-1 over a fresh buffer of n entries of dtype, which
-    fill(part, lo) fills with entries lo..lo+len(part)-1 of the table:
-    the buffer, the peak (entry, index) of each prefix 2^lam in lambdas,
-    and fill's results in order.
+def _transform(make_fill, fill_scratch: int, n: int, bound: int | None, lambdas: list,
+               top: int, max_mem_gib: float | None):
+    """Stages 0..top-1 over a fresh buffer of n entries, which fill(out,
+    lo, part) fills with entries lo..lo+len(out)-1 of the table: the
+    buffer, the peak (entry, index) of each prefix 2^lam in lambdas, and
+    fill's results in order.  bound is the largest |entry| of an integer
+    table, which picks the buffer's exact integer dtype and its int16
+    stages (_int16_stages), or None for a float64 table.  out is part
+    itself, or with int16 stages the int16 view of the first half of its
+    bytes, where fill may use part's bytes as its workspace.
 
-    First the buffer and, per task process, the larger of fill_scratch and
-    the stage scratch are charged; then fill = make_fill() is made.
+    First the buffer and, per task process, fill_scratch and the stage
+    scratch are charged; then fill = make_fill() is made.
 
     The work is tasks of limits._two_way: first each run of DEFAULT_SEGMENT
     entries (or the whole smaller table) is filled and runs the in-block
@@ -191,8 +234,10 @@ def _transform(make_fill, fill_scratch: int, n: int, dtype, lambdas: list, top: 
     above the block; the larger is kept, ties to the smaller index, which
     may lie in either half.
     """
+    dtype = np.float64 if bound is None else _int_accumulator(bound, n)
+    k = 0 if bound is None else _int16_stages(bound)
     itemsize = np.dtype(dtype).itemsize
-    scratch = max(fill_scratch, min(n, _STAGE_SCRATCH) * itemsize) * (1 + _splits(n))
+    scratch = (fill_scratch + min(n, _STAGE_SCRATCH) * itemsize) * (1 + _splits(n))
     require_table_bytes(n.bit_length() - 1, itemsize, max_mem_gib, "transform buffer", scratch)
     fill = make_fill()
     buf = _shared_empty(n, dtype)
@@ -201,8 +246,8 @@ def _transform(make_fill, fill_scratch: int, n: int, dtype, lambdas: list, top: 
 
     def in_blocks(i: int) -> tuple:
         part = buf[i * seg : (i + 1) * seg]
-        filled = fill(part, i * seg)
-        return filled, _prefix_stages(part, inner if i == 0 else [], min(top, _BLOCK_BITS))
+        filled = fill(part.view(np.int16)[:seg] if k else part, i * seg, part)
+        return filled, _prefix_stages(part, inner if i == 0 else [], min(top, _BLOCK_BITS), k)
 
     filled, found = zip(*_two_way(in_blocks, n // seg, n))
     peaks = found[0]
@@ -231,12 +276,8 @@ def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray
     function, indexed by mask bits.  An integer table gives int32 or int64
     entries, as the transform ran; a float table gives float64."""
     lam = _table_lam(values)
-    n = len(values)
-    if np.issubdtype(values.dtype, np.integer):
-        dtype = _int_accumulator(_magnitude_bound(values), n)
-    else:
-        dtype = np.float64
-    return _transform(lambda: _copy_of(values), 0, n, dtype, [], lam, max_mem_gib)[0]
+    bound = _magnitude_bound(values) if np.issubdtype(values.dtype, np.integer) else None
+    return _transform(lambda: _copy_of(values), 0, len(values), bound, [], lam, max_mem_gib)[0]
 
 
 def max_correlation(
@@ -266,8 +307,7 @@ def _sign_peaks(make_fill, fill_scratch: int, lambdas: list, top: int,
                 max_mem_gib: float | None):
     """The (mask, value) peak of each prefix 2^lam in lambdas of the sign
     table on [0, 2^top) that make_fill()'s fill writes, and fill's results."""
-    n = 1 << top
-    _, peaks, filled = _transform(make_fill, fill_scratch, n, _int_accumulator(1, n), lambdas,
+    _, peaks, filled = _transform(make_fill, fill_scratch, 1 << top, 1, lambdas,
                                   lambdas[-1] if lambdas else 0, max_mem_gib)
     return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)], filled
 
@@ -308,8 +348,8 @@ def sign_max_correlations(
     lambdas = list(lambdas)
     top = lambdas[-1] if lambdas else 0
     lambdas = _check_prefixes(lambdas, top)
-    peaks, counts = _sign_peaks(lambda: _sign_kernel(top, kind == "moebius"), _sign_scratch(top),
-                                lambdas, top, max_mem_gib)
+    peaks, counts = _sign_peaks(lambda: _sign_kernel(top, kind == "moebius"),
+                                _sign_scratch(top, products=False), lambdas, top, max_mem_gib)
     return peaks, sum(counts)
 
 

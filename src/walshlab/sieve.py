@@ -5,10 +5,13 @@ a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
 is bounded by the output table plus one segment per process regardless of
 lam, which each sieve charges before it starts.  Moebius and Liouville share
 one segment kernel that tracks the product of each entry's small prime
-factors instead of dividing them out and writes the signs into any integer
-view: the int8 table here, one segment per task of limits._two_way (two
-processes share the segments of a large table), or the transform buffer of
-fwht.sign_max_correlations.  Von Mangoldt segments come from one generator,
+factors instead of dividing them out, seeded from one precomputed period of
+the p and p^2 levels of 2, 3, 5 and 7, and writes the signs into any integer
+view, 2^15 entries at a time: the int8 table here, one segment per task of
+limits._two_way (two processes share the segments of a large table), or
+the int16 first half of the bytes of a transform buffer's part, whose own
+bytes hold the products (fwht.sign_max_correlations).  Von Mangoldt
+segments come from one generator,
 which fills a whole table in place or streams one reused segment to
 stream_sequence's dump.  A table on [0, 2^lam) holds every smaller table as
 its prefix.
@@ -83,51 +86,87 @@ def _sign_products(lam: int) -> np.dtype:
     return np.dtype(np.int32 if lam <= 31 else np.int64)
 
 
-def _sign_scratch(lam: int) -> int:
-    """Bytes a process running _sign_kernel(lam) holds besides its views: the
-    sieving primes, and a segment's products, index range and flag bytes
-    (tracemalloc: 9.0 B per entry with int32 products at lam 18-21)."""
+# the p and p^2 levels of the wheel primes repeat with period (2*3*5*7)^2;
+# the sign and large-prime tail runs SIGN_CHUNK entries at a time
+_WHEEL = (2, 3, 5, 7)
+_PERIOD = math.prod(_WHEEL) ** 2
+SIGN_CHUNK = 1 << 15
+
+
+def _sign_scratch(lam: int, products: bool = True) -> int:
+    """Bytes a process running _sign_kernel(lam) holds besides its views:
+    the sieving primes, the wheel period, the tail's ramp, three int8 rows
+    and numpy's cast buffer (8192 products) per chunk, and a segment's
+    products when products (no workspace is passed).  tracemalloc over the
+    int8 table at lam 18-21: 99.4-99.7% of this with products."""
+    size = _sign_products(lam).itemsize
     seg = min(1 << lam, DEFAULT_SEGMENT)
-    return (PRIME_BYTES << (lam + 1) // 2) + (2 * _sign_products(lam).itemsize + 1) * seg
+    return ((PRIME_BYTES << (lam + 1) // 2) + size * _PERIOD + (size + 4) * SIGN_CHUNK
+            + (size * seg if products else 0))
 
 
 def _sign_kernel(lam: int, squarefree: bool):
-    """fill(view, lo): Liouville signs of lo..lo+len(view)-1 into an integer
-    view, or Moebius signs when squarefree; returns their nonzero count.
+    """fill(view, lo, work=None): Liouville signs of lo..lo+len(view)-1 into
+    an integer view, or Moebius signs when squarefree; returns their
+    nonzero count.  The products live in work's bytes when it is given (it
+    may be view's own memory, as wide as view or wider), else in a fresh
+    array.
 
     Each segment keeps a signed product of its entries' small prime factors:
     every prime-power level p^j dividing n multiplies it by -p, so its sign
     is (-1)^Omega over the primes p <= sqrt(max) and its magnitude is the
-    part of n made of those primes.  A magnitude below n leaves one prime
-    factor above sqrt(max), which flips the sign once more.  For Moebius the p^2 level
-    multiplies by 0 instead, so non-squarefree n end at 0 and higher levels
-    are skipped; on squarefree n Moebius and Liouville agree.
+    part of n made of those primes.  The p and p^2 levels of 2, 3, 5 and 7
+    are copied from one precomputed period; the other levels are sieved.  A
+    magnitude below n leaves one prime factor above sqrt(max) (or above 7,
+    where the wheel reaches past sqrt(max)), which flips the sign once
+    more.  For Moebius the p^2 level multiplies by 0 instead, so
+    non-squarefree n end at 0 and higher levels are skipped; on squarefree
+    n Moebius and Liouville agree.  The signs of a chunk are written after
+    its products are read, and a sign is never wider than its product, so
+    they never overwrite a product still to be read.
     """
     n = 1 << lam
     dtype = _sign_products(lam)
-    primes = [int(p) for p in _primes_upto(math.isqrt(n - 1))]
+    wheel = np.ones(_PERIOD, dtype=dtype)
+    for p in _WHEEL:
+        wheel[::p] *= -p
+        wheel[:: p * p] *= 0 if squarefree else -p
+    primes = _primes_upto(math.isqrt(n - 1)).tolist()
+    ramp = np.arange(SIGN_CHUNK, dtype=dtype)
 
-    def fill(view: np.ndarray, lo: int) -> int:
-        hi = lo + len(view)
-        prod = np.ones(hi - lo, dtype=dtype)
+    def fill(view: np.ndarray, lo: int, work: np.ndarray | None = None) -> int:
+        m = len(view)
+        hi = lo + m
+        prod = np.empty(m, dtype=dtype) if work is None else work.view(dtype)[:m]
+        at, r = 0, lo % _PERIOD
+        while at < m:
+            take = min(_PERIOD - r, m - at)
+            prod[at : at + take] = wheel[r : r + take]
+            at, r = at + take, 0
         for p in primes:
-            pk, factor = p, -p
-            while pk < hi:
+            j = 1 if p > _WHEEL[-1] else 3  # the wheel holds its primes' first two levels
+            pk = p**j
+            while pk < hi and not (squarefree and j > 2):
                 start = _first_multiple(max(lo, pk), pk)
                 if start < hi:
                     hits = prod[start - lo :: pk]
-                    np.multiply(hits, factor, out=hits)
-                if factor == 0:
-                    break
-                pk *= p
-                if squarefree:
-                    factor = 0
-        np.sign(prod, out=view, casting="unsafe")
-        big = np.abs(prod, out=prod) < np.arange(lo, hi, dtype=dtype)
-        # a masked ufunc would walk the runs of this near-random mask
-        np.multiply(view, 1 - 2 * big.view(np.int8), out=view)
+                    np.multiply(hits, 0 if squarefree and j == 2 else -p, out=hits)
+                pk, j = pk * p, j + 1
+        scratch = np.empty((3, min(m, SIGN_CHUNK)), dtype=np.int8)
+        for a in range(0, m, SIGN_CHUNK):
+            part = prod[a : a + SIGN_CHUNK]
+            sign, big, flip = scratch[:, : len(part)]
+            np.sign(part, out=sign, casting="unsafe")
+            # |product| < n, as |product| - (lo + a) < the ramp
+            np.abs(part, out=part)
+            np.subtract(part, lo + a, out=part)
+            np.less(part, ramp[: len(part)], out=big.view(bool))
+            # a masked ufunc would walk the runs of this near-random mask
+            np.multiply(big, -2, out=flip)
+            np.add(flip, 1, out=flip)
+            np.multiply(sign, flip, out=view[a : a + len(part)], casting="unsafe")
         if lo == 0:
-            view[0] = 0  # no prime marks 0; index 1 already holds 1
+            view[0] = 0  # the wheel marks 0 and the sieve does not; index 1 holds 1
         return int(np.count_nonzero(view))
 
     return fill

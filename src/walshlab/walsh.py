@@ -117,6 +117,11 @@ def _period_tables(lam: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, 
     return tuple(cos_t), tuple(sin_t)
 
 
+# numpy's 64 KiB buffer for a broadcast multiply, and the period tables'
+# array headers (tracemalloc: 73 KiB over the row and tables at lam 14-18)
+_ROW_SCRATCH = 1 << 17
+
+
 def _row(lam: int, bits: int) -> np.ndarray:
     """|coefficient| for one mask at every k in [0, 2^lam), multiplying the
     factors in bit order j = 0..lam-1."""
@@ -129,11 +134,19 @@ def _row(lam: int, bits: int) -> np.ndarray:
     return acc
 
 
+def _charged_row(lam: int, bits: int) -> np.ndarray:
+    """_row once its 8 B per entry and the period tables that the first
+    call at a lambda builds fit the budget.  The lemma scan calls _row
+    itself, having charged its rows once per lambda."""
+    require_table_bytes(lam, 8, None, "magnitude row", _table_bytes(lam) + _ROW_SCRATCH)
+    return _row(lam, bits)
+
+
 def magnitude_row(lam: int, bits: int, ks: np.ndarray) -> np.ndarray:
     """|coefficient| for one mask at many frequencies (any integers, read
     mod 2^lam); one full row of 2^lam entries is built whatever len(ks)."""
     ks = np.asarray(ks, dtype=np.int64)
-    return _row(lam, bits)[ks & ((1 << lam) - 1)]
+    return _charged_row(lam, bits)[ks & ((1 << lam) - 1)]
 
 
 def coefficient_values(lam: int, bits: int, ks: np.ndarray) -> np.ndarray:
@@ -179,13 +192,13 @@ def walsh_signs(bits: int, args: np.ndarray) -> np.ndarray:
 def l1_accumulate(mask: WalshMask, selector=FullRange()) -> float:
     """Sum of coefficient magnitudes over the selected frequencies."""
     sel = _selector_slice(mask.lam, selector)
-    return float(_row(mask.lam, mask.bits)[sel].sum())
+    return float(_charged_row(mask.lam, mask.bits)[sel].sum())
 
 
 def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
     """Largest coefficient magnitude over the selected frequencies."""
     sel = _selector_slice(mask.lam, selector)
-    return float(_row(mask.lam, mask.bits)[sel].max())
+    return float(_charged_row(mask.lam, mask.bits)[sel].max())
 
 
 # ---------------------------------------------------------------------------

@@ -385,9 +385,9 @@ def test_von_mangoldt_stream_is_charged_its_segment(capsys, tmp_path, monkeypatc
     code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
     assert code == 0, err
     assert tight == default
-    # a sign sieve holds its whole int8 table, 8 MiB, and in each process 9 B
-    # per entry of one 2^20-entry segment plus the sieving primes: it fits
-    # 0.05 GiB as well, and is refused at 0.01 GiB
+    # a sign sieve holds its whole int8 table, 8 MiB, and in each process 4 B
+    # per entry of one 2^20-entry segment plus the wheel, chunk scratch and
+    # sieving primes: it fits 0.05 GiB as well, and is refused at 0.01 GiB
     argv = ("sieve", "--kind", "moebius", "--lambda", "23")
     code, default, _ = run_cli(capsys, *argv)
     assert code == 0

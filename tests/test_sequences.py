@@ -68,11 +68,51 @@ def test_liouville_complete_multiplicativity():
             assert vals[3 * n] == -vals[n]
 
 
-@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 14, 16])
+# lambda <= 5 puts wheel primes above sqrt(2^lam); every table below lambda
+# 16 is shorter than one wheel period
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 8, 11, 14, 16])
 def test_factor_pass_matches_oracle(lam):
     n = 1 << lam
     assert np.array_equal(sequence("moebius", lam).values, oracles.moebius_values(n))
     assert np.array_equal(sequence("liouville", lam).values, oracles.liouville_values(n))
+
+
+_PERIOD = 2 * 3 * 5 * 7 * 2 * 3 * 5 * 7
+_KERNEL_LAM = 18
+_KERNEL_TRUTH = {True: oracles.moebius_values(1 << _KERNEL_LAM),
+                 False: oracles.liouville_values(1 << _KERNEL_LAM)}
+
+
+def _int8_table(m):
+    return np.zeros(m, np.int8), None
+
+
+def _int16_in_int32(m):
+    # the transform's layout: int16 signs in the first half of the bytes of
+    # the int32 part whose bytes hold the products
+    work = np.zeros(m, np.int32)
+    return work.view(np.int16)[:m], work
+
+
+def _int32_in_place(m):
+    work = np.zeros(m, np.int32)
+    return work, work
+
+
+# starts on, off and one short of a wheel period, runs longer and shorter
+# than one period and one tail chunk, and a run that ends at 2^lam
+@pytest.mark.parametrize("lo, m", [(0, 5000), (2 * _PERIOD, 3 * _PERIOD), (3 * _PERIOD + 17, 70001),
+                                   (_PERIOD - 1, 2), (123457, 40000),
+                                   ((1 << _KERNEL_LAM) - 50000, 50000)])
+@pytest.mark.parametrize("layout", [_int8_table, _int16_in_int32, _int32_in_place])
+@pytest.mark.parametrize("squarefree", [True, False])
+def test_sign_kernel_matches_oracle_at_any_offset(lo, m, layout, squarefree):
+    assert sieve._PERIOD == _PERIOD and sieve.SIGN_CHUNK < 40000
+    view, work = layout(m)
+    count = sieve._sign_kernel(_KERNEL_LAM, squarefree)(view, lo, work)
+    truth = _KERNEL_TRUTH[squarefree][lo : lo + m]
+    assert np.array_equal(view, truth)
+    assert count == np.count_nonzero(truth)
 
 
 # a table of two segments (lambda = 21): every n within 256 of the segment

@@ -269,3 +269,52 @@ def test_prefix_max_correlations_match_each_prefix_transform(monkeypatch):
 def test_prefix_max_correlations_rejects_bad_lambdas(lambdas):
     with pytest.raises(ValueError, match="increase"):
         prefix_max_correlations(sequence("moebius", 12).values, lambdas)
+
+
+# ---------------------------------------------------------------------------
+# int16 in-block stages and the in-place widening
+
+
+# bound * 2^k < 2^15: stages 0..k-1 run in int16
+@pytest.mark.parametrize("bound, k", [(1, 14), (3, 13), (4, 12), (2**14 - 1, 1), (2**14, 0)])
+def test_int16_stages_match_the_naive_oracle(bound, k, rng):
+    assert fwht._int16_stages(bound) == k
+    for lam in (1, 5, 10):
+        n = 1 << lam
+        # constant tables reach bound * 2^s at index 0 after stage s
+        for vals in (np.full(n, bound), np.full(n, -bound), rng.integers(-bound, bound + 1, n)):
+            got = spectrum(vals)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, oracles.naive_fwht(vals)), (lam, vals[:4])
+    # the widening and the int32 stages past k, in one block and across
+    # blocks; index 0 holds bound * 2^k after stage k-1, and would overflow
+    # int16 one stage later
+    for lam in (15, 17):
+        vals = np.full(1 << lam, bound)
+        vals[rng.integers(1 << (lam - 1), 1 << lam, 100)] = -bound
+        assert np.array_equal(spectrum(vals), oracles.axis_fwht(vals)), lam
+
+
+@pytest.mark.parametrize("wide", [np.int32, np.int64])
+@pytest.mark.parametrize("n", [1, 1 << 10, _CHUNK, 2 * _CHUNK, 1 << 19])
+def test_widen_survives_the_overlap_a_direct_cast_does_not(rng, wide, n):
+    vals = rng.integers(-(2**15), 2**15, size=n)
+
+    def narrow_part():
+        part = np.empty(n, dtype=wide)
+        part.view(np.int16)[:n] = vals
+        return part
+
+    part = narrow_part()
+    fwht._widen(part)
+    assert np.array_equal(part, vals)
+    if n < 64:
+        return
+    # numpy 2.4 casts an int16 view of the array's own bytes into it front
+    # to back with no overlap check: both direct copies corrupt entries and
+    # raise nothing, which is why _widen goes through a separate buffer
+    for copy in (lambda p: p.__setitem__(slice(None), p.view(np.int16)[:n]),
+                 lambda p: np.copyto(p, p.view(np.int16)[:n])):
+        part = narrow_part()
+        copy(part)
+        assert not np.array_equal(part, vals)

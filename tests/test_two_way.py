@@ -165,13 +165,29 @@ def _table_reports(kind: str, lam: int) -> tuple:
     return (mask.bits, float(value), float(np.abs(values).sum())), scan
 
 
-# one pair; spans below the transposed width; one block; the first
-# cross-block stage; one DEFAULT_SEGMENT
-@pytest.mark.parametrize("lam", [1, 2, 7, 16, 17, 20])
+# one pair; spans below the transposed width; the int16 stages alone; one
+# block, no longer than fwht._CHUNK; the first cross-block stage; one
+# DEFAULT_SEGMENT
+@pytest.mark.parametrize("lam", [1, 2, 7, 14, 15, 16, 17, 20])
 @pytest.mark.parametrize("kind", SIGN_KINDS)
 def test_in_order_fused_sieve_equals_table_path(monkeypatch, capsys, kind, lam):
     _no_fork(monkeypatch)
     assert _fused_reports(capsys, kind, lam) == _table_reports(kind, lam)
+
+
+# SPLIT_MIN lowered so that small tables fork: one in-block task, shared by
+# two processes, with or without cross-block stages
+@pytest.mark.parametrize("lam", [15, 16, 17])
+@pytest.mark.parametrize("kind", SIGN_KINDS)
+def test_split_small_tables_equal_one_process(monkeypatch, capsys, kind, lam):
+    monkeypatch.setattr(limits, "SPLIT_MIN", 1 << 15)
+    forks = _count_forks(monkeypatch)
+    split, ref = _both(monkeypatch, lambda: _fused_reports(capsys, kind, lam))
+    assert forks and split == ref == _table_reports(kind, lam)
+    values = sequence(kind, lam).values
+    split, ref = _both(monkeypatch, lambda: spectrum(values))
+    assert split.tobytes() == ref.tobytes() == oracles.axis_fwht(values).astype(np.int32).tobytes()
+    _no_children()
 
 
 @pytest.mark.parametrize("lam", [LAM, LAM + 1])

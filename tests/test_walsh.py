@@ -390,6 +390,8 @@ CHARGED_PATHS = [
     ("prefix peaks", (18, 21), lambda lam: functools.partial(
         fwht.prefix_max_correlations, sieve.sieve_moebius(lam).values, [lam - 4, lam])),
     ("von mangoldt table", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_von_mangoldt(lam)),
+    ("magnitude row", (14, 16, 18), lambda lam: functools.partial(
+        magnitude_row, lam, 0b1011, np.arange(4))),
     ("per-mask rows", (14, 15, 16), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(lam, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
     ("lemma 5 audit", (14, 15, 16), lambda lam: lambda: lemmas.check_lemma5(
@@ -459,3 +461,21 @@ def test_fold_refuses_before_allocating(monkeypatch, sweep):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("call", [lambda: magnitude_row(22, 5, np.arange(4)),
+                                  lambda: l1_accumulate(WalshMask(5, 22)),
+                                  lambda: sup_norm(WalshMask(5, 22), ResidueClass(1, 3))],
+                         ids=["magnitude_row", "l1_accumulate", "sup_norm"])
+def test_row_refuses_before_allocating(monkeypatch, call):
+    # one lambda=22 row is 32 MiB, and its period tables 128 MiB more
+    walsh._period_tables.cache_clear()
+    monkeypatch.setenv(limits.ENV_MAX_MEM, "0.001")
+    tracemalloc.start()
+    try:
+        with pytest.raises(limits.ResourceLimitError, match="magnitude row at lambda=22"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
