@@ -28,7 +28,7 @@ from .approximant import (
     band_profile,
     l2_error,
 )
-from .limits import require_bytes, require_table_bytes
+from .limits import require_bytes
 from .report import CheckReport, _ratio
 from .walsh import (
     Interval,
@@ -58,9 +58,9 @@ R_VALUES = (2, 4, 6)
 T_GRID = (3, 4, 5)
 INTERVALS_PER_MASK = 4
 
-# bytes a random-family scan holds per drawn mask and per report it keeps,
-# rounded up from tracemalloc peaks of run_scan at lam 8-16 and counts
-# 1000-4000: about 65 B per mask with no report, 450-710 B per report
+# bytes a scan of any family holds per mask and per report it keeps,
+# rounded up from tracemalloc peaks of random-family run_scan at lam 8-16
+# and counts 1000-4000: about 65 B per mask with no report, 450-710 B per report
 _MASK_BYTES = 128
 _REPORT_BYTES = 768
 # a scan's draws, lists and few reports beside its row and period tables
@@ -94,11 +94,6 @@ class ScanConfig:
             )
         if self.mask_family not in ("all", "random", "structured"):
             raise ValueError(f"unknown mask family {self.mask_family!r}")
-        if self.mask_family == "all" and self.lambda_max > 14:
-            raise ValueError(
-                "exhaustive mask enumeration is only permitted for lam <= 14"
-            )
-        _require_stream_lam(self.lambda_max)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         bad = [x for x in self.lemmas if x not in (1, 2, 3, 4, 5, 6)]
@@ -191,7 +186,7 @@ def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckRepor
 
 def check_lemma1(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against (C*lam)^|A| with fitted C."""
-    _require_stream_lam(lam, mask)
+    _require_mask_lam(lam, mask)
     return _l1_verdict(lam, mask.bits, l1_accumulate(mask))
 
 
@@ -202,19 +197,19 @@ def check_lemma2(lam: int, mask: WalshMask) -> CheckReport:
     exactly 1 (a point-mass spectrum has no decay to measure), so they pass
     by convention with a degenerate flag, mirroring the empty-mask skip.
     """
-    _require_stream_lam(lam, mask)
+    _require_mask_lam(lam, mask)
     return _l2_verdict(lam, mask.bits, sup_norm(mask))
 
 
 def check_lemma3(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against the explicit bound (2+sqrt(2))^(lam/4)."""
-    _require_stream_lam(lam, mask)
+    _require_mask_lam(lam, mask)
     return _l3_verdict(lam, mask.bits, l1_accumulate(mask))
 
 
 def check_lemma4(lam: int, r: int, a: int, mask: WalshMask) -> CheckReport:
     """Residue-class l1 norm, implied constant against (2+sqrt(2))^((lam-r)/4)."""
-    _require_stream_lam(lam, mask)
+    _require_mask_lam(lam, mask)
     lhs = l1_accumulate(mask, ResidueClass(a, r))
     return _l4_verdict(lam, r, a, mask.bits, lhs)
 
@@ -230,7 +225,7 @@ def check_lemma5(config: ApproximantConfig, mask: WalshMask,
     synthesized substitute keeps spectral support inside 2^(sigma+t), never
     exceeds the exact coefficients, and stays below sup norm 3.
     """
-    _require_stream_lam(config.lam, mask)
+    _require_mask_lam(config.lam, mask)
     return _lemma5_audit(config, mask, l1_accumulate(mask), max_mem_gib)
 
 
@@ -285,16 +280,14 @@ def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
 def check_lemma6(lam: int, lo: int, hi: int, mask: WalshMask) -> CheckReport:
     """Interval l1 norm against the explicit bound at the interval's dyadic
     size class: (2+sqrt(2))^(m/4) with m = ceil(log2 |J|)."""
-    _require_stream_lam(lam, mask)
+    _require_mask_lam(lam, mask)
     if not 1 <= lo < hi <= (1 << lam):
         raise ValueError(f"interval [{lo}, {hi}) must be nonempty inside [1, 2^{lam})")
     return _l6_verdict(lam, lo, hi, mask.bits, l1_accumulate(mask, Interval(lo, hi)))
 
 
-def _require_stream_lam(lam: int, mask: WalshMask | None = None):
-    if lam > 16:
-        raise ValueError(f"per-mask coefficient rows are capped at lam <= 16, got {lam}")
-    if mask is not None and mask.lam != lam:
+def _require_mask_lam(lam: int, mask: WalshMask):
+    if mask.lam != lam:
         raise ValueError(f"mask lam {mask.lam} does not match lam={lam}")
 
 
@@ -359,7 +352,6 @@ def _scan_at(config: ScanConfig, lam: int,
              else [None] * len(family))
     tops = (all_mask_sup(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_top
             else [None] * len(family))
-    require_table_bytes(lam, 8, max_mem_gib, "per-mask rows", _table_bytes(lam) + _SCAN_SCRATCH)
     l4 = [[] for _ in rs]
     l6 = []
     for i, bits in enumerate(family):
@@ -391,19 +383,25 @@ def _scan_at(config: ScanConfig, lam: int,
     return [judge[lemma]() for lemma in config.lemmas]
 
 
-def _require_report_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
-    """Charge a random-family scan its drawn masks and kept reports before
-    anything is drawn; --count sets their number.  Lemma 5 rows come from a
-    fixed quartet of tail masks, so they are not charged per mask."""
-    if config.mask_family != "random":
-        return
+def _require_scan_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
+    """Charge a scan, before any mask is drawn, everything it holds at once:
+    at each lam its masks (count for the random family, 2^lam for the all
+    family, mask_family's list for the structured one) and their kept
+    reports, the period tables of every lam (they stay cached), and one row
+    at the largest lam.  Lemma 5 rows come from at most 2^sigma tail masks,
+    so they are not charged per mask."""
     lams = range(config.lambda_min, config.lambda_max + 1)
-    reports = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
-                  for lam in lams for k in config.lemmas)
-    require_bytes(config.count * (len(lams) * _MASK_BYTES + reports * _REPORT_BYTES),
-                  max_mem_gib, what=f"random-mask scan of {config.count} masks",
+    masks = need = 0
+    for lam in lams:
+        at = {"random": config.count, "all": 1 << lam}.get(config.mask_family)
+        at = at or len(mask_family(config, lam))
+        reports = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
+                      for k in config.lemmas)
+        masks, need = max(masks, at), need + at * (_MASK_BYTES + reports * _REPORT_BYTES)
+    need += sum(map(_table_bytes, lams)) + (8 << config.lambda_max) + _SCAN_SCRATCH
+    require_bytes(need, max_mem_gib, what=f"{config.mask_family}-mask scan of {masks} masks",
                   how=f"{_MASK_BYTES} B per mask and lambda, {_REPORT_BYTES} B per report, "
-                      f"{reports} reports per mask")
+                      f"period tables to lambda={config.lambda_max} and one row there")
 
 
 def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
@@ -411,7 +409,7 @@ def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
     """One lemma's reports at one lam; max_mem_gib is the budget of every
     charge the scan makes."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
-    _require_report_bytes(config, max_mem_gib)
+    _require_scan_bytes(config, max_mem_gib)
     return _scan_at(config, lam, max_mem_gib)[0]
 
 
@@ -434,7 +432,7 @@ def run_scan(config: ScanConfig, max_mem_gib: float | None = None) -> list[Check
     """Run every selected lemma over the grid; lam-major, then the order of
     config.lemmas; a summary row is appended last.  max_mem_gib is the
     budget of every charge the scan makes."""
-    _require_report_bytes(config, max_mem_gib)
+    _require_scan_bytes(config, max_mem_gib)
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
         for part in _scan_at(config, lam, max_mem_gib):

@@ -8,13 +8,13 @@ one segment kernel that tracks the product of each entry's small prime
 factors instead of dividing them out, seeded from one precomputed period of
 the p and p^2 levels of 2, 3, 5 and 7, and writes the signs into any integer
 view, 2^15 entries at a time: the int8 table here, one segment per task of
-limits._two_way (two processes share the segments of a large table), or
-the int16 first half of the bytes of a transform buffer's part, whose own
-bytes hold the products (fwht.sign_max_correlations).  Von Mangoldt
-segments come from one generator,
-which fills a whole table in place or streams one reused segment to
-stream_sequence's dump.  A table on [0, 2^lam) holds every smaller table as
-its prefix.
+limits._two_way (two processes share the segments of a large table, each
+with one product workspace), or the int16 first half of the bytes of a
+transform buffer's part, whose own bytes hold the products
+(fwht.sign_max_correlations).  Von Mangoldt segments come from one
+generator, which fills a whole table in place or streams one reused segment
+to stream_sequence's dump.  A table on [0, 2^lam) holds every smaller table
+as its prefix.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _sign_scratch(lam: int, products: bool = True) -> int:
     """Bytes a process running _sign_kernel(lam) holds besides its views:
     the sieving primes, the wheel period, the tail's ramp, three int8 rows
     and numpy's cast buffer (8192 products) per chunk, and a segment's
-    products when products (no workspace is passed).  tracemalloc over the
+    products when products (the int8 table's workspace).  tracemalloc over the
     int8 table at lam 18-21: 99.4-99.7% of this with products."""
     size = _sign_products(lam).itemsize
     seg = min(1 << lam, DEFAULT_SEGMENT)
@@ -106,11 +106,11 @@ def _sign_scratch(lam: int, products: bool = True) -> int:
 
 
 def _sign_kernel(lam: int, squarefree: bool):
-    """fill(view, lo, work=None): Liouville signs of lo..lo+len(view)-1 into
-    an integer view, or Moebius signs when squarefree; returns their
-    nonzero count.  The products live in work's bytes when it is given (it
-    may be view's own memory, as wide as view or wider), else in a fresh
-    array.
+    """fill(view, lo, work): Liouville signs of lo..lo+len(view)-1 into an
+    integer view, or Moebius signs when squarefree; returns their nonzero
+    count.  The products live in work's bytes, which may be view's own
+    memory (as wide as view or wider) or a workspace reused by every
+    segment.
 
     Each segment keeps a signed product of its entries' small prime factors:
     every prime-power level p^j dividing n multiplies it by -p, so its sign
@@ -134,10 +134,10 @@ def _sign_kernel(lam: int, squarefree: bool):
     primes = _primes_upto(math.isqrt(n - 1)).tolist()
     ramp = np.arange(SIGN_CHUNK, dtype=dtype)
 
-    def fill(view: np.ndarray, lo: int, work: np.ndarray | None = None) -> int:
+    def fill(view: np.ndarray, lo: int, work: np.ndarray) -> int:
         m = len(view)
         hi = lo + m
-        prod = np.empty(m, dtype=dtype) if work is None else work.view(dtype)[:m]
+        prod = work.view(dtype)[:m]
         at, r = 0, lo % _PERIOD
         while at < m:
             take = min(_PERIOD - r, m - at)
@@ -174,7 +174,8 @@ def _sign_kernel(lam: int, squarefree: bool):
 
 def _factor_pass(lam: int, kind: str, max_mem_gib: float | None) -> ArithmeticSequence:
     """The kind's int8 sign table on [0, 2^lam), one _sign_kernel segment
-    per task."""
+    per task, each task's products in one workspace allocated before the
+    tasks (a forked child writes its own copy of it)."""
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
     n = 1 << lam
@@ -182,7 +183,8 @@ def _factor_pass(lam: int, kind: str, max_mem_gib: float | None) -> ArithmeticSe
     out = _shared_empty(n, np.int8)
     fill = _sign_kernel(lam, kind == "moebius")
     seg = min(n, DEFAULT_SEGMENT)
-    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg), n // seg, n)
+    work = np.empty(seg, dtype=_sign_products(lam))
+    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg, work), n // seg, n)
     return ArithmeticSequence(lam, kind, out)
 
 

@@ -27,8 +27,10 @@ SPLIT_BRACKET = 8.0   # measured L1 truncation error stays below 2.1 * 2^(-H)
 S2_CAP = 8            # largest high-half weight a split accepts
 _SUM_SCRATCH = 1 << 16  # numpy's small buffers: about 35 KiB at mu4 nu10
 # a split's mode tuple: frequency, coefficient, np.unique's copies and
-# inverse (tracemalloc: 65.0-65.2 B per tuple at 2^16-2^20 tuples)
+# inverse (tracemalloc: 65.0-65.2 B per tuple at 2^16-2^20 tuples); each
+# factor's modes, an int64 frequency and a complex coefficient, beside them
 _TUPLE_BYTES = 72
+_MODE_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,8 @@ def carry_truncation_rate(config: BilinearConfig,
 class SplitConfig:
     """Split S into S1 (positions below lam-2mu) and S2 (the rest); the S2
     factor product is truncated to its 2^H dominant modes per factor.
-    |S2| is capped at S2_CAP."""
+    |S2| is capped at S2_CAP; spectral_split charges the 2^(H |S2|) mode
+    tuples and the synthesis."""
 
     s_bits: int
     lam: int
@@ -338,16 +341,12 @@ class SplitConfig:
             raise ValueError(f"lam must be a positive bit length, got {self.lam}")
         if not 0 <= self.s_bits < (1 << self.lam):
             raise ValueError(f"mask {self.s_bits:#x} out of range for lam={self.lam}")
-        if self.lam > 16:
-            raise ValueError(f"split evaluation is capped at lam <= 16, got {self.lam}")
         if self.mu < 1:
             raise ValueError(f"mu must be >= 1, got {self.mu}")
         if self.h_param < 1:
             raise ValueError("h_param must be >= 1")
         if self.s2_weight > S2_CAP:
             raise ValueError(f"|S2| = {self.s2_weight} exceeds the cap {S2_CAP}")
-        if self.h_param * self.s2_weight > 20:
-            raise ValueError("truncated frequency set would exceed 2^20 tuples")
 
     @property
     def split_position(self) -> int:
@@ -380,20 +379,6 @@ class SplitResult:
     size_cap: int              # 2^(H |S2|)
 
 
-def _square_wave_modes(h_param: int) -> list[tuple[int, complex]]:
-    """The 2^H largest square-wave Fourier modes, in the fixed order
-    1, -1, 3, -3, ...  The mode at odd r carries coefficient -2i/(pi r)."""
-    modes = []
-    r = 1
-    while len(modes) < (1 << h_param):
-        for signed in (r, -r):
-            if len(modes) == (1 << h_param):
-                break
-            modes.append((signed, -2j / (math.pi * signed)))
-        r += 2
-    return modes
-
-
 def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> SplitResult:
     """Truncate each square-wave factor of the high half to 2^H modes and
     multiply out, returning the product frequency set and its exact mean
@@ -404,13 +389,15 @@ def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> Spl
     merged coefficient cancels to zero stays in the set.  The truncation is
     put on the 2^lam grid by one inverse FFT."""
     tuples = 1 << (config.h_param * config.s2_weight)
-    require_bytes(_TUPLE_BYTES * tuples, max_mem_gib, f"split sumset of {tuples} mode tuples",
-                  f"{_TUPLE_BYTES} per tuple")
+    require_bytes(_TUPLE_BYTES * tuples + (_MODE_BYTES << config.h_param), max_mem_gib,
+                  f"split sumset of {tuples} mode tuples",
+                  f"{_TUPLE_BYTES} per tuple, {_MODE_BYTES} per mode")
     lam = config.lam
     n = 1 << lam
-    modes = _square_wave_modes(config.h_param)
-    rs = np.array([r for r, _ in modes], dtype=np.int64)
-    cs = np.array([c for _, c in modes], dtype=np.complex128)
+    # the 2^H largest square-wave modes, r = 1, -1, 3, -3, ..., each -2i/(pi r)
+    odd = np.arange(1, 1 << config.h_param, 2, dtype=np.int64)
+    rs = np.stack([odd, -odd], axis=1).ravel()
+    cs = -2j / (np.pi * rs)
     tuple_freqs = np.zeros(1, dtype=np.int64)
     tuple_coefs = np.ones(1, dtype=np.complex128)
     for j in range(lam):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import oracles
@@ -108,10 +109,19 @@ def test_nonpositive_count_exits_two(capsys, count):
         assert f"count must be >= 1, got {count}" in err
 
 
-def test_scan_lambda_cap_exits_two(capsys):
-    code, out, err = run_cli(capsys, "scan", "--lambda-min", "12", "--lambda-max", "17")
-    assert code == 2 and out == ""
-    assert "per-mask coefficient rows are capped at lam <= 16, got 17" in err
+def test_oversized_all_mask_scan_exits_three(capsys):
+    # 2^22 masks' reports (3.5 GiB) exceed the default budget: the scan's
+    # charge refuses before any fold, row or report is allocated
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "lemma-check", "--lemma", "3", "--lambda", "22",
+                                 "--masks", "all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: all-mask scan of 4194304 masks")
+    assert peak < 1 << 20
 
 
 def test_resource_limit_exits_three(capsys):
@@ -182,15 +192,16 @@ def test_transform_guard_honours_max_mem_flag(capsys, monkeypatch, argv):
     ("lemma-check --lemma 3 --lambda 14 --masks all", "0.0005", "1", 0),
 ])
 def test_all_mask_fold_guard_honours_max_mem_flag(capsys, monkeypatch, argv, env, flag, want):
-    # 0.0005 GiB (512 KiB) is refused by the fold's 64 B/entry at lambda 14
-    # (1 MiB), which charges before the scan's rows do, and the flag wins
-    # over the environment there too
+    # 0.0005 GiB (512 KiB) is refused by the scan's charge for 2^14 masks'
+    # reports (about 15 MiB), which comes before the fold's 64 B/entry, and
+    # the flag wins over the environment there too; the fold's own refusal
+    # is pinned in test_walsh
     if env is not None:
         monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
     code, out, err = run_cli(capsys, *argv.split(), "--max-mem-gib", flag)
     assert code == want
     if want == 3:
-        assert not out and "all-mask fold at lambda=14" in err
+        assert not out and err.startswith("resource limit: all-mask scan of 16384 masks")
     else:
         assert err == ""
 
@@ -268,7 +279,7 @@ SUBCOMMAND_CONFIGS = [
      "transform buffer at lambda=10"),
     ("lemma-check --lemma 3 --lambda 8 --masks structured",
      {"count": 64, "lam": 8, "lemma": 3, "masks": "structured", "seed": 0},
-     "per-mask rows at lambda=8"),
+     "structured-mask scan of 47 masks"),
     ("scan --lambda-min 8 --lambda-max 9 --count 4 --lemmas 3,1",
      {"count": 4, "lambda_max": 9, "lambda_min": 8, "lemmas": [3, 1],
       "masks": "random", "seed": 0}, "random-mask scan of 4 masks"),

@@ -27,6 +27,7 @@ from walshlab import (
     summarize,
 )
 from walshlab.lemmas import DEFAULT_BRACKETS, EXPLICIT_BASE, mask_family
+from walshlab.limits import ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +193,18 @@ def test_exhaustive_scan_matches_per_mask_checks():
             oracles.assert_reports_match(sweep, direct)
 
 
-def test_exhaustive_scan_rejects_large_lambda():
-    with pytest.raises(ValueError):
-        ScanConfig(15, 15, mask_family="all")
+def test_exhaustive_scan_is_refused_by_its_charge():
+    # no lambda cap: 2^15 masks construct, and 2^22 masks' reports (3.5 GiB)
+    # exceed the default budget before any fold or row is allocated
+    ScanConfig(15, 15, mask_family="all")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="all-mask scan of 4194304 masks"):
+            run_scan(ScanConfig(22, 22, mask_family="all", lemmas=(3,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_run_scan_appends_summary_and_is_deterministic():
@@ -250,9 +260,11 @@ def test_scan_builds_one_row_per_mask_occurrence(monkeypatch):
 
 
 def test_scan_rejects_oversized_lambda_before_any_row(monkeypatch):
+    # 4 MiB holds a lambda=12 scan, but not the period tables of every lambda
+    # to 17 and a lambda=17 row, which the scan charges before lambda 12 runs
     built = _count_rows(monkeypatch)
-    with pytest.raises(ValueError, match="lam <= 16, got 17"):
-        run_scan(ScanConfig(12, 17))
+    with pytest.raises(ResourceLimitError, match="period tables to lambda=17"):
+        run_scan(ScanConfig(12, 17, count=4), max_mem_gib=4 / 1024)
     assert not built
 
 
@@ -278,8 +290,8 @@ def test_scan_config_validation():
     for count in (0, -3):
         with pytest.raises(ValueError, match="count"):
             ScanConfig(8, 8, count=count)
-    with pytest.raises(ValueError, match="lam <= 16"):
-        ScanConfig(12, 17)
+    # no lambda cap: the scan's charge is the size guard
+    ScanConfig(12, 17)
 
 
 def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():
@@ -292,9 +304,9 @@ def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():
 @pytest.mark.parametrize("lam, lemmas", [(8, (1, 2, 3, 4, 6)), (12, (1, 2, 3, 4, 6)),
                                          (16, (6,)), (12, (2,))])
 def test_random_scan_charge_covers_its_peak(monkeypatch, lam, lemmas):
-    # the masks and reports are charged before any draw, and the rows and
-    # period tables once per lam; both are held at once, so together they
-    # cover the scan's traced peak within a factor of two
+    # the masks and reports, the rows and the period tables are held at once,
+    # and the scan charges them together before any draw: that one charge
+    # covers the scan's traced peak within a factor of two
     config = ScanConfig(lam, lam, "random", 2000, 0, lemmas)
     charges = []
     monkeypatch.setattr(walshlab.limits, "require_bytes",
@@ -306,5 +318,5 @@ def test_random_scan_charge_covers_its_peak(monkeypatch, lam, lemmas):
     run_scan(config)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    reports, rows = charges
-    assert peak <= reports + rows <= 2 * peak, (peak, charges)
+    [charge] = charges
+    assert peak <= charge <= 2 * peak, (peak, charges)

@@ -84,7 +84,8 @@ _KERNEL_TRUTH = {True: oracles.moebius_values(1 << _KERNEL_LAM),
 
 
 def _int8_table(m):
-    return np.zeros(m, np.int8), None
+    # the sieve's layout: an int8 table and a separate int32 product workspace
+    return np.zeros(m, np.int8), np.zeros(m, np.int32)
 
 
 def _int16_in_int32(m):

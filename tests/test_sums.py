@@ -9,6 +9,7 @@ import oracles
 from walshlab import sums
 from walshlab import (
     BilinearConfig,
+    ResourceLimitError,
     SplitConfig,
     bilinear_sum,
     carry_report,
@@ -336,8 +337,10 @@ def test_split_caps():
     # mu=7 pushes the split position to 0, so all 14 set bits land in S2
     with pytest.raises(ValueError, match="cap"):
         SplitConfig(s_bits=(1 << 14) - 1, lam=14, mu=7, h_param=1)
-    with pytest.raises(ValueError, match="2\\^20"):
-        SplitConfig(s_bits=1 << 13, lam=14, mu=1, h_param=21)
+    # no tuple cap: 2^40 mode tuples construct, and their charge refuses them
+    # before any mode is built
+    with pytest.raises(ResourceLimitError, match="split sumset of 1099511627776 mode tuples"):
+        spectral_split(SplitConfig(s_bits=1 << 13, lam=14, mu=1, h_param=40))
     # mu < 1 would put the whole mask in S1 and pass vacuously
     for mu in (0, -2):
         with pytest.raises(ValueError, match="mu must be >= 1"):

@@ -392,19 +392,34 @@ CHARGED_PATHS = [
     ("von mangoldt table", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_von_mangoldt(lam)),
     ("magnitude row", (14, 16, 18), lambda lam: functools.partial(
         magnitude_row, lam, 0b1011, np.arange(4))),
-    ("per-mask rows", (14, 15, 16), lambda lam: lambda: lemmas.run_scan(
+    ("per-mask rows", (14, 15, 16, 17, 18), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(lam, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
-    ("lemma 5 audit", (14, 15, 16), lambda lam: lambda: lemmas.check_lemma5(
+    # every lambda's period tables stay cached through a scan
+    ("per-mask rows from lambda 14", (18,), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(14, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
+    ("structured rows", (14, 16), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(lam, lam, "structured", lemmas=(1, 2, 3, 4, 6)))),
+    ("all-mask lemma 2", (14, 15), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(lam, lam, "all", lemmas=(2,)))),
+    ("all-mask lemma 3", (14, 15), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(lam, lam, "all", lemmas=(3,)))),
+    ("lemma 5 audit", (14, 15, 16, 20), lambda lam: lambda: lemmas.check_lemma5(
         approximant.ApproximantConfig(lam, 4, 4), WalshMask(0b1011 << (lam - 4), lam))),
     ("lemma 5 scan", (14, 15, 16), lambda lam: lambda: lemmas.scan_lemma_at(
         lemmas.ScanConfig(lam, lam, "structured", lemmas=(5,)), 5, lam)),
     ("band audit", (14, 16), lambda lam: functools.partial(
         approximant.band_profile, approximant.build_approximant(
             WalshMask(1 << (lam - 1), lam), approximant.ApproximantConfig(lam, 4, 4)))),
-    ("split", (14, 15, 16), lambda lam: lambda: sums.split_report(
+    ("split", (14, 15, 16, 18, 20), lambda lam: lambda: sums.split_report(
         sums.SplitConfig(0b11 << (lam - 2), lam, 1, 4))),
     ("split sumset", (14, 16), lambda lam: lambda: sums.split_report(
         sums.SplitConfig(0b1111 << (lam - 4), lam, 2, 5))),
+    # 2^22 mode tuples, from two factors of 2^11 modes
+    ("split of 2^22 tuples", (16,), lambda lam: lambda: sums.split_report(
+        sums.SplitConfig(0b11 << (lam - 2), lam, 1, 11))),
+    # one factor: its 2^21 modes are the tuples
+    ("split of 2^21 modes", (14,), lambda lam: lambda: sums.split_report(
+        sums.SplitConfig(1 << (lam - 1), lam, 1, 21))),
     ("bilinear", ((7, 14), (8, 16)), lambda mn: lambda: _bilinear_chain(*mn)),
     ("quadform", ((7, 14), (8, 16)), lambda mn: lambda: sums.quadform_report(
         sums.BilinearConfig(0x6, *mn, rho=3))),
