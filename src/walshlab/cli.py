@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .limits import ResourceLimitError
-from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, emit_csv,
+from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, write_csv,
                      write_manifest_json)
 
 # Rosser-Schoenfeld: psi(x) < 1.04 x for all x > 0, so the Lambda prefix
@@ -219,7 +219,7 @@ def _write_output(args, manifest: RunManifest) -> None:
     # so csv keeps its CRLF endings verbatim on every platform
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
         if fmt == "csv":
-            fh.write(emit_csv(manifest.reports))
+            write_csv(manifest.reports, fh)
         else:
             write_manifest_json(manifest, fh)
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximant import (
+    _AUDIT_BYTES,
+    _FFT_SCRATCH,
     ApproximantConfig,
     build_approximant,
     band_profile,
@@ -387,9 +389,10 @@ def _require_scan_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
     """Charge a scan, before any mask is drawn, everything it holds at once:
     at each lam its masks (count for the random family, 2^lam for the all
     family, mask_family's list for the structured one) and their kept
-    reports, the period tables of every lam (they stay cached), and one row
-    at the largest lam.  Lemma 5 rows come from at most 2^sigma tail masks,
-    so they are not charged per mask."""
+    reports, and at the largest lam the period tables (one lam's are cached
+    at a time) and one row, or lemma 5's band audit, which runs after the
+    rows are gone.  Lemma 5 rows come from at most 2^sigma tail masks, so
+    they are not charged per mask."""
     lams = range(config.lambda_min, config.lambda_max + 1)
     masks = need = 0
     for lam in lams:
@@ -398,10 +401,13 @@ def _require_scan_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
         reports = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
                       for k in config.lemmas)
         masks, need = max(masks, at), need + at * (_MASK_BYTES + reports * _REPORT_BYTES)
-    need += sum(map(_table_bytes, lams)) + (8 << config.lambda_max) + _SCAN_SCRATCH
+    top = config.lambda_max
+    work = (_AUDIT_BYTES << top) + _FFT_SCRATCH if 5 in config.lemmas else 8 << top
+    need += _table_bytes(top) + work + _SCAN_SCRATCH
     require_bytes(need, max_mem_gib, what=f"{config.mask_family}-mask scan of {masks} masks",
                   how=f"{_MASK_BYTES} B per mask and lambda, {_REPORT_BYTES} B per report, "
-                      f"period tables to lambda={config.lambda_max} and one row there")
+                      f"period tables and one {'band audit' if 5 in config.lemmas else 'row'} "
+                      f"at lambda={top}")
 
 
 def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,

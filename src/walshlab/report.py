@@ -3,9 +3,12 @@
 A CheckReport is one check's outcome, whatever layer made it.  JSON is
 the canonical format: a RunManifest captures the command, its config, the
 seed, and every CheckReport, and serializes with sorted keys
-so identical runs produce byte-identical output, streamed to files in
-chunks.  CSV is a lossy tabular projection for plotting: per-check params
-are flattened into one JSON string column (they differ across lemmas).
+so identical runs produce byte-identical output.  CSV is a lossy tabular
+projection for plotting: per-check params are flattened into one JSON
+string column (they differ across lemmas).  Both stream to files in
+batches of reports.  json writes every byte: each params shape is laid
+out once with a hole per scalar, and a batch's scalars come from one call
+of json's C encoder per column.
 
 Every manifest is stamped with the package version and null started /
 finished timestamps; wall-clock values would break the byte-identity
@@ -15,8 +18,8 @@ guarantee that the determinism tests pin.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -131,15 +134,78 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
-class _ReportDicts(list):
-    # json's Python encoder takes any list; each dict is built as it is reached
-    def __iter__(self):
-        return (r.as_dict() for r in super().__iter__())
+# one layout per params shape: the keys in order and each value's exact type
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# a hole in a skeleton, as json writes it; no scalar that json writes holds a newline
+_HOLE = "\x00"
+_HOLE_TEXT = json.dumps(_HOLE)
+_ENTRY_INDENT = "\n    "  # a report sits two levels deep in its manifest
+_BATCH = 256  # reports encoded and written at once
 
-
-# the one manifest encoder; a write joins _WRITE_BATCH chunks of ~6 characters
 _manifest_encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
-_WRITE_BATCH = 1 << 10
+_compact_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_jsonable)
+# a column of scalars as one C-encoded list, one value per line
+_column_encoder = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _column(values: list) -> list[str]:
+    return _column_encoder.encode(values)[1:-1].split("\n")
+
+
+def _holes(encoder, skeleton: dict, count: int) -> str | None:
+    """skeleton's text with each hole a %s, or None when a key holds a hole too."""
+    text = encoder.encode(skeleton)
+    if text.count(_HOLE_TEXT) != count:
+        return None
+    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s")
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple) -> tuple | None:
+    """(sorted keys, manifest entry layout, CSV params layout) of a params
+    shape whose keys are strings and values scalars, else None.  The entry's
+    holes are fitted_constant, lemma_id, lhs, the params in sorted key
+    order, pass, ratio and rhs, json's sorted order."""
+    keys, types = shape
+    if not (all(type(k) is str for k in keys) and _SCALARS.issuperset(types)):
+        return None
+    params = dict.fromkeys(keys, _HOLE)
+    entry = dict.fromkeys(("fitted_constant", "lemma_id", "lhs", "pass", "ratio", "rhs"), _HOLE)
+    entry = _holes(_manifest_encoder, {**entry, "params": params}, 6 + len(keys))
+    csv_params = _holes(_compact_encoder, params, len(keys))
+    if entry is None or csv_params is None:
+        return None
+    return tuple(sorted(keys)), entry.replace("\n", _ENTRY_INDENT), csv_params
+
+
+def _texts(reports, csv_params: bool) -> list[str]:
+    """Each report's manifest entry, or its CSV params_json: a report with
+    a cached layout takes its scalars from one C-encoded column per hole
+    across the reports of its shape, any other is encoded whole."""
+    out = [None] * len(reports)
+    groups = {}
+    for i, rep in enumerate(reports):
+        params = rep.params
+        layout = _layout((tuple(params), tuple(map(type, params.values()))))
+        if layout is not None:
+            groups.setdefault(layout, []).append(i)
+        elif csv_params:
+            out[i] = _compact_encoder.encode(params)
+        else:
+            out[i] = _manifest_encoder.encode(rep.as_dict()).replace("\n", _ENTRY_INDENT)
+    for (keys, entry, csv_layout), idx in groups.items():
+        group = [reports[i] for i in idx]
+        cols = [[rep.params[k] for rep in group] for k in keys]
+        if not csv_params:
+            head = ([r.fitted_constant for r in group], [r.lemma_id for r in group],
+                    [r.lhs for r in group])
+            cols = [*head, *cols, [r.passed for r in group], [r.ratio for r in group],
+                    [r.rhs for r in group]]
+        layout = csv_layout if csv_params else entry
+        rows = zip(*map(_column, cols)) if cols else [()] * len(idx)
+        for i, row in zip(idx, rows):
+            out[i] = layout % row
+    return out
 
 
 def manifest_to_json(manifest: RunManifest) -> str:
@@ -149,7 +215,8 @@ def manifest_to_json(manifest: RunManifest) -> str:
 
 
 def write_manifest_json(manifest: RunManifest, fh) -> None:
-    """manifest_to_json(manifest) to a text file, never held whole."""
+    """manifest_to_json(manifest) to a text file, _BATCH reports at a time,
+    never held whole: json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
     payload = {
         "command": manifest.command,
         "config": manifest.config,
@@ -157,11 +224,21 @@ def write_manifest_json(manifest: RunManifest, fh) -> None:
         "artifact_version": __version__,
         "started": None,
         "finished": None,
-        "reports": _ReportDicts(manifest.reports),
+        "reports": [],
     }
-    chunks = itertools.chain(_manifest_encoder.iterencode(payload), "\n")
-    while batch := "".join(itertools.islice(chunks, _WRITE_BATCH)):
-        fh.write(batch)
+    text = _manifest_encoder.encode(payload) + "\n"
+    reports = manifest.reports
+    if not reports:
+        fh.write(text)
+        return
+    # only "seed" and "started" sort after "reports", so its list is the last []
+    head, _, tail = text.rpartition('"reports": []')
+    fh.write(head + '"reports": [')
+    for start in range(0, len(reports), _BATCH):
+        sep = "," if start else ""
+        fh.write(sep + _ENTRY_INDENT + ("," + _ENTRY_INDENT).join(
+            _texts(reports[start:start + _BATCH], False)))
+    fh.write("\n  ]" + tail)
 
 
 def manifest_from_json(text: str) -> RunManifest:
@@ -174,30 +251,30 @@ def manifest_from_json(text: str) -> RunManifest:
     )
 
 
-# one encoder for every CSV row: json.dumps builds one per call given these arguments
-_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_jsonable).encode
-
-
 def emit_csv(reports) -> str:
-    """Flatten reports to an RFC-4180 table; floats keep round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
+    fh = io.StringIO()
+    write_csv(reports, fh)
+    return fh.getvalue()
+
+
+def write_csv(reports, fh) -> None:
+    """Flatten a sequence of reports to an RFC-4180 table on a text file,
+    _BATCH rows at a time; floats keep round-trip repr, and the params are
+    one compact JSON column."""
+    writer = csv.writer(fh, lineterminator="\r\n")
     writer.writerow(CSV_HEADER)
-    for rep in reports:
-        lam = rep.params.get("lambda")
-        writer.writerow(
-            [
-                rep.lemma_id,
-                "" if lam is None else int(lam),
-                _compact_json(rep.params),
-                repr(rep.lhs),
-                repr(rep.rhs),
-                repr(rep.ratio),
-                "" if rep.fitted_constant is None else repr(rep.fitted_constant),
-                "true" if rep.passed else "false",
-            ]
-        )
-    return buf.getvalue()
+    for start in range(0, len(reports), _BATCH):
+        batch = reports[start:start + _BATCH]
+        writer.writerows(zip(
+            [r.lemma_id for r in batch],
+            ["" if (lam := r.params.get("lambda")) is None else int(lam) for r in batch],
+            _texts(batch, True),
+            map(repr, [r.lhs for r in batch]),
+            map(repr, [r.rhs for r in batch]),
+            map(repr, [r.ratio for r in batch]),
+            ["" if r.fitted_constant is None else repr(r.fitted_constant) for r in batch],
+            ["true" if r.passed else "false" for r in batch],
+        ))
 
 
 def parse_csv(text: str) -> list[CheckReport]:

@@ -99,12 +99,13 @@ def _table_bytes(lam: int) -> int:
     return 16 * sum(max(1 << (lam - j), min(1 << lam, 1024)) for j in range(lam))
 
 
-# cached per lambda (about 2 MiB at lam=16), never per mask
-@functools.cache
+# cached for one lambda at a time (about 2 MiB at lam=16), never per mask
+@functools.lru_cache(maxsize=1)
 def _period_tables(lam: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Read-only |cos| and |sin| factors of each bit j over its period
     2^(lam-j), tiled up to min(2^lam, 1024) entries when shorter, because a
     multiply that broadcasts a 2- or 4-wide factor is slow."""
+    _period_tables.cache_clear()  # the last lambda's tables go before these are built
     width = min(1 << lam, 1024)
     cos_t, sin_t = [], []
     for j in range(lam):

@@ -9,8 +9,11 @@ objects.  Slow is fine; agreeing by construction is not allowed.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -27,6 +30,7 @@ from walshlab import (
     summarize,
 )
 from walshlab.lemmas import INTERVALS_PER_MASK, R_VALUES, T_GRID, mask_family
+from walshlab.report import CSV_HEADER, _jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +445,28 @@ def assert_reports_match(got: list, want: list, rtol: float = 1e-15) -> None:
             if b is not None:
                 np.testing.assert_allclose(a, b, rtol=rtol, atol=0, err_msg=str(i))
         assert g == w, i
+
+
+# ---------------------------------------------------------------------------
+# serialization, one report and one json.dumps at a time
+
+
+def csv_text(reports) -> str:
+    """emit_csv's table: a header, then one row per report, its params
+    dumped whole."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(CSV_HEADER)
+    for rep in reports:
+        lam = rep.params.get("lambda")
+        writer.writerow([
+            rep.lemma_id,
+            "" if lam is None else int(lam),
+            json.dumps(rep.params, sort_keys=True, separators=(",", ":"), default=_jsonable),
+            repr(rep.lhs),
+            repr(rep.rhs),
+            repr(rep.ratio),
+            "" if rep.fitted_constant is None else repr(rep.fitted_constant),
+            "true" if rep.passed else "false",
+        ])
+    return buf.getvalue()

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from walshlab import report
 from walshlab import (
     CSV_HEADER,
     CheckReport,
@@ -19,7 +21,7 @@ from walshlab import (
     parse_csv,
     scan_lemma_at,
 )
-from walshlab.report import _jsonable, write_manifest_json
+from walshlab.report import LEMMA_IDS, _jsonable, write_csv, write_manifest_json
 
 
 def _sample_reports():
@@ -154,6 +156,103 @@ def test_streamed_manifest_holds_neither_text_nor_payload():
         tracemalloc.stop()
     assert sink.written == len(text)
     assert peak < len(text) / 2
+
+
+# ---------------------------------------------------------------------------
+# both writers against one-report-at-a-time oracles
+
+_TEXT = ("", "%s", "%%", "%(k)s", '"', '"\x00"', "\x00", "a\nb", "\\", "ü λ", "a,b", "\r\n")
+_FLOAT = (0.1 + 0.2, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, float("nan"),
+          float("inf"), float("-inf"))
+_DRAW = {
+    int: lambda rng: int(rng.integers(-1 << 62, 1 << 62)) << int(rng.integers(0, 10)),
+    float: lambda rng: (float(rng.standard_normal()) if rng.random() < 0.5
+                        else _FLOAT[rng.integers(len(_FLOAT))]),
+    str: lambda rng: _TEXT[rng.integers(len(_TEXT))] + _TEXT[rng.integers(len(_TEXT))],
+    bool: lambda rng: bool(rng.integers(2)),
+    None: lambda rng: None,
+    list: lambda rng: [int(rng.integers(9)), [float(rng.random()), None], {"k": "%s\n"}],
+    dict: lambda rng: {"b": float(rng.random()), "a": [True, "\x00"]},
+    np.int64: lambda rng: np.int64(rng.integers(-99, 99)),
+    np.float64: lambda rng: np.float64(rng.standard_normal()),
+    np.bool_: lambda rng: np.bool_(rng.integers(2)),
+    np.ndarray: lambda rng: rng.integers(0, 9, size=(2, 2)).astype(np.int32),
+    "whole": lambda rng: float(rng.integers(2, 30)),  # a float lambda the CSV column takes
+}
+# params shapes, as keys and value types; "any" draws a type per report
+_SHAPES = (
+    (("lambda", "mask", "weight"), (int, int, int)),
+    ((), ()),
+    (("lambda", "mask", "weight", "r", "a"), (int, int, int, int, int)),
+    (("z", "a", "m"), (float, str, bool)),
+    (("%s", 'q"k', "ü", "line\nbreak", "100%"), (str, float, None, int, bool)),
+    (("\x00",), (int,)),  # the key is the hole itself
+    (('"\x00', "x"), (str, float)),  # the key's text holds a hole
+    (("lambda", "t_grid", "subchecks"), (int, list, dict)),
+    (("lambda", "peak", "ok"), (np.int64, np.float64, np.bool_)),
+    (("rows",), (np.ndarray,)),
+    (("lambda",), ("whole",)),
+    (("v", "lambda"), ("any", bool)),
+)
+
+
+def _corpus(seed, count):
+    rng = np.random.default_rng(seed)
+    types = list(_DRAW)
+    reports = []
+    for _ in range(count):
+        keys, kinds = _SHAPES[rng.integers(len(_SHAPES))]
+        kinds = [types[rng.integers(len(types))] if k == "any" else k for k in kinds]
+        params = {k: _DRAW[t](rng) for k, t in zip(keys, kinds)}
+        lhs, rhs, ratio, fitted = (_DRAW[float](rng) for _ in range(4))
+        reports.append(CheckReport(LEMMA_IDS[rng.integers(len(LEMMA_IDS))], params, lhs, rhs,
+                                   ratio, None if rng.random() < 0.3 else fitted,
+                                   bool(rng.integers(2))))
+    return reports
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_writers_match_their_oracles(seed):
+    reports = _corpus(seed, 2 * report._BATCH + 77)
+    config = {"reports": [], "a": {"%s": [1, None]}, "count": np.int32(3)}
+    manifest = RunManifest("scan", config, seed, reports)
+    payload = {"command": "scan", "config": config, "seed": seed,
+               "artifact_version": __version__, "started": None, "finished": None,
+               "reports": [r.as_dict() for r in reports]}
+    assert manifest_to_json(manifest) == json.dumps(payload, sort_keys=True, indent=2,
+                                                    default=_jsonable) + "\n"
+    assert emit_csv(reports) == oracles.csv_text(reports)
+
+
+def test_layouts_only_for_string_keys_and_scalar_values():
+    assert report._layout((("lambda", "mask"), (int, float))) is not None
+    assert report._layout(((), ())) is not None
+    for shape in [(("\x00",), (int,)), (('"\x00',), (int,)), ((1,), (int,)),
+                  (("lambda",), (np.int64,)), (("grid",), (list,))]:
+        assert report._layout(shape) is None, shape
+
+
+def test_streamed_csv_holds_neither_text_nor_rows():
+    lam = 14
+    config = ScanConfig(lambda_min=lam, lambda_max=lam, mask_family="all", lemmas=(2,))
+    reports = scan_lemma_at(config, 2, lam)
+    text = emit_csv(reports)
+
+    class Discard:
+        written = 0
+
+        def write(self, chunk):
+            self.written += len(chunk)
+
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        write_csv(reports, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == len(text)
+    assert peak < len(text) / 4
 
 
 def test_manifest_determinism_across_report_objects():

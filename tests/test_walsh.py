@@ -394,11 +394,14 @@ CHARGED_PATHS = [
         magnitude_row, lam, 0b1011, np.arange(4))),
     ("per-mask rows", (14, 15, 16, 17, 18), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(lam, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
-    # every lambda's period tables stay cached through a scan
+    # one lambda's period tables are cached at a time through a scan
     ("per-mask rows from lambda 14", (18,), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(14, lam, "random", 4, 0, (1, 2, 3, 4, 6)))),
     ("structured rows", (14, 16), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(lam, lam, "structured", lemmas=(1, 2, 3, 4, 6)))),
+    # lemma 5 synthesizes and audits beside the other lemmas' reports
+    ("structured rows with lemma 5", (14, 16), lambda lam: lambda: lemmas.run_scan(
+        lemmas.ScanConfig(lam, lam, "structured"))),
     ("all-mask lemma 2", (14, 15), lambda lam: lambda: lemmas.run_scan(
         lemmas.ScanConfig(lam, lam, "all", lemmas=(2,)))),
     ("all-mask lemma 3", (14, 15), lambda lam: lambda: lemmas.run_scan(
@@ -459,6 +462,22 @@ def test_charge_covers_its_measured_peak(monkeypatch, make, size):
     finally:
         tracemalloc.stop()
     assert 0.5 <= peak / max(charges) <= 1.0, (peak, charges)
+
+
+def test_scan_holds_one_lambdas_period_tables():
+    # a scan over 14..18 peaks about where lambda 18 alone does: a finished
+    # lambda's tables are dropped before the next lambda's are built
+    def peak(lo):
+        walsh._period_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            lemmas.run_scan(lemmas.ScanConfig(lo, 18, "random", 4, 0, (1, 2, 3, 4, 6)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(14) <= 1.2 * peak(18)
+    assert walsh._period_tables.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("sweep", [all_mask_l1, all_mask_sup])
