@@ -2,13 +2,14 @@
 """Run the README's example commands and keep every output they make.
 
 Each `walshlab ...` line of the README's command block (plus any --also
-command, then the full-size job list of each perfbench --workload) runs in
-this process through `walshlab.cli.dispatch`, in its own directory
-OUT_DIR/NN, which then holds the command line (`argv`), the exit code
-(`code`), stdout (`stdout`), stderr (`stderr`) and whatever file the
-command wrote with a relative --out.  Two runs of different checkouts are
-byte-identical in every output when `diff -r` between their OUT_DIRs is
-empty:
+command, then the full-size job list of each perfbench --workload) runs as
+its own `python -m walshlab` process, entry point and exit included, in its
+own working directory OUT_DIR/NN, which then holds the command line
+(`argv`), the exit code (`code`), stdout (`stdout`), stderr (`stderr`) and
+whatever file the command wrote with a relative --out.  The processes run
+the walshlab package that this script's interpreter imports.  Two runs of
+different checkouts are byte-identical in every output when `diff -r`
+between their OUT_DIRs is empty:
 
     PYTHONPATH=src python3 scripts/readme_manifests.py /tmp/new --seed 7919 \\
         --also "scan --lambda-min 6 --lambda-max 9 --masks all" \\
@@ -19,14 +20,13 @@ under `taskset -c 0` into a second OUT_DIR and `diff -r` the two.
 """
 
 import argparse
-import contextlib
-import io
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
-from walshlab.cli import dispatch
+import walshlab
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -44,22 +44,15 @@ def readme_commands(text: str) -> list[str]:
             for line in block.splitlines() if line.startswith("walshlab ")]
 
 
-def run(command: str, workdir: Path) -> None:
+def run(command: str, workdir: Path, env: dict) -> None:
     workdir.mkdir(parents=True)
-    argv = shlex.split(command)
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = dispatch(argv)
-    finally:
-        os.chdir(cwd)
+    proc = subprocess.run([sys.executable, "-m", "walshlab", *shlex.split(command)],
+                          cwd=workdir, env=env, capture_output=True)
     (workdir / "argv").write_text(command + "\n")
-    (workdir / "code").write_text(f"{code}\n")
-    (workdir / "stdout").write_text(out.getvalue())
-    (workdir / "stderr").write_text(err.getvalue())
-    print(f"{code}  {command}")
+    (workdir / "code").write_text(f"{proc.returncode}\n")
+    (workdir / "stdout").write_bytes(proc.stdout)
+    (workdir / "stderr").write_bytes(proc.stderr)
+    print(f"{proc.returncode}  {command}")
 
 
 def main() -> None:
@@ -80,8 +73,10 @@ def main() -> None:
     commands += [job.label + (f" --out {job.out}" if job.out else "")
                  for workload in args.workload for job in workload_jobs(workload, 0)]
     suffix = "" if args.seed is None else f" --seed {args.seed}"
+    # an absolute path: the children run in OUT_DIR/NN
+    env = dict(os.environ, PYTHONPATH=str(Path(walshlab.__file__).parents[1]))
     for i, command in enumerate(commands):
-        run(command + suffix, args.out_dir.resolve() / f"{i:02d}")
+        run(command + suffix, args.out_dir.resolve() / f"{i:02d}", env)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ to --out as JSON/CSV picked by --format or the file extension.  `sieve
 manifest on stdout.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (a
-run with nothing to check included), 3 resource limit, which the library
-functions a command calls charge themselves (--max-mem-gib).
+run with nothing to check included), 3 resource limit: a charge that the
+library functions a command calls make themselves (--max-mem-gib), or
+memory the OS refuses.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
+import gc
 import importlib
 import sys
 from pathlib import Path
@@ -233,17 +236,25 @@ def dispatch(argv) -> int:
     try:
         manifest = _run(args)
         _write_output(args, manifest)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (ResourceLimitError, MemoryError, ValueError, OSError) as exc:
+        # memory the OS refuses is a resource limit like a charge over the
+        # budget; a forked child's failure stays an error, whatever its cause
+        if (isinstance(exc, (ResourceLimitError, MemoryError))
+                or getattr(exc, "errno", None) == errno.ENOMEM):
+            # the interpreter's own MemoryError has no message
+            print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if manifest.all_passed else 1
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    # the process ends here: frozen objects are left out of the collections
+    # that interpreter teardown would otherwise run over numpy's whole heap
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximant import _synthesize
 from .limits import require_bytes
 from .report import CheckReport, _ratio
 from .walsh import walsh_signs, walsh_table, WalshMask
@@ -407,6 +406,9 @@ def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> Spl
     freqs, slot = np.unique(tuple_freqs, return_inverse=True)
     coeffs = np.zeros(len(freqs), dtype=np.complex128)
     np.add.at(coeffs, slot, tuple_coefs)
+    # only the split synthesizes: the other sum commands never load approximant
+    from .approximant import _synthesize
+
     vals = _synthesize(lam, freqs, coeffs, max_mem_gib)
     vals -= walsh_table(WalshMask(config.s2_bits, lam))
     err = float(np.abs(vals).sum())

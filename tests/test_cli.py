@@ -1,5 +1,7 @@
 """CLI: exit codes, output formats, binary dumps, and determinism."""
 
+import errno
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import oracles
 import pytest
 
 import walshlab
-from walshlab import limits, load_sequence, manifest_from_json, parse_csv, sieve
+from walshlab import fwht, limits, load_sequence, manifest_from_json, parse_csv, sieve
 from walshlab.cli import dispatch
 
 
@@ -160,6 +162,26 @@ def test_mask_count_charge_honours_max_mem_flag(capsys, count, want):
                              "--count", count, "--max-mem-gib", "0.001")
     assert code == want
     assert ("resource limit: random-mask scan" in err) == (want == 3)
+
+
+@pytest.mark.parametrize("module, argv", [(fwht, "spectrum --lambda 10"),
+                                          (sieve, "sieve --lambda 10")])
+@pytest.mark.parametrize("refusal", [
+    lambda: MemoryError("Unable to allocate 1.00 KiB for an array"),
+    MemoryError,
+    lambda: OSError(errno.ENOMEM, "Cannot allocate memory"),
+], ids=["MemoryError", "bare-MemoryError", "ENOMEM"])
+def test_memory_the_os_refuses_exits_three(capsys, monkeypatch, module, argv, refusal):
+    # a table that fits the budget but not the machine (a ulimit, a full
+    # box) is a resource limit too, not a usage error or a traceback
+    def refuse(n, dtype):
+        raise refusal()
+
+    monkeypatch.setattr(module, "_shared_empty", refuse)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+    assert err.removeprefix("resource limit: ").strip()
 
 
 def test_max_mem_flag_tightens_limit(capsys):
@@ -516,14 +538,71 @@ def test_seed_changes_mask_draw(capsys):
     assert a != b
 
 
-def test_subprocess_matches_in_process(capsys):
-    argv = ["scan", "--lambda-min", "8", "--lambda-max", "8",
-            "--count", "4", "--lemmas", "1,2", "--seed", "3"]
-    _, inproc, _ = run_cli(capsys, *argv)
-    proc = subprocess.run([sys.executable, "-m", "walshlab", *argv],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stdout == inproc
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(walshlab.__file__).parents[1]))
+
+
+# (command, the file it writes with a relative --out or None); the second
+# manifest (about 1.1 MB) is larger than a pipe buffer
+SUBPROCESS_CASES = [
+    ("scan --lambda-min 8 --lambda-max 8 --count 4 --lemmas 1,2 --seed 3", None),
+    ("lemma-check --lemma 3 --lambda 12 --masks all", None),
+    ("lemma-check --lemma 2 --lambda 10 --masks all --out rows.csv", "rows.csv"),
+    ("sieve --lambda 16 --kind von_mangoldt --out table.bin", "table.bin"),
+]
+
+
+def test_subprocess_matches_in_process(capsys, tmp_path, monkeypatch):
+    # a `python -m walshlab` process writes every byte that dispatch does
+    # in-process, exit included, to stdout, stderr and --out alike
+    for i, (command, written) in enumerate(SUBPROCESS_CASES):
+        inproc, child = tmp_path / f"{i}-inproc", tmp_path / f"{i}-child"
+        inproc.mkdir()
+        child.mkdir()
+        monkeypatch.chdir(inproc)
+        code, out, err = run_cli(capsys, *command.split())
+        proc = subprocess.run([sys.executable, "-m", "walshlab", *command.split()], cwd=child,
+                              env=_child_env(), capture_output=True, timeout=120)
+        assert code == 0, command
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        if written:
+            assert (child / written).read_bytes() == (inproc / written).read_bytes()
+
+
+# (argv, exit code): a pass, a failed check (1 < 1 at lambda 1), a usage
+# error and a resource limit
+EXIT_CASES = [
+    ("--version", 0),
+    ("theorem-scan --lambda-min 1 --lambda-max 1", 1),
+    ("--no-such-flag", 2),
+    ("spectrum --lambda 22 --max-mem-gib 1e-9", 3),
+]
+
+# runs main() as `python -m walshlab` does; the atexit hook runs after
+# main's sys.exit and says whether the heap was frozen by then
+_FROZEN_AT_EXIT = """
+import atexit, gc
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from walshlab.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, want", EXIT_CASES, ids=[a for a, _ in EXIT_CASES])
+def test_main_freezes_the_heap_and_keeps_the_exit_code(tmp_path, argv, want):
+    proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv.split()], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == want
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_dispatch_leaves_the_collector_as_it_was(capsys):
+    # in-process callers (tests, scripts, a traced benchmark pass) keep
+    # collecting: only main() freezes, on its way out
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv, want in EXIT_CASES:
+        assert run_cli(capsys, *argv.split())[0] == want
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # starts its command and reports the child's own exit code and peak RSS (KiB
@@ -539,9 +618,8 @@ print(proc.returncode, usage.ru_maxrss)
 
 
 def _peak_kib(cwd, *argv) -> tuple:
-    env = dict(os.environ, PYTHONPATH=str(Path(walshlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _PEAK, sys.executable, "-m", "walshlab", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
                           check=True)
     code, kib = proc.stdout.split()
     return int(code), int(kib)

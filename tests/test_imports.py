@@ -36,7 +36,8 @@ def _loaded(cwd, *argv) -> tuple:
 _BASE = {"_version", "cli", "limits", "report"}
 _TRANSFORM = _BASE | {"sieve", "fwht", "walsh"}
 _LEMMAS = _BASE | {"lemmas", "approximant", "walsh"}
-_SUMS = _BASE | {"sums", "approximant", "walsh"}
+# only the split synthesizes, so only it loads approximant
+_SUMS = _BASE | {"sums", "walsh"}
 
 COMMAND_MODULES = [
     ("--version", _BASE),
@@ -50,7 +51,7 @@ COMMAND_MODULES = [
     ("quadform --mask 0x6 --mu 4 --nu 6", _SUMS),
     ("carry-rate --mask 0x6 --mu 4 --nu 6", _SUMS),
     ("type1 --mask 0x6 --mu 4 --nu 6", _SUMS),
-    ("split --mask 0x3000 --lambda 14 --mu 1 --h 4", _SUMS),
+    ("split --mask 0x3000 --lambda 14 --mu 1 --h 4", _SUMS | {"approximant"}),
 ]
 
 
