@@ -97,21 +97,19 @@ def _window_frequencies(lam: int, half_width: int) -> np.ndarray:
     return np.concatenate([low, high])
 
 
-def _synthesize(lam: int, ks: np.ndarray, coef: np.ndarray,
-                max_mem_gib: float | None = None) -> np.ndarray:
+def _synthesize(lam: int, ks: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum over k of coef_k e(kx/2^lam) at every x < 2^lam, by scattering
     the coefficients (distinct ks) into a length-2^lam array and running one
     inverse FFT.  Callers keep their own arrays within the charge, which
     the scattered spectrum frees when this returns."""
-    require_table_bytes(lam, _SYNTH_BYTES, max_mem_gib, "synthesis", _FFT_SCRATCH)
+    require_table_bytes(lam, _SYNTH_BYTES, "synthesis", _FFT_SCRATCH)
     n = 1 << lam
     spectrum = np.zeros(n, dtype=np.complex128)
     spectrum[ks] = coef
     return np.fft.ifft(spectrum) * n
 
 
-def build_approximant(mask: WalshMask, config: ApproximantConfig,
-                      max_mem_gib: float | None = None) -> SampledApproximant:
+def build_approximant(mask: WalshMask, config: ApproximantConfig) -> SampledApproximant:
     """Synthesize W_A(x) = sum_k eta(|k|) w^(k) e(kx/2^lam) over x < 2^lam.
 
     |k| means distance to the nearest multiple of 2^lam.  The mask must sit
@@ -133,7 +131,7 @@ def build_approximant(mask: WalshMask, config: ApproximantConfig,
     keep = weights > 0.0
     ks, weights = ks[keep], weights[keep]
     coef = coefficient_values(config.lam, mask.bits, ks) * weights
-    values = _synthesize(config.lam, ks, coef, max_mem_gib)
+    values = _synthesize(config.lam, ks, coef)
     # the window is symmetric and coefficients come in conjugate pairs, so
     # the synthesis is real up to rounding; anything larger is a kernel bug
     imag_peak = float(np.abs(values.imag).max())
@@ -152,7 +150,7 @@ def l2_error(approx: SampledApproximant) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def band_profile(approx: SampledApproximant, max_mem_gib: float | None = None) -> dict:
+def band_profile(approx: SampledApproximant) -> dict:
     """Frequency-side audit of a synthesized substitute.
 
     Returns the largest coefficient magnitude outside the window
@@ -162,8 +160,7 @@ def band_profile(approx: SampledApproximant, max_mem_gib: float | None = None) -
     frequency space by a forward FFT.
     """
     cfg = approx.config
-    require_table_bytes(cfg.lam, _AUDIT_BYTES, max_mem_gib, "band audit",
-                        _table_bytes(cfg.lam) + _FFT_SCRATCH)
+    require_table_bytes(cfg.lam, _AUDIT_BYTES, "band audit", _table_bytes(cfg.lam) + _FFT_SCRATCH)
     n = 1 << cfg.lam
     mags = np.abs(np.fft.fft(approx.values) / n)
     window = 1 << (cfg.sigma + cfg.t)

@@ -19,10 +19,12 @@ import dataclasses
 import errno
 import gc
 import importlib
+import os
 import sys
 from pathlib import Path
 
 from ._version import __version__
+from . import limits
 from .limits import ResourceLimitError
 from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, write_csv,
                      write_manifest_json)
@@ -120,8 +122,7 @@ def _dumps(args) -> bool:
 
 
 def _sieve_reports(args, sieve):
-    total, nonzero = sieve.stream_sequence(args.kind, args.lam, args.out if _dumps(args) else None,
-                                           max_mem_gib=args.max_mem_gib)
+    total, nonzero = sieve.stream_sequence(args.kind, args.lam, args.out if _dumps(args) else None)
     lhs = abs(total)
     n = float(1 << args.lam)
     rhs = _PSI_CEILING * n if args.kind == "von_mangoldt" else n
@@ -135,8 +136,7 @@ def _sieve_reports(args, sieve):
 
 
 def _spectrum_reports(args, fwht):
-    peaks, nonzero = fwht.sign_max_correlations(args.kind, [args.lam],
-                                                max_mem_gib=args.max_mem_gib)
+    peaks, nonzero = fwht.sign_max_correlations(args.kind, [args.lam])
     mask, value = peaks[0]
     lhs = float(abs(value))
     rhs = float(nonzero)
@@ -154,15 +154,14 @@ def _theorem_scan(args, fwht):
     lo, hi = args.lambda_min, args.lambda_max
     if lo < 1 or hi < lo:
         raise ValueError(f"bad lambda range [{lo}, {hi}]")
-    return fwht.theorem_scan(args.kind, range(lo, hi + 1), max_mem_gib=args.max_mem_gib)
+    return fwht.theorem_scan(args.kind, range(lo, hi + 1))
 
 
 def _lemma_scan(args, lemmas, lo: int, hi: int, selected: tuple, scan):
     """lemma-check and scan; a selected lemma with nothing to check is an
     error, not a vacuous pass."""
     reports = scan(lemmas.ScanConfig(lambda_min=lo, lambda_max=hi, mask_family=args.masks,
-                                     count=args.count, seed=args.seed, lemmas=selected),
-                   args.max_mem_gib)
+                                     count=args.count, seed=args.seed, lemmas=selected))
     checked = {r.lemma_id for r in reports}
     missing = [str(k) for k in selected if f"L{k}" not in checked]
     if missing:
@@ -176,9 +175,9 @@ def _bilinear(args, sums, report, draws_beta: bool = False):
     drawn once the config is valid."""
     cfg = sums.BilinearConfig(args.mask, args.mu, args.nu, args.rho, args.k_shift, args.epsilon)
     if draws_beta:
-        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed, args.max_mem_gib)
+        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed)
         cfg = dataclasses.replace(cfg, beta=beta)
-    return [report(cfg, args.max_mem_gib)]
+    return [report(cfg)]
 
 
 # subcommand -> (its module, run(args, module) giving the reports).  Only
@@ -189,15 +188,15 @@ _COMMANDS = {
     "spectrum": ("fwht", _spectrum_reports),
     "theorem-scan": ("fwht", _theorem_scan),
     "lemma-check": ("lemmas", lambda a, m: _lemma_scan(
-        a, m, a.lam, a.lam, (a.lemma,), lambda c, gib: m.scan_lemma_at(c, a.lemma, a.lam, gib))),
+        a, m, a.lam, a.lam, (a.lemma,), lambda c: m.scan_lemma_at(c, a.lemma, a.lam))),
     "scan": ("lemmas", lambda a, m: _lemma_scan(
         a, m, a.lambda_min, a.lambda_max, a.lemmas, m.run_scan)),
     "bilinear": ("sums", lambda a, m: _bilinear(a, m, m.cauchy_schwarz_chain, draws_beta=True)),
     "quadform": ("sums", lambda a, m: _bilinear(a, m, m.quadform_report)),
     "carry-rate": ("sums", lambda a, m: _bilinear(a, m, m.carry_report)),
-    "type1": ("sums", lambda a, m: [m.type1_report(a.mask, a.mu, a.nu, a.max_mem_gib)]),
+    "type1": ("sums", lambda a, m: [m.type1_report(a.mask, a.mu, a.nu)]),
     "split": ("sums", lambda a, m: [m.split_report(m.SplitConfig(
-        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param), a.max_mem_gib)]),
+        s_bits=a.mask, lam=a.lam, mu=a.mu, h_param=a.h_param))]),
 }
 
 # parsed arguments that route output rather than shape the run
@@ -233,19 +232,33 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    # the flag is the budget of every charge of this run, through the
+    # environment; the caller's value comes back whatever the exit
+    caller = os.environ.get(limits.ENV_MAX_MEM)
+    limits.last_charge = None
     try:
+        if args.max_mem_gib is not None:
+            os.environ[limits.ENV_MAX_MEM] = repr(limits.resolve_max_mem_gib(args.max_mem_gib))
         manifest = _run(args)
         _write_output(args, manifest)
     except (ResourceLimitError, MemoryError, ValueError, OSError) as exc:
         # memory the OS refuses is a resource limit like a charge over the
-        # budget; a forked child's failure stays an error, whatever its cause
-        if (isinstance(exc, (ResourceLimitError, MemoryError))
-                or getattr(exc, "errno", None) == errno.ENOMEM):
+        # budget, named by the last charge, which allowed it; a forked
+        # child's failure stays an error, whatever its cause
+        refused = isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM
+        if refused or isinstance(exc, ResourceLimitError):
+            last = limits.last_charge if refused else None
+            note = " (last charge: {}, {} bytes)".format(*last) if last else ""
             # the interpreter's own MemoryError has no message
-            print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            print(f"resource limit: {str(exc) or type(exc).__name__}{note}", file=sys.stderr)
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if caller is None:
+            os.environ.pop(limits.ENV_MAX_MEM, None)
+        else:
+            os.environ[limits.ENV_MAX_MEM] = caller
     return 0 if manifest.all_passed else 1
 
 

@@ -213,8 +213,7 @@ def _prefix_stages(part: np.ndarray, lambdas, top: int, k: int) -> list:
     return peaks
 
 
-def _transform(make_fill, fill_scratch: int, n: int, bound: int | None, lambdas: list,
-               top: int, max_mem_gib: float | None):
+def _transform(make_fill, fill_scratch: int, n: int, bound: int | None, lambdas: list, top: int):
     """Stages 0..top-1 over a fresh buffer of n entries, which fill(out,
     lo, part) fills with entries lo..lo+len(out)-1 of the table: the
     buffer, the peak (entry, index) of each prefix 2^lam in lambdas, and
@@ -238,7 +237,7 @@ def _transform(make_fill, fill_scratch: int, n: int, bound: int | None, lambdas:
     k = 0 if bound is None else _int16_stages(bound)
     itemsize = np.dtype(dtype).itemsize
     scratch = (fill_scratch + min(n, _STAGE_SCRATCH) * itemsize) * (1 + _splits(n))
-    require_table_bytes(n.bit_length() - 1, itemsize, max_mem_gib, "transform buffer", scratch)
+    require_table_bytes(n.bit_length() - 1, itemsize, "transform buffer", scratch)
     fill = make_fill()
     buf = _shared_empty(n, dtype)
     seg = min(n, DEFAULT_SEGMENT)
@@ -271,24 +270,22 @@ def _transform(make_fill, fill_scratch: int, n: int, bound: int | None, lambdas:
     return buf, peaks, list(filled)
 
 
-def spectrum(values: np.ndarray, max_mem_gib: float | None = None) -> np.ndarray:
+def spectrum(values: np.ndarray) -> np.ndarray:
     """Raw correlations of a table of 2^lam values against every Walsh
     function, indexed by mask bits.  An integer table gives int32 or int64
     entries, as the transform ran; a float table gives float64."""
     lam = _table_lam(values)
     bound = _magnitude_bound(values) if np.issubdtype(values.dtype, np.integer) else None
-    return _transform(lambda: _copy_of(values), 0, len(values), bound, [], lam, max_mem_gib)[0]
+    return _transform(lambda: _copy_of(values), 0, len(values), bound, [], lam)[0]
 
 
-def max_correlation(
-    values: np.ndarray, max_mem_gib: float | None = None
-) -> tuple[WalshMask, int]:
+def max_correlation(values: np.ndarray) -> tuple[WalshMask, int]:
     """Argmax mask and signed value of the raw correlation table.
 
     Only defined for integer sign tables (entries in {-1, 0, 1}), where the
     raw transform is exact integer arithmetic.
     """
-    return prefix_max_correlations(values, [_table_lam(values)], max_mem_gib)[0]
+    return prefix_max_correlations(values, [_table_lam(values)])[0]
 
 
 def _check_prefixes(lambdas, top: int) -> list:
@@ -303,18 +300,15 @@ def _check_prefixes(lambdas, top: int) -> list:
     return lambdas
 
 
-def _sign_peaks(make_fill, fill_scratch: int, lambdas: list, top: int,
-                max_mem_gib: float | None):
+def _sign_peaks(make_fill, fill_scratch: int, lambdas: list, top: int):
     """The (mask, value) peak of each prefix 2^lam in lambdas of the sign
     table on [0, 2^top) that make_fill()'s fill writes, and fill's results."""
     _, peaks, filled = _transform(make_fill, fill_scratch, 1 << top, 1, lambdas,
-                                  lambdas[-1] if lambdas else 0, max_mem_gib)
+                                  lambdas[-1] if lambdas else 0)
     return [(WalshMask(idx, lam), int(value)) for lam, (value, idx) in zip(lambdas, peaks)], filled
 
 
-def prefix_max_correlations(
-    values: np.ndarray, lambdas, max_mem_gib: float | None = None
-) -> list[tuple[WalshMask, int]]:
+def prefix_max_correlations(values: np.ndarray, lambdas) -> list[tuple[WalshMask, int]]:
     """max_correlation of each prefix table values[:2^lam], from one
     transform of the whole table.
 
@@ -328,13 +322,10 @@ def prefix_max_correlations(
         raise ValueError(f"max_correlation needs an integer sign table, got {values.dtype}")
     if _magnitude_bound(values) > 1:
         raise ValueError("max_correlation needs entries in {-1, 0, 1}")
-    return _sign_peaks(lambda: _copy_of(values), 0, _check_prefixes(lambdas, top), top,
-                       max_mem_gib)[0]
+    return _sign_peaks(lambda: _copy_of(values), 0, _check_prefixes(lambdas, top), top)[0]
 
 
-def sign_max_correlations(
-    kind: str, lambdas, max_mem_gib: float | None = None
-) -> tuple[list[tuple[WalshMask, int]], int]:
+def sign_max_correlations(kind: str, lambdas) -> tuple[list[tuple[WalshMask, int]], int]:
     """prefix_max_correlations of the kind's sign table on [0, 2^lam) for
     the largest lam in lambdas, and that table's nonzero count (sum |f|).
 
@@ -349,7 +340,7 @@ def sign_max_correlations(
     top = lambdas[-1] if lambdas else 0
     lambdas = _check_prefixes(lambdas, top)
     peaks, counts = _sign_peaks(lambda: _sign_kernel(top, kind == "moebius"),
-                                _sign_scratch(top, products=False), lambdas, top, max_mem_gib)
+                                _sign_scratch(top, products=False), lambdas, top)
     return peaks, sum(counts)
 
 
@@ -373,9 +364,7 @@ def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> Chec
     return CheckReport("THM1", params, lhs, rhs, _ratio(lhs, rhs), None, lhs < rhs)
 
 
-def theorem_scan(
-    kind: str, lambdas, max_mem_gib: float | None = None
-) -> list[CheckReport]:
+def theorem_scan(kind: str, lambdas) -> list[CheckReport]:
     """The THM1 check of the kind's sign table at each lam, in the order given.
 
     One sieve at the largest lam serves them all, since its table holds
@@ -389,5 +378,5 @@ def theorem_scan(
     if not lambdas:
         return []
     steps = sorted(set(lambdas))
-    peaks = dict(zip(steps, sign_max_correlations(kind, steps, max_mem_gib=max_mem_gib)[0]))
+    peaks = dict(zip(steps, sign_max_correlations(kind, steps)[0]))
     return [_correlation_check(lam, kind, *peaks[lam]) for lam in lambdas]

@@ -216,8 +216,7 @@ def check_lemma4(lam: int, r: int, a: int, mask: WalshMask) -> CheckReport:
     return _l4_verdict(lam, r, a, mask.bits, lhs)
 
 
-def check_lemma5(config: ApproximantConfig, mask: WalshMask,
-                 max_mem_gib: float | None = None) -> CheckReport:
+def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
     """Aggregated tail-mask audit: coefficient mass, substitute quality,
     and band limits.
 
@@ -228,11 +227,10 @@ def check_lemma5(config: ApproximantConfig, mask: WalshMask,
     exceeds the exact coefficients, and stays below sup norm 3.
     """
     _require_mask_lam(config.lam, mask)
-    return _lemma5_audit(config, mask, l1_accumulate(mask), max_mem_gib)
+    return _lemma5_audit(config, mask, l1_accumulate(mask))
 
 
-def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
-                  max_mem_gib: float | None = None) -> CheckReport:
+def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> CheckReport:
     """Lemma 5's report from the measured l1 norm; synthesizes the substitute
     once per t and audits config.t's (normally on the grid) before the next."""
     lam, sigma = config.lam, config.sigma
@@ -244,13 +242,13 @@ def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float,
     grid = tuple(t for t in T_GRID if sigma + t <= lam - 1)
     errors, profile = [], None
     for t in grid:
-        ap = build_approximant(mask, replace(config, t=t), max_mem_gib)
+        ap = build_approximant(mask, replace(config, t=t))
         errors.append(l2_error(ap))
         if t == config.t:
-            profile = band_profile(ap, max_mem_gib)
+            profile = band_profile(ap)
     slope = _fit_slope(grid, errors)
     if profile is None:
-        profile = band_profile(build_approximant(mask, config, max_mem_gib), max_mem_gib)
+        profile = band_profile(build_approximant(mask, config))
 
     sub_ok = {
         "fitted_in_bracket": fitted <= DEFAULT_BRACKETS["L5"],
@@ -317,8 +315,7 @@ def _draw_interval(rng, lam: int) -> tuple[int, int]:
     return lo, int(rng.integers(lo + 1, (1 << lam) + 1))
 
 
-def _scan_at(config: ScanConfig, lam: int,
-             max_mem_gib: float | None = None) -> list[list[CheckReport]]:
+def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
     """The reports of each lemma in config.lemmas at one lam, in that order.
 
     Measure once, judge many: each mask occurrence gets at most one row, and
@@ -350,10 +347,8 @@ def _scan_at(config: ScanConfig, lam: int,
                 else {0, high, high | (1 << (lam - sigma)), acfg.tail_window_mask})
 
     sweep, want_full, want_top = config.mask_family == "all", bool(want & {1, 3}), 2 in want
-    fulls = (all_mask_l1(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_full
-             else [None] * len(family))
-    tops = (all_mask_sup(lam, max_mem_gib=max_mem_gib).tolist() if sweep and want_top
-            else [None] * len(family))
+    fulls = all_mask_l1(lam).tolist() if sweep and want_full else [None] * len(family)
+    tops = all_mask_sup(lam).tolist() if sweep and want_top else [None] * len(family)
     l4 = [[] for _ in rs]
     l6 = []
     for i, bits in enumerate(family):
@@ -378,14 +373,14 @@ def _scan_at(config: ScanConfig, lam: int,
         2: lambda: [_l2_verdict(lam, b, tops[i]) for i, b in enumerate(family)],
         3: lambda: [_l3_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
         4: lambda: [rep for reps in l4 for rep in reps],
-        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i], max_mem_gib)
+        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i])
                     for i, b in enumerate(family) if b in tail],
         6: lambda: list(l6),
     }
     return [judge[lemma]() for lemma in config.lemmas]
 
 
-def _require_scan_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
+def _require_scan_bytes(config: ScanConfig) -> None:
     """Charge a scan, before any mask is drawn, everything it holds at once:
     at each lam its masks (count for the random family, 2^lam for the all
     family, mask_family's list for the structured one) and their kept
@@ -404,19 +399,17 @@ def _require_scan_bytes(config: ScanConfig, max_mem_gib: float | None) -> None:
     top = config.lambda_max
     work = (_AUDIT_BYTES << top) + _FFT_SCRATCH if 5 in config.lemmas else 8 << top
     need += _table_bytes(top) + work + _SCAN_SCRATCH
-    require_bytes(need, max_mem_gib, what=f"{config.mask_family}-mask scan of {masks} masks",
+    require_bytes(need, what=f"{config.mask_family}-mask scan of {masks} masks",
                   how=f"{_MASK_BYTES} B per mask and lambda, {_REPORT_BYTES} B per report, "
                       f"period tables and one {'band audit' if 5 in config.lemmas else 'row'} "
                       f"at lambda={top}")
 
 
-def scan_lemma_at(config: ScanConfig, lemma: int, lam: int,
-                  max_mem_gib: float | None = None) -> list[CheckReport]:
-    """One lemma's reports at one lam; max_mem_gib is the budget of every
-    charge the scan makes."""
+def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]:
+    """One lemma's reports at one lam."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
-    _require_scan_bytes(config, max_mem_gib)
-    return _scan_at(config, lam, max_mem_gib)[0]
+    _require_scan_bytes(config)
+    return _scan_at(config, lam)[0]
 
 
 def summarize(reports: list[CheckReport]) -> CheckReport:
@@ -434,14 +427,13 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
                        None, failures == 0)
 
 
-def run_scan(config: ScanConfig, max_mem_gib: float | None = None) -> list[CheckReport]:
+def run_scan(config: ScanConfig) -> list[CheckReport]:
     """Run every selected lemma over the grid; lam-major, then the order of
-    config.lemmas; a summary row is appended last.  max_mem_gib is the
-    budget of every charge the scan makes."""
-    _require_scan_bytes(config, max_mem_gib)
+    config.lemmas; a summary row is appended last."""
+    _require_scan_bytes(config)
     reports: list[CheckReport] = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
-        for part in _scan_at(config, lam, max_mem_gib):
+        for part in _scan_at(config, lam):
             reports.extend(part)
     reports.append(summarize(reports))
     return reports

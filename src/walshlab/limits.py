@@ -2,9 +2,9 @@
 
 Each function that allocates a dense object charges it, from its dtype and
 shape plus measured scratch, to one byte budget before allocating.  The
-budget defaults to 2 GiB (a lam = 28 sign transform with int32 accumulators)
-and can be widened per call, per CLI flag, or through the WSL_MAX_MEM_GIB
-environment variable.
+budget is the WSL_MAX_MEM_GIB environment variable, read at each charge;
+it defaults to 2 GiB (a lam = 28 sign transform with int32 accumulators),
+and the CLI sets it from --max-mem-gib for the run.
 
 Sign sieves and transforms are worked as numbered tasks of _two_way at
 every size; _splits alone decides whether a forked child and the caller
@@ -49,13 +49,20 @@ def resolve_max_mem_gib(explicit: float | None = None) -> float:
     return gib
 
 
-def require_bytes(need: int, max_mem_gib: float | None, what: str, how: str) -> int:
+# the latest charge as (what, need), which the CLI names when the OS then
+# refuses memory that the charge allowed
+last_charge = None
+
+
+def require_bytes(need: int, what: str, how: str) -> int:
     """Check that need bytes fit the memory budget.
 
     Returns need; raises ResourceLimitError naming what, need and how need
     was counted when it exceeds the budget.
     """
-    budget = int(resolve_max_mem_gib(max_mem_gib) * 2**30)
+    global last_charge
+    last_charge = (what, need)
+    budget = int(resolve_max_mem_gib() * 2**30)
     if need > budget:
         raise ResourceLimitError(
             f"{what} requires {need} bytes ({how}); "
@@ -65,13 +72,13 @@ def require_bytes(need: int, max_mem_gib: float | None, what: str, how: str) -> 
     return need
 
 
-def require_table_bytes(lam: int, bytes_per_entry: int, max_mem_gib: float | None = None,
-                        what: str = "table", scratch: int = 0) -> int:
+def require_table_bytes(lam: int, bytes_per_entry: int, what: str = "table",
+                        scratch: int = 0) -> int:
     """require_bytes for bytes_per_entry over 2^lam entries plus scratch."""
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
-    return require_bytes((bytes_per_entry << lam) + scratch, max_mem_gib,
-                         f"{what} at lambda={lam}", f"{bytes_per_entry} per entry over 2^{lam}"
+    return require_bytes((bytes_per_entry << lam) + scratch, f"{what} at lambda={lam}",
+                         f"{bytes_per_entry} per entry over 2^{lam}"
                          + (f" plus {scratch} of scratch" if scratch else ""))
 
 

@@ -172,14 +172,14 @@ def _sign_kernel(lam: int, squarefree: bool):
     return fill
 
 
-def _factor_pass(lam: int, kind: str, max_mem_gib: float | None) -> ArithmeticSequence:
+def _factor_pass(lam: int, kind: str) -> ArithmeticSequence:
     """The kind's int8 sign table on [0, 2^lam), one _sign_kernel segment
     per task, each task's products in one workspace allocated before the
     tasks (a forked child writes its own copy of it)."""
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
     n = 1 << lam
-    require_table_bytes(lam, 1, max_mem_gib, f"{kind} table", _sign_scratch(lam) * (1 + _splits(n)))
+    require_table_bytes(lam, 1, f"{kind} table", _sign_scratch(lam) * (1 + _splits(n)))
     out = _shared_empty(n, np.int8)
     fill = _sign_kernel(lam, kind == "moebius")
     seg = min(n, DEFAULT_SEGMENT)
@@ -188,26 +188,26 @@ def _factor_pass(lam: int, kind: str, max_mem_gib: float | None) -> ArithmeticSe
     return ArithmeticSequence(lam, kind, out)
 
 
-def sieve_moebius(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
+def sieve_moebius(lam: int) -> ArithmeticSequence:
     """Moebius table on [0, 2^lam): the shared factor pass with the p^2
     level zeroing every non-squarefree entry."""
-    return _factor_pass(lam, "moebius", max_mem_gib)
+    return _factor_pass(lam, "moebius")
 
 
-def sieve_liouville(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
+def sieve_liouville(lam: int) -> ArithmeticSequence:
     """Liouville table: (-1)^Omega(n) with multiplicity, from the shared
     factor pass with every prime-power level counted."""
-    return _factor_pass(lam, "liouville", max_mem_gib)
+    return _factor_pass(lam, "liouville")
 
 
-def _require_von_mangoldt(lam: int, whole: bool, max_mem_gib: float | None) -> None:
+def _require_von_mangoldt(lam: int, whole: bool) -> None:
     """Charge a von Mangoldt sieve its float64 table when whole, and in any
     case one segment with its scratch and the sieving primes."""
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
     seg, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
     table = (8 << lam) - 8 * seg if whole else 0
-    require_bytes(table + STREAM_BYTES * seg + (PRIME_BYTES << half), max_mem_gib,
+    require_bytes(table + STREAM_BYTES * seg + (PRIME_BYTES << half),
                   f"von mangoldt {'table' if whole else 'stream'} at lambda={lam}",
                   (f"8 per entry over 2^{lam}, " if whole else "")
                   + f"{STREAM_BYTES} per entry over a {seg}-entry segment, "
@@ -258,11 +258,11 @@ def _von_mangoldt_segments(lam: int, table: np.ndarray | None = None):
         yield seg
 
 
-def sieve_von_mangoldt(lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
+def sieve_von_mangoldt(lam: int) -> ArithmeticSequence:
     """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere, filled
     segment by segment in place.  It stays in one process: faulting in a
     shared float64 table costs about what a second core would save."""
-    _require_von_mangoldt(lam, True, max_mem_gib)
+    _require_von_mangoldt(lam, True)
     out = np.empty(1 << lam)
     for _ in _von_mangoldt_segments(lam, out):
         pass
@@ -276,11 +276,11 @@ _SIEVES = {
 }
 
 
-def sequence(kind: str, lam: int, max_mem_gib: float | None = None) -> ArithmeticSequence:
+def sequence(kind: str, lam: int) -> ArithmeticSequence:
     """Dispatch to the named sieve."""
     if kind not in _SIEVES:
         raise ValueError(f"no sieve for kind {kind!r}")
-    return _SIEVES[kind](lam, max_mem_gib=max_mem_gib)
+    return _SIEVES[kind](lam)
 
 
 def _header(lam: int, kind: str) -> bytes:
@@ -303,8 +303,7 @@ def dump_sequence(seq: ArithmeticSequence, path) -> None:
         fh.write(_body(seq.values))
 
 
-def stream_sequence(kind: str, lam: int, path=None,
-                    max_mem_gib: float | None = None) -> tuple[float, int]:
+def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
     """Sum and nonzero count of the kind's table on [0, 2^lam), taken one
     segment at a time, writing the table's dump_sequence bytes to path when
     one is given.
@@ -316,10 +315,10 @@ def stream_sequence(kind: str, lam: int, path=None,
     array, so the sum is float(values.sum()) bit for bit.
     """
     if kind == "von_mangoldt":
-        _require_von_mangoldt(lam, False, max_mem_gib)
+        _require_von_mangoldt(lam, False)
         segments = _von_mangoldt_segments(lam)
     else:
-        values = sequence(kind, lam, max_mem_gib=max_mem_gib).values
+        values = sequence(kind, lam).values
         step = min(len(values), DEFAULT_SEGMENT)
         segments = (values[lo : lo + step] for lo in range(0, len(values), step))
     sums, nonzero = [], 0

@@ -118,14 +118,13 @@ class BilinearConfig:
         return np.asarray(self.beta, dtype=np.float64)
 
 
-def coefficient_table(kind: str, count: int, seed: int,
-                      max_mem_gib: float | None = None) -> np.ndarray | None:
+def coefficient_table(kind: str, count: int, seed: int) -> np.ndarray | None:
     """Generator for beta tables: all-ones or seeded signs, charged before
     they are drawn."""
     if kind == "ones":
         return None
     if kind == "random":
-        require_bytes(16 * count + _SUM_SCRATCH, max_mem_gib, f"beta table of {count} entries",
+        require_bytes(16 * count + _SUM_SCRATCH, f"beta table of {count} entries",
                       "16 per entry for the draws and their float64 copy")
         # key [seed, 2, count]: the 2 once told beta from alpha, and stays so
         # each seed draws the signs it always did (perfbench's oracle redraws them)
@@ -143,11 +142,10 @@ def _product_dtype(config: BilinearConfig):
     return np.int32 if 6 * config.m_count * config.n_count < 1 << 31 else np.int64
 
 
-def _require_sum_bytes(config: BilinearConfig, what: str, fixed: int, per_n: int,
-                       max_mem_gib: float | None) -> None:
+def _require_sum_bytes(config: BilinearConfig, what: str, fixed: int, per_n: int) -> None:
     """Charge a sum object fixed bytes of blocks and tables, and per_n bytes
     per n ~ N besides the config's 8-byte beta entries."""
-    require_bytes(fixed + (8 + per_n) * config.n_count + _SUM_SCRATCH, max_mem_gib,
+    require_bytes(fixed + (8 + per_n) * config.n_count + _SUM_SCRATCH,
                   f"{what} at mu={config.mu}, nu={config.nu}",
                   f"{fixed} of blocks and tables, {8 + per_n} per entry over N={config.n_count}")
 
@@ -163,7 +161,7 @@ def _ranges(config: BilinearConfig):
 # sum objects
 
 
-def bilinear_sum(config: BilinearConfig, max_mem_gib: float | None = None) -> float:
+def bilinear_sum(config: BilinearConfig) -> float:
     """sum over m ~ M of |sum over n ~ N of beta_n w_S(m n)|.
 
     The outer coefficients enter the estimate only through |alpha| <= 1, so
@@ -171,7 +169,7 @@ def bilinear_sum(config: BilinearConfig, max_mem_gib: float | None = None) -> fl
     """
     item = np.dtype(_product_dtype(config)).itemsize
     # a row's products and their masked copy, then its float64 signs
-    _require_sum_bytes(config, "bilinear sum", 0, 2 * item + 8, max_mem_gib)
+    _require_sum_bytes(config, "bilinear sum", 0, 2 * item + 8)
     m, n = _ranges(config)
     beta = config.beta_table()
     total = 0.0
@@ -188,8 +186,7 @@ class QuadFormResult:
     prefactor: float  # the M*N/L factor, reported alongside, never multiplied in
 
 
-def shifted_quadratic_form(config: BilinearConfig,
-                           max_mem_gib: float | None = None) -> QuadFormResult:
+def shifted_quadratic_form(config: BilinearConfig) -> QuadFormResult:
     """sum over n ~ N, |l| < L of |sum over m ~ M of w_S(mn) w_S(m(n+l*2^K))|.
 
     One table holds the parity bits of w_S(mn) for every row the shifts
@@ -215,7 +212,7 @@ def shifted_quadratic_form(config: BilinearConfig,
     item = np.dtype(_product_dtype(config)).itemsize
     block = max((1 << 20) // (item * big_m), 1)
     _require_sum_bytes(config, "quadratic form",
-                       row_bytes * (hi - lo) + block * big_m * (item + 1), 32, max_mem_gib)
+                       row_bytes * (hi - lo) + block * big_m * (item + 1), 32)
     m, _ = _ranges(config)
     word = np.dtype(f"u{min(row_bytes, 8)}")
     table = np.empty((row_bytes // word.itemsize, hi - lo), dtype=word)
@@ -260,8 +257,7 @@ def _both_signs(row: np.ndarray, step: int, n_count: int) -> int:
     return int(np.count_nonzero(row[:, step:]) + np.count_nonzero(row[:, :n_count]))
 
 
-def carry_truncation_rate(config: BilinearConfig,
-                          max_mem_gib: float | None = None) -> CarryResult:
+def carry_truncation_rate(config: BilinearConfig) -> CarryResult:
     """Fraction of (m, n, l) triples, l != 0, where the digits of m*n and
     m*(n + l*2^K) differ above the carry window or below the shift scale.
 
@@ -276,7 +272,7 @@ def carry_truncation_rate(config: BilinearConfig,
     cols = config.n_count + 2 * span  # every shifted n
     rows = max((1 << 20) // (item * cols), 1)
     _require_sum_bytes(config, "carry rate", rows * (cols * item + (cols - span) * (item + 1)),
-                       2 * item, max_mem_gib)
+                       2 * item)
     m, n = _ranges(config)
     tau = config.k_shift + config.mu + config.rho + config.epsilon * config.rho
     first_bad = math.floor(tau) + 1
@@ -327,8 +323,9 @@ def carry_truncation_rate(config: BilinearConfig,
 class SplitConfig:
     """Split S into S1 (positions below lam-2mu) and S2 (the rest); the S2
     factor product is truncated to its 2^H dominant modes per factor.
-    |S2| is capped at S2_CAP; spectral_split charges the 2^(H |S2|) mode
-    tuples and the synthesis."""
+    |S2| is capped at S2_CAP, and lam at 62 so that the int64 frequencies
+    hold 2^lam; spectral_split charges the 2^(H |S2|) mode tuples and the
+    synthesis."""
 
     s_bits: int
     lam: int
@@ -346,6 +343,9 @@ class SplitConfig:
             raise ValueError("h_param must be >= 1")
         if self.s2_weight > S2_CAP:
             raise ValueError(f"|S2| = {self.s2_weight} exceeds the cap {S2_CAP}")
+        if self.lam > 62:
+            raise ValueError(f"lam = {self.lam} exceeds 62: the split's int64 frequencies "
+                             "must hold 2^lam")
 
     @property
     def split_position(self) -> int:
@@ -378,7 +378,7 @@ class SplitResult:
     size_cap: int              # 2^(H |S2|)
 
 
-def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> SplitResult:
+def spectral_split(config: SplitConfig) -> SplitResult:
     """Truncate each square-wave factor of the high half to 2^H modes and
     multiply out, returning the product frequency set and its exact mean
     absolute error against w_{S2}.
@@ -388,7 +388,7 @@ def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> Spl
     merged coefficient cancels to zero stays in the set.  The truncation is
     put on the 2^lam grid by one inverse FFT."""
     tuples = 1 << (config.h_param * config.s2_weight)
-    require_bytes(_TUPLE_BYTES * tuples + (_MODE_BYTES << config.h_param), max_mem_gib,
+    require_bytes(_TUPLE_BYTES * tuples + (_MODE_BYTES << config.h_param),
                   f"split sumset of {tuples} mode tuples",
                   f"{_TUPLE_BYTES} per tuple, {_MODE_BYTES} per mode")
     lam = config.lam
@@ -409,7 +409,7 @@ def spectral_split(config: SplitConfig, max_mem_gib: float | None = None) -> Spl
     # only the split synthesizes: the other sum commands never load approximant
     from .approximant import _synthesize
 
-    vals = _synthesize(lam, freqs, coeffs, max_mem_gib)
+    vals = _synthesize(lam, freqs, coeffs)
     vals -= walsh_table(WalshMask(config.s2_bits, lam))
     err = float(np.abs(vals).sum())
     return SplitResult(freqs, coeffs, err / n, tuples)
@@ -427,15 +427,15 @@ def _bilinear_params(config: BilinearConfig, **extra) -> dict:
             "advisories": config.advisories, **extra}
 
 
-def cauchy_schwarz_chain(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
+def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
     """(bilinear sum)^2 against (MN/L) * (2L-1) * quadratic form.
 
     The testable shape of the range-splitting step: squaring the outer sum
     and shift-averaging the inner variable dominates the bilinear sum by the
     shifted quadratic form times MN/L.
     """
-    bil = bilinear_sum(config, max_mem_gib)
-    quad = shifted_quadratic_form(config, max_mem_gib)
+    bil = bilinear_sum(config)
+    quad = shifted_quadratic_form(config)
     lhs = bil * bil
     rhs = quad.prefactor * (2 * config.shift_count - 1) * quad.value
     params = _bilinear_params(config, bilinear=bil, quadform=quad.value,
@@ -445,9 +445,9 @@ def cauchy_schwarz_chain(config: BilinearConfig, max_mem_gib: float | None = Non
                        lhs <= rhs * (1.0 + 1e-12))
 
 
-def quadform_report(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
+def quadform_report(config: BilinearConfig) -> CheckReport:
     """Quadratic form against its trivial bound (2L-1) * N * M."""
-    quad = shifted_quadratic_form(config, max_mem_gib)
+    quad = shifted_quadratic_form(config)
     rhs = (2 * config.shift_count - 1) * config.n_count * config.m_count
     params = _bilinear_params(config, prefactor=quad.prefactor,
                               clipped_terms=quad.clipped_terms)
@@ -456,20 +456,19 @@ def quadform_report(config: BilinearConfig, max_mem_gib: float | None = None) ->
                        quad.value <= rhs + 1e-9)
 
 
-def type1_report(s_bits: int, mu: int, nu: int,
-                 max_mem_gib: float | None = None) -> CheckReport:
+def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
     """Type-I sum (the bilinear sum with all-ones beta) against its trivial
     bound M * N.  It has no shifts, so its config takes rho = 0."""
-    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0), max_mem_gib)
+    value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0))
     rhs = float((1 << mu) * (1 << nu))
     params = {"lambda": mu + nu, "mask": s_bits, "mu": mu, "nu": nu}
     return CheckReport("TYPE1", params, value, rhs, _ratio(value, rhs), None,
                        value <= rhs + 1e-9)
 
 
-def carry_report(config: BilinearConfig, max_mem_gib: float | None = None) -> CheckReport:
+def carry_report(config: BilinearConfig) -> CheckReport:
     """Measured carry-escape rate against CARRY_BRACKET * 2^(-eps*rho)."""
-    res = carry_truncation_rate(config, max_mem_gib)
+    res = carry_truncation_rate(config)
     scale = 2.0 ** (-config.epsilon * config.rho)
     rhs = CARRY_BRACKET * scale
     params = _bilinear_params(config, epsilon=config.epsilon, low_rate=res.low_rate,
@@ -481,9 +480,9 @@ def carry_report(config: BilinearConfig, max_mem_gib: float | None = None) -> Ch
                        fitted, passed)
 
 
-def split_report(config: SplitConfig, max_mem_gib: float | None = None) -> CheckReport:
+def split_report(config: SplitConfig) -> CheckReport:
     """Truncation L1 error against SPLIT_BRACKET * 2^(-H), with the size cap."""
-    res = spectral_split(config, max_mem_gib)
+    res = spectral_split(config)
     scale = 2.0 ** (-config.h_param)
     rhs = SPLIT_BRACKET * scale
     params = {

@@ -139,7 +139,7 @@ def _charged_row(lam: int, bits: int) -> np.ndarray:
     """_row once its 8 B per entry and the period tables that the first
     call at a lambda builds fit the budget.  The lemma scan calls _row
     itself, having charged its rows once per lambda."""
-    require_table_bytes(lam, 8, None, "magnitude row", _table_bytes(lam) + _ROW_SCRATCH)
+    require_table_bytes(lam, 8, "magnitude row", _table_bytes(lam) + _ROW_SCRATCH)
     return _row(lam, bits)
 
 
@@ -211,13 +211,13 @@ def sup_norm(mask: WalshMask, selector=FullRange()) -> float:
 _FOLD_BYTES = 64
 
 
-def _fold(lam: int, selector, reduce, max_mem_gib: float | None = None) -> np.ndarray:
+def _fold(lam: int, selector, reduce) -> np.ndarray:
     """reduce over the selected frequencies of every mask's row at once, in
     O(lam * 2^lam): level j multiplies each row (mask bits 0..j-1) by bit j's
     |cos| and |sin| period, appending mask bit j, then reduces over frequency
     bit lam-j-1, which no later factor reads (0.0: unselected).  Every level
     reuses the same two arrays: the rows and their doubled product."""
-    require_table_bytes(lam, _FOLD_BYTES, max_mem_gib, what="all-mask fold")
+    require_table_bytes(lam, _FOLD_BYTES, what="all-mask fold")
     cos_t, sin_t = _period_tables(lam)
     acc = np.zeros(1 << lam)
     acc[_selector_slice(lam, selector)] = 1.0
@@ -232,20 +232,20 @@ def _fold(lam: int, selector, reduce, max_mem_gib: float | None = None) -> np.nd
     return acc
 
 
-def mask_sweep(lam: int, selector, max_mem_gib: float | None = None) -> np.ndarray:
+def mask_sweep(lam: int, selector) -> np.ndarray:
     """l1 norm of every mask's row by the sum fold; its float additions pair
     up frequencies by bit, so a mask's value can differ from
     l1_accumulate's in the last bits."""
-    return _fold(lam, selector, np.add, max_mem_gib)
+    return _fold(lam, selector, np.add)
 
 
-def all_mask_l1(lam: int, selector=None, max_mem_gib: float | None = None) -> np.ndarray:
+def all_mask_l1(lam: int, selector=None) -> np.ndarray:
     """l1 norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange(), max_mem_gib)
+    return mask_sweep(lam, selector or FullRange())
 
 
-def all_mask_sup(lam: int, selector=None, max_mem_gib: float | None = None) -> np.ndarray:
+def all_mask_sup(lam: int, selector=None) -> np.ndarray:
     """Sup norm of the coefficient table for every mask, by the max fold:
     rounding x * c is monotone in x for c >= 0, so max-then-multiply gives
     _row(lam, bits)[sel].max() bit for bit, in the same order j = 0..lam-1."""
-    return _fold(lam, selector or FullRange(), np.maximum, max_mem_gib)
+    return _fold(lam, selector or FullRange(), np.maximum)

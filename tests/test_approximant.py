@@ -58,9 +58,9 @@ def test_build_rejects_oversized_lambda(monkeypatch):
     monkeypatch.delenv("WSL_MAX_MEM_GIB", raising=False)
     with pytest.raises(ResourceLimitError, match="synthesis at lambda=30 requires 34360000512"):
         build_approximant(WalshMask(1 << 29, 30), ApproximantConfig(30, 4, 4))
+    monkeypatch.setenv("WSL_MAX_MEM_GIB", str(2**-10))
     with pytest.raises(ResourceLimitError, match="synthesis at lambda=19"):
-        build_approximant(WalshMask(1 << 18, 19), ApproximantConfig(19, 4, 4),
-                          max_mem_gib=2**-10)
+        build_approximant(WalshMask(1 << 18, 19), ApproximantConfig(19, 4, 4))
 
 
 def test_empty_mask_reproduced_exactly():

@@ -2,8 +2,10 @@
 
 import errno
 import gc
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -102,6 +104,27 @@ def test_split_rejects_nonpositive_mu(capsys, mu):
     assert "mu must be >= 1" in err
 
 
+# a split's frequencies are int64, which hold 2^lam up to lam = 62
+_WIDE_SPLITS = ["split --mask 0x4000000000000000 --lambda 63 --mu 1 --h 1",
+                "split --mask 0xC000000000000000 --lambda 64 --mu 1 --h 4"]
+
+
+@pytest.mark.parametrize("flag", ["", " --max-mem-gib 1e30"], ids=["default", "1e30"])
+@pytest.mark.parametrize("argv", _WIDE_SPLITS)
+def test_split_beyond_int64_frequencies_exits_two(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *(argv + flag).split())
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: lam = 6") and "exceeds 62" in err
+
+
+def test_split_at_lambda_62_is_refused_by_its_synthesis_charge(capsys, monkeypatch):
+    monkeypatch.delenv("WSL_MAX_MEM_GIB", raising=False)
+    code, out, err = run_cli(capsys, "split", "--mask", "0x2000000000000000", "--lambda", "62",
+                             "--mu", "1", "--h", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: synthesis at lambda=62")
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_nonpositive_count_exits_two(capsys, count):
     for argv in (("lemma-check", "--lemma", "1", "--lambda", "12"),
@@ -164,6 +187,11 @@ def test_mask_count_charge_honours_max_mem_flag(capsys, count, want):
     assert ("resource limit: random-mask scan" in err) == (want == 3)
 
 
+# the charge that allowed each refused table, which the message names
+_LAST_CHARGE = {"spectrum --lambda 10": "transform buffer at lambda=10",
+                "sieve --lambda 10": "moebius table at lambda=10"}
+
+
 @pytest.mark.parametrize("module, argv", [(fwht, "spectrum --lambda 10"),
                                           (sieve, "sieve --lambda 10")])
 @pytest.mark.parametrize("refusal", [
@@ -181,7 +209,9 @@ def test_memory_the_os_refuses_exits_three(capsys, monkeypatch, module, argv, re
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and "Traceback" not in err
-    assert err.removeprefix("resource limit: ").strip()
+    message, last = err.removeprefix("resource limit: ").rstrip("\n").split(" (last charge: ")
+    assert message.strip()
+    assert re.fullmatch(rf"{_LAST_CHARGE[argv]}, \d+ bytes\)", last), err
 
 
 def test_max_mem_flag_tightens_limit(capsys):
@@ -195,6 +225,29 @@ def test_env_var_limits_and_flag_overrides(capsys, monkeypatch):
     assert run_cli(capsys, "sieve", "--lambda", "22")[0] == 3
     # explicit flag wins over the environment
     assert run_cli(capsys, "sieve", "--lambda", "22", "--max-mem-gib", "2")[0] == 0
+
+
+def test_library_functions_take_no_budget_argument():
+    # the budget's one channel is WSL_MAX_MEM_GIB, read at each charge
+    funcs = [getattr(walshlab, name) for name in walshlab.__all__]
+    funcs += [sieve.stream_sequence, fwht.sign_max_correlations, limits.require_bytes,
+              limits.require_table_bytes]
+    taking = [f.__qualname__ for f in funcs if inspect.isfunction(f)
+              and "max_mem_gib" in inspect.signature(f).parameters]
+    assert not taking
+
+
+@pytest.mark.parametrize("argv, want", [("sieve --lambda 8 --max-mem-gib 1", 0),
+                                        ("bilinear --mask 0x6 --mu 0 --nu 4 --max-mem-gib 1", 2),
+                                        ("spectrum --lambda 22 --max-mem-gib 1e-9", 3)])
+@pytest.mark.parametrize("env", [None, "0.5"], ids=["unset", "0.5"])
+def test_flag_leaves_the_budget_variable_as_it_found_it(capsys, monkeypatch, argv, want, env):
+    if env is None:
+        monkeypatch.delenv("WSL_MAX_MEM_GIB", raising=False)
+    else:
+        monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
+    assert run_cli(capsys, *argv.split())[0] == want
+    assert os.environ.get("WSL_MAX_MEM_GIB") == env
 
 
 @pytest.mark.parametrize("argv", ["spectrum --lambda 14",

@@ -263,8 +263,9 @@ def test_scan_rejects_oversized_lambda_before_any_row(monkeypatch):
     # 4 MiB holds a lambda=12 scan, but not the lambda=17 period tables and
     # lemma 5's band audit there, which the scan charges before lambda 12 runs
     built = _count_rows(monkeypatch)
+    monkeypatch.setenv("WSL_MAX_MEM_GIB", str(4 / 1024))
     with pytest.raises(ResourceLimitError, match="period tables and one band audit at lambda=17"):
-        run_scan(ScanConfig(12, 17, count=4), max_mem_gib=4 / 1024)
+        run_scan(ScanConfig(12, 17, count=4))
     assert not built
 
 
