@@ -14,12 +14,12 @@ buffer and its task scratch before allocating them.
 
 Every table is transformed as the same tasks, which limits._two_way shares
 with a forked child or runs in order: each run of DEFAULT_SEGMENT entries is
-filled (copied from a plain table, or sieved in place by the sign kernel of
-sign_max_correlations, with the run's own bytes as its products) and runs
-the in-block stages, then, after one join, each half of the
-columns (the entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs
-every cross-block stage.  Every entry sees the same additions in the same
-order either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
+filled (copied from a plain table, or sieved in place by sieve._kernel's
+fill in sign_max_correlations, its own bytes the workspace) and runs the
+in-block stages, then, after one join, each half of the columns (the
+entries whose bit log2(DEFAULT_BLOCK) - 1 is 0, or 1) runs every
+cross-block stage.  Every entry sees the same additions in the same order
+either way: stage s (span 2^s) for s = 0, 1, ..., low bit first.
 theorem_scan turns the prefix peaks of one sign table into THM1 reports.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .limits import ResourceLimitError, _shared_empty, _splits, _two_way, require_table_bytes
 from .report import CheckReport, _ratio
-from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _sign_kernel, _sign_scratch
+from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _kernel
 from .walsh import WalshMask
 
 # int32 sign tables at lam 24 (2-core x86 box): blocks 2^16 and 2^17 tie, 2^15
@@ -330,17 +330,18 @@ def sign_max_correlations(kind: str, lambdas) -> tuple[list[tuple[WalshMask, int
     the largest lam in lambdas, and that table's nonzero count (sum |f|).
 
     No table is kept: each in-block task sieves its segment straight into
-    the transform buffer (sieve._sign_kernel) and runs the in-block stages
-    while the segment is in cache, so one fork round fewer runs than
-    sieving first.  The peaks are those of the sieved table's transform.
+    the transform buffer with the kind's kernel from sieve._kernel, the
+    part's own bytes as its workspace, and runs the in-block stages while
+    the segment is in cache, so one fork round fewer runs than sieving
+    first.  The peaks are those of the sieved table's transform.
     """
     if kind not in SIGN_KINDS:
         raise ValueError(f"no sign table for kind {kind!r}")
     lambdas = list(lambdas)
     top = lambdas[-1] if lambdas else 0
     lambdas = _check_prefixes(lambdas, top)
-    peaks, counts = _sign_peaks(lambda: _sign_kernel(top, kind == "moebius"),
-                                _sign_scratch(top, products=False), lambdas, top)
+    make, scratch, _ = _kernel(kind, top)
+    peaks, counts = _sign_peaks(make, scratch, lambdas, top)
     return peaks, sum(counts)
 
 

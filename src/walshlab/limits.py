@@ -6,13 +6,13 @@ budget is the WSL_MAX_MEM_GIB environment variable, read at each charge;
 it defaults to 2 GiB (a lam = 28 sign transform with int32 accumulators),
 and the CLI sets it from --max-mem-gib for the run.
 
-Sign sieves and transforms are worked as numbered tasks of _two_way at
-every size; _splits alone decides whether a forked child and the caller
-share them (SPLIT_MIN entries or more and two usable CPUs) or the caller
-runs them in order.  Sieve and transform tasks write an anonymous shared
-mapping (a sign table, or a transform buffer that the sign sieve may fill
-in its in-block tasks); they return small results such as peaks and
-nonzero counts.
+Sieves and transforms are worked as numbered tasks of _two_way at every
+size; _splits alone decides whether a forked child and the caller share
+them (SPLIT_MIN entries or more and two usable CPUs) or the caller runs
+them in order.  Sieve and transform tasks write an anonymous shared
+mapping (a table, or a transform buffer that the sign sieve may fill in
+its in-block tasks); they return small results such as peaks and nonzero
+counts.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ class ResourceLimitError(RuntimeError):
 
 def resolve_max_mem_gib(explicit: float | None = None) -> float:
     """Budget resolution order: explicit argument, environment, default.
-    A budget that is not a finite positive number raises ValueError."""
+    A budget that is not a positive number with a finite byte count raises
+    ValueError."""
     if explicit is None:
         explicit = os.environ.get(ENV_MAX_MEM) or DEFAULT_MAX_MEM_GIB
     try:
         gib = float(explicit)
     except ValueError:
         gib = math.nan
-    if not (math.isfinite(gib) and gib > 0):
+    if not (math.isfinite(gib * 2**30) and gib > 0):
         raise ValueError(
             f"memory budget must be a finite positive GiB count, got {explicit!r} "
             f"(--max-mem-gib or {ENV_MAX_MEM})"

@@ -1,20 +1,18 @@
 """Segmented sieves for the Moebius, Liouville, and von Mangoldt functions.
 
 Tables cover [0, 2^lam) with index 0 pinned to 0 so downstream transforms see
-a full power-of-two buffer.  Sieving streams fixed-size segments, so memory
-is bounded by the output table plus one segment per process regardless of
-lam, which each sieve charges before it starts.  Moebius and Liouville share
-one segment kernel that tracks the product of each entry's small prime
-factors instead of dividing them out, seeded from one precomputed period of
-the p and p^2 levels of 2, 3, 5 and 7, and writes the signs into any integer
-view, 2^15 entries at a time: the int8 table here, one segment per task of
-limits._two_way (two processes share the segments of a large table, each
-with one product workspace), or the int16 first half of the bytes of a
-transform buffer's part, whose own bytes hold the products
-(fwht.sign_max_correlations).  Von Mangoldt segments come from one
-generator, which fills a whole table in place or streams one reused segment
-to stream_sequence's dump.  A table on [0, 2^lam) holds every smaller table
-as its prefix.
+a full power-of-two buffer.  _kernel maps each kind to one kernel,
+fill(view, lo, work), which writes entries lo..lo+len(view)-1 at any offset
+and in any order, keeping its per-segment state in work's bytes.  Moebius
+and Liouville share a sign kernel that tracks the product of each entry's
+small prime factors, seeded from one precomputed period of the p and p^2
+levels of 2, 3, 5 and 7; von Mangoldt's marks composites and stamps prime
+powers from one sorted list.  One factor pass builds every table, a segment
+per task of limits._two_way (two processes share a large table's segments);
+stream_sequence fills one reused von Mangoldt segment at a time; and
+fwht.sign_max_correlations sieves into transform buffer parts.  Each caller
+charges the output, its workspaces and the kernel's scratch before it makes
+the kernel.  A table on [0, 2^lam) holds every smaller table as its prefix.
 """
 
 from __future__ import annotations
@@ -31,12 +29,13 @@ from .report import KINDS, SIGN_KINDS
 
 DEFAULT_SEGMENT = 1 << 20
 
-# a von Mangoldt segment holds float64 values, its composite flags and the
-# indices and logs of its primes (tracemalloc: 10.9-11.3 MiB per 2^20-entry
-# stream segment at lam 20-30, 13.3 B per entry at lam 12), plus the
-# sieving primes up to sqrt(2^lam) as flags, arrays, a list and the sorted
-# prime-power stamps (13.9 B per integer to 2^20 at lam 40, 12.5 to 2^22
-# at lam 44; the prime density falls as lam grows)
+# a von Mangoldt segment holds float64 values, its composite flags (1 B per
+# entry, the kernel's workspace) and the indices and logs of its primes
+# (tracemalloc: 10.9-11.3 MiB per 2^20-entry stream segment at lam 20-30,
+# 13.3 B per entry at lam 12), plus the sieving primes up to sqrt(2^lam) as
+# flags, arrays, a list and the sorted prime-power stamps (13.9 B per
+# integer to 2^20 at lam 40, 12.5 to 2^22 at lam 44; the prime density
+# falls as lam grows)
 STREAM_BYTES = 16
 PRIME_BYTES = 24
 
@@ -93,24 +92,20 @@ _PERIOD = math.prod(_WHEEL) ** 2
 SIGN_CHUNK = 1 << 15
 
 
-def _sign_scratch(lam: int, products: bool = True) -> int:
-    """Bytes a process running _sign_kernel(lam) holds besides its views:
-    the sieving primes, the wheel period, the tail's ramp, three int8 rows
-    and numpy's cast buffer (8192 products) per chunk, and a segment's
-    products when products (the int8 table's workspace).  tracemalloc over the
-    int8 table at lam 18-21: 99.4-99.7% of this with products."""
+def _sign_scratch(lam: int) -> int:
+    """Bytes a process running _sign_kernel(lam) holds besides its view and
+    workspace: the sieving primes, the wheel period, the tail's ramp, three
+    int8 rows and numpy's cast buffer (8192 products) per chunk
+    (tracemalloc, int8 table at lam 18-21: 99.4-99.7% of this plus one
+    segment's products)."""
     size = _sign_products(lam).itemsize
-    seg = min(1 << lam, DEFAULT_SEGMENT)
-    return ((PRIME_BYTES << (lam + 1) // 2) + size * _PERIOD + (size + 4) * SIGN_CHUNK
-            + (size * seg if products else 0))
+    return (PRIME_BYTES << (lam + 1) // 2) + size * _PERIOD + (size + 4) * SIGN_CHUNK
 
 
 def _sign_kernel(lam: int, squarefree: bool):
-    """fill(view, lo, work): Liouville signs of lo..lo+len(view)-1 into an
-    integer view, or Moebius signs when squarefree; returns their nonzero
-    count.  The products live in work's bytes, which may be view's own
-    memory (as wide as view or wider) or a workspace reused by every
-    segment.
+    """_kernel's fill: Liouville signs into an integer view, or Moebius
+    signs when squarefree.  The products live in work's bytes, which may be
+    view's own memory (as wide as view or wider).
 
     Each segment keeps a signed product of its entries' small prime factors:
     every prime-power level p^j dividing n multiplies it by -p, so its sign
@@ -172,58 +167,12 @@ def _sign_kernel(lam: int, squarefree: bool):
     return fill
 
 
-def _factor_pass(lam: int, kind: str) -> ArithmeticSequence:
-    """The kind's int8 sign table on [0, 2^lam), one _sign_kernel segment
-    per task, each task's products in one workspace allocated before the
-    tasks (a forked child writes its own copy of it)."""
-    if lam < 1:
-        raise ValueError(f"lam must be a positive bit length, got {lam}")
-    n = 1 << lam
-    require_table_bytes(lam, 1, f"{kind} table", _sign_scratch(lam) * (1 + _splits(n)))
-    out = _shared_empty(n, np.int8)
-    fill = _sign_kernel(lam, kind == "moebius")
-    seg = min(n, DEFAULT_SEGMENT)
-    work = np.empty(seg, dtype=_sign_products(lam))
-    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg, work), n // seg, n)
-    return ArithmeticSequence(lam, kind, out)
-
-
-def sieve_moebius(lam: int) -> ArithmeticSequence:
-    """Moebius table on [0, 2^lam): the shared factor pass with the p^2
-    level zeroing every non-squarefree entry."""
-    return _factor_pass(lam, "moebius")
-
-
-def sieve_liouville(lam: int) -> ArithmeticSequence:
-    """Liouville table: (-1)^Omega(n) with multiplicity, from the shared
-    factor pass with every prime-power level counted."""
-    return _factor_pass(lam, "liouville")
-
-
-def _require_von_mangoldt(lam: int, whole: bool) -> None:
-    """Charge a von Mangoldt sieve its float64 table when whole, and in any
-    case one segment with its scratch and the sieving primes."""
-    if lam < 1:
-        raise ValueError(f"lam must be a positive bit length, got {lam}")
-    seg, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
-    table = (8 << lam) - 8 * seg if whole else 0
-    require_bytes(table + STREAM_BYTES * seg + (PRIME_BYTES << half),
-                  f"von mangoldt {'table' if whole else 'stream'} at lambda={lam}",
-                  (f"8 per entry over 2^{lam}, " if whole else "")
-                  + f"{STREAM_BYTES} per entry over a {seg}-entry segment, "
-                  f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
-
-
-def _von_mangoldt_segments(lam: int, table: np.ndarray | None = None):
-    """Yield each segment of the von Mangoldt table on [0, 2^lam) in order,
-    holding log p at the prime powers p^k in its span and 0 elsewhere: a
-    view of table when one is given, else one float64 buffer reused by
-    every segment.
-
-    Primes above sqrt(max) are the segment entries no small prime marks
-    composite; the small-prime powers p^k, k >= 2, are stamped per segment
-    from one sorted list, over whatever the prime pass left.
-    """
+def _von_mangoldt_kernel(lam: int):
+    """_kernel's fill: log p at the prime powers p^k, 0 elsewhere, into a
+    float64 view.  The composite flags live in work's bytes, which may be
+    view's own memory: they are read before view is written.  Primes above
+    sqrt(max) are the entries no small prime marks composite; the powers
+    p^k, k >= 2, of the small primes are stamped from one sorted list."""
     n = 1 << lam
     primes = _primes_upto(math.isqrt(n - 1)).tolist()
     stamps = []
@@ -235,38 +184,74 @@ def _von_mangoldt_segments(lam: int, table: np.ndarray | None = None):
     stamps.sort()
     powers = np.array([pk for pk, _ in stamps], dtype=np.int64)
     logs = np.array([logp for _, logp in stamps], dtype=np.float64)
-    # n and the segment are powers of two, so every segment has the same length
-    step = min(DEFAULT_SEGMENT, n)
-    buf = np.empty(step) if table is None else None
-    composite = np.empty(step, dtype=bool)
-    for lo in range(0, n, step):
-        hi = lo + step
-        seg = buf if table is None else table[lo:hi]
+
+    def fill(view: np.ndarray, lo: int, work: np.ndarray) -> int:
+        hi = lo + len(view)
+        composite = work.view(bool)[: len(view)]
         composite.fill(False)
-        if lo == 0:
-            composite[:2] = True
+        composite[: max(2 - lo, 0)] = True
         for p in primes:
             start = _first_multiple(max(lo, p * p), p)
             if start < hi:
                 composite[start - lo :: p] = True
         # entries below sqrt(max) escape the composite marking only if prime
         idx = np.flatnonzero(~composite)
-        seg.fill(0.0)
-        seg[idx] = np.log((idx + lo).astype(np.float64))
+        view.fill(0.0)
+        view[idx] = np.log((idx + lo).astype(np.float64))
+        # every stamp is a multiple of its prime at or past p^2: composite
         first, last = np.searchsorted(powers, (lo, hi))
-        seg[powers[first:last] - lo] = logs[first:last]
-        yield seg
+        view[powers[first:last] - lo] = logs[first:last]
+        return len(idx) + int(last - first)
+
+    return fill
+
+
+def _kernel(kind: str, lam: int) -> tuple:
+    """(make, scratch, width) for the kind's table on [0, 2^lam): make()
+    returns fill(view, lo, work), which writes entries lo..lo+len(view)-1
+    and returns their nonzero count; a process running it holds scratch
+    bytes besides its view and a workspace of width bytes per entry.  Only
+    make() allocates, so a caller charges first."""
+    if lam < 1:
+        raise ValueError(f"lam must be a positive bit length, got {lam}")
+    if kind in SIGN_KINDS:
+        return (lambda: _sign_kernel(lam, kind == "moebius"), _sign_scratch(lam),
+                _sign_products(lam).itemsize)
+    # a stream segment's temporaries: STREAM_BYTES less an entry's value and flag
+    seg = min(1 << lam, DEFAULT_SEGMENT)
+    return (lambda: _von_mangoldt_kernel(lam),
+            (STREAM_BYTES - 9) * seg + (PRIME_BYTES << (lam + 1) // 2), 1)
+
+
+def _factor_pass(lam: int, kind: str) -> ArithmeticSequence:
+    """The kind's table on [0, 2^lam), one kernel segment per task, each
+    task's workspace in one buffer allocated before the tasks (a forked
+    child writes its own copy of it)."""
+    make, scratch, width = _kernel(kind, lam)
+    n, seg = 1 << lam, min(1 << lam, DEFAULT_SEGMENT)
+    dtype = np.dtype(np.int8 if kind in SIGN_KINDS else np.float64)
+    require_table_bytes(lam, dtype.itemsize, f"{kind.replace('_', ' ')} table",
+                        (scratch + width * seg) * (1 + _splits(n)))
+    fill = make()
+    out = _shared_empty(n, dtype)
+    work = np.empty(width * seg, dtype=np.uint8)
+    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg, work), n // seg, n)
+    return ArithmeticSequence(lam, kind, out)
+
+
+def sieve_moebius(lam: int) -> ArithmeticSequence:
+    """Moebius table on [0, 2^lam): mu(n), 0 unless n is squarefree."""
+    return _factor_pass(lam, "moebius")
+
+
+def sieve_liouville(lam: int) -> ArithmeticSequence:
+    """Liouville table: (-1)^Omega(n), prime factors with multiplicity."""
+    return _factor_pass(lam, "liouville")
 
 
 def sieve_von_mangoldt(lam: int) -> ArithmeticSequence:
-    """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere, filled
-    segment by segment in place.  It stays in one process: faulting in a
-    shared float64 table costs about what a second core would save."""
-    _require_von_mangoldt(lam, True)
-    out = np.empty(1 << lam)
-    for _ in _von_mangoldt_segments(lam, out):
-        pass
-    return ArithmeticSequence(lam, "von_mangoldt", out)
+    """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere."""
+    return _factor_pass(lam, "von_mangoldt")
 
 
 _SIEVES = {
@@ -308,28 +293,36 @@ def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
     segment at a time, writing the table's dump_sequence bytes to path when
     one is given.
 
-    Von Mangoldt holds one reused segment and the sieving primes up to
-    sqrt(2^lam), never its table, and is charged for those; the sign kinds
-    stream slices of their finished int8 table.  The segment sums add up as
-    a balanced pairwise tree, the way numpy's pairwise sum splits a 2^lam
-    array, so the sum is float(values.sum()) bit for bit.
+    Von Mangoldt fills one reused segment with its kernel and holds the
+    sieving primes up to sqrt(2^lam), never its table, and is charged for
+    those; the sign kinds stream slices of their finished int8 table.  The
+    segment sums add up as a balanced pairwise tree, the way numpy's
+    pairwise sum splits a 2^lam array, so the sum is float(values.sum())
+    bit for bit.
     """
     if kind == "von_mangoldt":
-        _require_von_mangoldt(lam, False)
-        segments = _von_mangoldt_segments(lam)
+        make, _, width = _kernel(kind, lam)
+        step, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
+        require_bytes(STREAM_BYTES * step + (PRIME_BYTES << half),
+                      f"von mangoldt stream at lambda={lam}",
+                      f"{STREAM_BYTES} per entry over a {step}-entry segment, "
+                      f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
+        fill, buf, work = make(), np.empty(step), np.empty(width * step, dtype=np.uint8)
+        segments = ((buf, fill(buf, lo, work)) for lo in range(0, 1 << lam, step))
     else:
         values = sequence(kind, lam).values
         step = min(len(values), DEFAULT_SEGMENT)
-        segments = (values[lo : lo + step] for lo in range(0, len(values), step))
+        segments = ((seg, int(np.count_nonzero(seg)))
+                    for seg in np.split(values, len(values) // step))
     sums, nonzero = [], 0
     with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
         if fh is not None:
             fh.write(_header(lam, kind))
-        for seg in segments:
+        for seg, count in segments:
             if fh is not None:
                 fh.write(_body(seg))
             sums.append(seg.sum())
-            nonzero += int(np.count_nonzero(seg))
+            nonzero += count
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return float(sums[0]), nonzero

@@ -468,8 +468,11 @@ def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
 
 def carry_report(config: BilinearConfig) -> CheckReport:
     """Measured carry-escape rate against CARRY_BRACKET * 2^(-eps*rho)."""
-    res = carry_truncation_rate(config)
     scale = 2.0 ** (-config.epsilon * config.rho)
+    if scale == 0.0:
+        raise ValueError(f"epsilon*rho = {config.epsilon * config.rho:g} puts the carry "
+                         "bracket 2^(-epsilon*rho) below the smallest float")
+    res = carry_truncation_rate(config)
     rhs = CARRY_BRACKET * scale
     params = _bilinear_params(config, epsilon=config.epsilon, low_rate=res.low_rate,
                               bad_count=res.bad_count, total=res.total,

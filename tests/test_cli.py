@@ -291,6 +291,12 @@ BAD_NUMBERS = [
     ("sieve --lambda 8", "inf", "memory budget"),
     ("sieve --lambda 8", "-1", "memory budget"),
     ("sieve --lambda 8", "abc", "memory budget"),
+    # finite GiB counts whose byte counts are not
+    ("sieve --lambda 4 --max-mem-gib 2e299", None, "memory budget"),
+    ("sieve --lambda 4", "2e299", "memory budget"),
+    # brackets 2^(-epsilon*rho) that underflow to 0
+    ("carry-rate --mask 0x6 --mu 2 --nu 4 --rho 1 --epsilon 1100", None, "epsilon*rho"),
+    ("carry-rate --mask 0x6 --mu 2 --nu 4 --rho 3 --epsilon 400", None, "epsilon*rho"),
 ]
 
 
@@ -302,6 +308,23 @@ def test_non_finite_or_nonpositive_numbers_exit_two(capsys, monkeypatch, argv, e
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("env", [None, "1e299"], ids=["flag", "variable"])
+def test_largest_finite_budgets_still_run(capsys, monkeypatch, env):
+    argv = ["sieve", "--lambda", "4"] + (["--max-mem-gib", "1e299"] if env is None else [])
+    if env is not None:
+        monkeypatch.setenv("WSL_MAX_MEM_GIB", env)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv", ["carry-rate --mask 0x6 --mu 2 --nu 4 --rho 1 --epsilon 1074",
+                                  "bilinear --mask 0x6 --mu 2 --nu 4 --rho 1 --epsilon 1100",
+                                  "quadform --mask 0x6 --mu 2 --nu 4 --rho 1 --epsilon 1100"])
+def test_huge_epsilon_runs_where_its_bracket_is_a_float(capsys, argv):
+    # 2^-1074 is the smallest subnormal; bilinear and quadform never read epsilon
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code in (0, 1) and out and "Traceback" not in err
 
 
 def test_version_flag(capsys):
@@ -482,7 +505,8 @@ def test_von_mangoldt_stream_is_charged_its_segment(capsys, tmp_path, monkeypatc
     assert tight == default
     code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "0.01")
     assert code == 3 and out == ""
-    need = (1 << 23) + sieve._sign_scratch(23) * (1 + limits._splits(1 << 23))
+    products = 4 * sieve.DEFAULT_SEGMENT  # one segment's int32 workspace
+    need = (1 << 23) + (sieve._sign_scratch(23) + products) * (1 + limits._splits(1 << 23))
     assert f"resource limit: moebius table at lambda=23 requires {need} bytes" in err
 
 

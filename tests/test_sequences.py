@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,37 @@ def test_sign_kernel_matches_oracle_at_any_offset(lo, m, layout, squarefree):
     assert count == np.count_nonzero(truth)
 
 
+def _flags_apart(m):
+    # the table's and the stream's layout: a float64 view and separate flags
+    return np.full(m, np.nan), np.full(m, 0xFF, np.uint8)
+
+
+def _flags_in_view(m):
+    view = np.full(m, np.nan)
+    return view, view
+
+
+@functools.lru_cache(maxsize=None)
+def _von_mangoldt_truth(lo, m):
+    return np.array([oracles.trial_division_von_mangoldt(n) if n else 0.0
+                     for n in range(lo, lo + m)])
+
+
+# from 0 and 1; on, off and across a segment edge; across the stamp 4093^2;
+# and a run that ends at 2^lam, each shorter than one segment
+@pytest.mark.parametrize("lam, lo, m", [(18, 0, 5000), (18, 1, 3), (24, DEFAULT_SEGMENT, 2000),
+                                        (24, DEFAULT_SEGMENT + 17, 2000),
+                                        (24, 2 * DEFAULT_SEGMENT - 1000, 2000),
+                                        (24, 4093**2 - 1000, 2000), (24, (1 << 24) - 2000, 2000)])
+@pytest.mark.parametrize("layout", [_flags_apart, _flags_in_view])
+def test_von_mangoldt_kernel_matches_oracle_at_any_offset(lam, lo, m, layout):
+    view, work = layout(m)
+    count = sieve._von_mangoldt_kernel(lam)(view, lo, work)
+    truth = _von_mangoldt_truth(lo, m)
+    np.testing.assert_allclose(view, truth, atol=1e-12, rtol=0)
+    assert count == np.count_nonzero(truth)
+
+
 # a table of two segments (lambda = 21): every n within 256 of the segment
 # boundary, and the top 256 entries, where the last prime-power levels land
 _TWO_SEGMENTS = DEFAULT_SEGMENT.bit_length()
@@ -187,12 +219,13 @@ def test_von_mangoldt_stream_charge_covers_its_peak(tmp_path, monkeypatch, lam):
 
 
 def test_von_mangoldt_stream_charge_covers_its_sieving_primes(monkeypatch):
-    # at lam 40 the sieving primes to 2^20 and their prime-power stamps
-    # outgrow a charge for the segment alone; the setup and first segment
-    # hold the stream's peak
-    charge = _stream_charge(monkeypatch, 40)
+    # at lam 42 the sieving primes to 2^21 and their prime-power stamps
+    # outgrow a charge for the segment alone; the kernel's setup and first
+    # segment hold the stream's peak
+    charge = _stream_charge(monkeypatch, 42)
+    make, _, width = sieve._kernel("von_mangoldt", 42)
     tracemalloc.start()
-    next(sieve._von_mangoldt_segments(40))
+    make()(np.empty(DEFAULT_SEGMENT), 0, np.empty(width * DEFAULT_SEGMENT, np.uint8))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert STREAM_BYTES * DEFAULT_SEGMENT < peak <= charge, (peak, charge)

@@ -1,6 +1,6 @@
-"""Sign sieve and transform tasks: two processes or in order.
+"""Sieve and transform tasks: two processes or in order.
 
-Every sign sieve and transform is worked as numbered tasks (the spectrum
+Every sieve and transform is worked as numbered tasks (the spectrum
 command and the theorem scan sieve each segment straight into the transform
 buffer in its in-block task); a forked child and the caller share them when
 the table reaches limits.SPLIT_MIN entries and two CPUs are usable.  The
@@ -9,7 +9,7 @@ machine too, and take their reference with one CPU reported, where the
 tasks run in order in-process.  Smaller tables always run the tasks in
 order; the tests below SPLIT_MIN forbid the fork and compare the task path
 with oracles.axis_fwht, whose whole-array stages run in the same order, so
-even float spectra agree byte for byte.  Sign tables and spectra are also
+even float spectra agree byte for byte.  Tables and spectra are also
 checked against independent oracles.
 """
 
@@ -74,15 +74,21 @@ def test_split_tables_hold_whole_sieve_segments():
 
 
 @pytest.mark.parametrize("lam", [LAM, LAM + 1])
-@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+@pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])
 def test_split_sign_tables_equal_one_process(monkeypatch, kind, lam):
+    forks = _count_forks(monkeypatch)
     split, ref = _both(monkeypatch, lambda: sequence(kind, lam).values)
-    assert split.tobytes() == ref.tobytes()
+    assert forks == [1] and split.tobytes() == ref.tobytes()
     rng = np.random.default_rng([lam, len(kind)])
-    ns = np.concatenate([rng.integers(2, 1 << lam, size=200), [(1 << lam) - 1]])
-    column = 0 if kind == "moebius" else 1
+    ns = np.concatenate([rng.integers(2, 1 << lam, size=200), [(1 << lam) - 1, 2039**2]])
     for n in ns:
-        assert split[n] == oracles.trial_division_signs(int(n))[column], int(n)
+        if kind == "von_mangoldt":
+            truth = oracles.trial_division_von_mangoldt(int(n))
+            assert split[n] == pytest.approx(truth, abs=1e-12), int(n)
+        else:
+            column = 0 if kind == "moebius" else 1
+            assert split[n] == oracles.trial_division_signs(int(n))[column], int(n)
+    _no_children()
 
 
 def _int64_table():
@@ -253,14 +259,23 @@ def _raise(where):
     return failure
 
 
-def test_failed_child_raises_child_process_error(monkeypatch, capsys):
+def _small_split(monkeypatch) -> int:
+    """Fork from 2^15 entries with DEFAULT_BLOCK-entry transform parts, so a
+    lam-17 table splits into two in-block tasks; returns that lam."""
+    monkeypatch.setattr(limits, "SPLIT_MIN", 1 << 15)
+    monkeypatch.setattr(fwht, "DEFAULT_SEGMENT", fwht.DEFAULT_BLOCK)
     _cpus(monkeypatch, {0, 1})
-    values = sequence("moebius", LAM).values
+    return fwht._BLOCK_BITS + 1
+
+
+def test_failed_child_raises_child_process_error(monkeypatch, capsys):
+    lam = _small_split(monkeypatch)
+    values = sequence("moebius", lam).values
     _fail_in(monkeypatch, "child", _raise("child"))
     with pytest.raises(ChildProcessError, match="stage failure in the child"):
         spectrum(values)
     _no_children()
-    assert dispatch(["spectrum", "--lambda", str(LAM)]) == 2
+    assert dispatch(["spectrum", "--lambda", str(lam)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "stage failure in the child" in err
     assert "Traceback" not in err
@@ -268,8 +283,7 @@ def test_failed_child_raises_child_process_error(monkeypatch, capsys):
 
 
 def test_signalled_child_raises_child_process_error(monkeypatch):
-    _cpus(monkeypatch, {0, 1})
-    values = sequence("moebius", LAM).values
+    values = sequence("moebius", _small_split(monkeypatch)).values
     _fail_in(monkeypatch, "child", lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(ChildProcessError, match="signal 9"):
         spectrum(values)
@@ -277,6 +291,7 @@ def test_signalled_child_raises_child_process_error(monkeypatch):
 
 
 def test_parent_failure_still_reaps_the_child(monkeypatch):
+    # the one failure case at the real SPLIT_MIN and segment
     _cpus(monkeypatch, {0, 1})
     values = sequence("moebius", LAM).values
     _fail_in(monkeypatch, "parent", _raise("parent"))
@@ -290,10 +305,10 @@ def test_parent_failure_still_reaps_the_child(monkeypatch):
 def test_fused_task_failure_reaches_the_caller(monkeypatch, where, error):
     """A failure in a task that sieves into the transform buffer raises in
     the caller, and no worker is left."""
-    _cpus(monkeypatch, {0, 1})
+    lam = _small_split(monkeypatch)
     _fail_in(monkeypatch, where, _raise(where))
     with pytest.raises(error, match=f"stage failure in the {where}"):
-        theorem_scan("moebius", [LAM])
+        theorem_scan("moebius", [lam])
     _no_children()
 
 
@@ -311,8 +326,8 @@ def test_fork_count(monkeypatch, lam, cpus, forks):
 
 
 def test_exhaustive_lemma_check_never_forks(monkeypatch, capsys):
-    """The all-mask sums and maxima are folds in one process; only sign
-    sieves and transforms reach _two_way."""
+    """The all-mask sums and maxima are folds in one process; only sieves
+    and transforms reach _two_way."""
     _cpus(monkeypatch, {0, 1})
     calls = _count_forks(monkeypatch)
     assert dispatch(["lemma-check", "--lemma", "3", "--lambda", "14", "--masks", "all"]) == 0
