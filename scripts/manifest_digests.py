@@ -30,11 +30,15 @@ from walshlab.cli import dispatch  # noqa: E402
 
 PIN = Path(__file__).resolve().parent.parent / "tests" / "manifest_digests.json"
 
-# the README's commands as written, then every tiny job at both reference seeds
+# the README's commands as written, every tiny job at both reference seeds,
+# then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats
 RUNS = readme_commands(README.read_text()) + [
     " ".join(job.args) + (f" --out {job.out}" if job.out else "")
     for seed in REFERENCE_SEEDS for workload in WORKLOADS
     for job in workload_jobs(workload, seed, "tiny")
+] + [
+    "scan --lambda-min 6 --lambda-max 9 --masks all",
+    "scan --lambda-min 6 --lambda-max 9 --masks all --out all.csv",
 ]
 
 

@@ -72,7 +72,7 @@ class ApproximantConfig:
         return ((1 << self.sigma) - 1) << (self.lam - self.sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class SampledApproximant:
     values: np.ndarray
     config: ApproximantConfig

@@ -3,7 +3,7 @@
 Every subcommand builds a RunManifest and writes it to stdout as JSON, or
 to --out as JSON/CSV picked by --format or the file extension.  `sieve
 --out table.bin` writes the binary sequence dump instead and keeps the
-manifest on stdout.
+manifest on stdout, as JSON unless --format says csv.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error (a
 run with nothing to check included), 3 resource limit: a charge that the
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import gc
 import importlib
@@ -26,7 +25,7 @@ from pathlib import Path
 from ._version import __version__
 from . import limits
 from .limits import ResourceLimitError
-from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _ratio, write_csv,
+from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, write_csv,
                      write_manifest_json)
 
 # Rosser-Schoenfeld: psi(x) < 1.04 x for all x > 0, so the Lambda prefix
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dumps(args) -> bool:
     """Whether the run writes the AWS1 dump to --out (the manifest then goes
-    to stdout as JSON)."""
+    to stdout)."""
     return args.command == "sieve" and args.out is not None and args.out.suffix == ".bin"
 
 
@@ -132,7 +131,7 @@ def _sieve_reports(args, sieve):
         "prefix_sum": total,
         "nonzero": nonzero,
     }
-    return [CheckReport("SIEVE", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
+    return [CheckReport("SIEVE", params, lhs, rhs, None, lhs <= rhs)]
 
 
 def _spectrum_reports(args, fwht):
@@ -147,7 +146,7 @@ def _spectrum_reports(args, fwht):
         "peak_weight": mask.weight,
         "peak_value": float(value),
     }
-    return [CheckReport("SPECTRUM", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs)]
+    return [CheckReport("SPECTRUM", params, lhs, rhs, None, lhs <= rhs)]
 
 
 def _theorem_scan(args, fwht):
@@ -170,14 +169,10 @@ def _lemma_scan(args, lemmas, lo: int, hi: int, selected: tuple, scan):
     return reports
 
 
-def _bilinear(args, sums, report, draws_beta: bool = False):
-    """The sum command's report.  Only the bilinear sum reads beta, which is
-    drawn once the config is valid."""
-    cfg = sums.BilinearConfig(args.mask, args.mu, args.nu, args.rho, args.k_shift, args.epsilon)
-    if draws_beta:
-        beta = sums.coefficient_table(args.coef, cfg.n_count, args.seed)
-        cfg = dataclasses.replace(cfg, beta=beta)
-    return [report(cfg)]
+def _bilinear(args, sums, report):
+    """The sum command's report of its validated config."""
+    return [report(sums.BilinearConfig(args.mask, args.mu, args.nu, args.rho, args.k_shift,
+                                       args.epsilon))]
 
 
 # subcommand -> (its module, run(args, module) giving the reports).  Only
@@ -191,7 +186,9 @@ _COMMANDS = {
         a, m, a.lam, a.lam, (a.lemma,), lambda c: m.scan_lemma_at(c, a.lemma, a.lam))),
     "scan": ("lemmas", lambda a, m: _lemma_scan(
         a, m, a.lambda_min, a.lambda_max, a.lemmas, m.run_scan)),
-    "bilinear": ("sums", lambda a, m: _bilinear(a, m, m.cauchy_schwarz_chain, draws_beta=True)),
+    # only the bilinear sum reads beta, drawn once the config is valid
+    "bilinear": ("sums", lambda a, m: _bilinear(a, m, lambda cfg: m.cauchy_schwarz_chain(
+        cfg, m.coefficient_table(a.coef, cfg.n_count, a.seed)))),
     "quadform": ("sums", lambda a, m: _bilinear(a, m, m.quadform_report)),
     "carry-rate": ("sums", lambda a, m: _bilinear(a, m, m.carry_report)),
     "type1": ("sums", lambda a, m: [m.type1_report(a.mask, a.mu, a.nu)]),
@@ -212,9 +209,7 @@ def _run(args) -> RunManifest:
 
 
 def _write_output(args, manifest: RunManifest) -> None:
-    out, fmt = args.out, args.format
-    if _dumps(args):
-        out, fmt = None, "json"
+    out, fmt = (None if _dumps(args) else args.out), args.format
     if fmt is None:
         fmt = "csv" if out is not None and out.suffix == ".csv" else "json"
     # sys.stdout is read here, so a caller's redirect_stdout applies; newline=""

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .limits import ResourceLimitError, _shared_empty, _splits, _two_way, require_table_bytes
-from .report import CheckReport, _ratio
+from .report import CheckReport
 from .sieve import DEFAULT_SEGMENT, SIGN_KINDS, _kernel
 from .walsh import WalshMask
 
@@ -339,9 +339,8 @@ def sign_max_correlations(kind: str, lambdas) -> tuple[list[tuple[WalshMask, int
         raise ValueError(f"no sign table for kind {kind!r}")
     lambdas = list(lambdas)
     top = lambdas[-1] if lambdas else 0
-    lambdas = _check_prefixes(lambdas, top)
-    make, scratch, _ = _kernel(kind, top)
-    peaks, counts = _sign_peaks(make, scratch, lambdas, top)
+    make, scratch, _ = _kernel(kind, top)  # a bad top is named before the prefixes
+    peaks, counts = _sign_peaks(make, scratch, _check_prefixes(lambdas, top), top)
     return peaks, sum(counts)
 
 
@@ -362,7 +361,7 @@ def _correlation_check(lam: int, kind: str, mask: WalshMask, value: int) -> Chec
         "value": int(value),
         "exponent": exponent,
     }
-    return CheckReport("THM1", params, lhs, rhs, _ratio(lhs, rhs), None, lhs < rhs)
+    return CheckReport("THM1", params, lhs, rhs, None, lhs < rhs)
 
 
 def theorem_scan(kind: str, lambdas) -> list[CheckReport]:

@@ -31,7 +31,7 @@ from .approximant import (
     l2_error,
 )
 from .limits import require_bytes
-from .report import CheckReport, _ratio
+from .report import CheckReport
 from .walsh import (
     Interval,
     ResidueClass,
@@ -101,6 +101,9 @@ class ScanConfig:
         bad = [x for x in self.lemmas if x not in (1, 2, 3, 4, 5, 6)]
         if bad:
             raise ValueError(f"unknown lemma selectors {bad}")
+        repeated = sorted({x for x in self.lemmas if self.lemmas.count(x) > 1})
+        if repeated:
+            raise ValueError(f"repeated lemma selectors {repeated}")
 
 
 def mask_family(config: ScanConfig, lam: int) -> list[int]:
@@ -139,11 +142,10 @@ def _l1_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     if w == 0:
         # l1 of the constant character is 1; the bound degenerates to 1^0
         params["degenerate"] = True
-        return CheckReport("L1", params, lhs, 1.0, _ratio(lhs, 1.0), None, True)
+        return CheckReport("L1", params, lhs, 1.0, None, True)
     fitted = lhs ** (1.0 / w) / lam
     rhs = (DEFAULT_BRACKETS["L1"] * lam) ** w
-    return CheckReport("L1", params, lhs, rhs, _ratio(lhs, rhs), fitted,
-                       fitted <= DEFAULT_BRACKETS["L1"])
+    return CheckReport("L1", params, lhs, rhs, fitted, fitted <= DEFAULT_BRACKETS["L1"])
 
 
 def _l2_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
@@ -152,17 +154,16 @@ def _l2_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     if bits in _CHARACTER_MASKS:
         params["degenerate"] = True
         fitted = None if w == 0 else -math.log2(lhs) / w
-        return CheckReport("L2", params, lhs, 1.0, _ratio(lhs, 1.0), fitted, True)
+        return CheckReport("L2", params, lhs, 1.0, fitted, True)
     fitted = -math.log2(lhs) / w
     rhs = 2.0 ** (-DEFAULT_BRACKETS["L2"] * w)
-    return CheckReport("L2", params, lhs, rhs, _ratio(lhs, rhs), fitted,
-                       fitted >= DEFAULT_BRACKETS["L2"])
+    return CheckReport("L2", params, lhs, rhs, fitted, fitted >= DEFAULT_BRACKETS["L2"])
 
 
 def _l3_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
     rhs = EXPLICIT_BASE ** (lam / 4.0)
     params = {"lambda": lam, "mask": bits, "weight": bits.bit_count()}
-    return CheckReport("L3", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+    return CheckReport("L3", params, lhs, rhs, None, lhs <= rhs + EXPLICIT_TOL)
 
 
 def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float) -> CheckReport:
@@ -170,8 +171,7 @@ def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float) -> CheckReport:
     fitted = lhs / scale
     rhs = DEFAULT_BRACKETS["L4"] * scale
     params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(), "r": r, "a": a}
-    return CheckReport("L4", params, lhs, rhs, _ratio(lhs, rhs), fitted,
-                       fitted <= DEFAULT_BRACKETS["L4"])
+    return CheckReport("L4", params, lhs, rhs, fitted, fitted <= DEFAULT_BRACKETS["L4"])
 
 
 def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckReport:
@@ -179,7 +179,7 @@ def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckRepor
     rhs = EXPLICIT_BASE ** (m / 4.0)
     params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(),
               "j_lo": lo, "j_hi": hi, "m": m}
-    return CheckReport("L6", params, lhs, rhs, _ratio(lhs, rhs), None, lhs <= rhs + EXPLICIT_TOL)
+    return CheckReport("L6", params, lhs, rhs, None, lhs <= rhs + EXPLICIT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +272,7 @@ def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> Che
         "in_asymptotic_regime": config.in_asymptotic_regime,
         "subchecks": sub_ok,
     }
-    return CheckReport(
-        "L5", params, lhs, rhs, _ratio(lhs, rhs), fitted, all(sub_ok.values())
-    )
+    return CheckReport("L5", params, lhs, rhs, fitted, all(sub_ok.values()))
 
 
 def check_lemma6(lam: int, lo: int, hi: int, mask: WalshMask) -> CheckReport:
@@ -423,8 +421,7 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
         "min_fitted": min(fitted) if fitted else None,
         "max_fitted": max(fitted) if fitted else None,
     }
-    return CheckReport("SUMMARY", params, float(failures), 1.0, float(failures),
-                       None, failures == 0)
+    return CheckReport("SUMMARY", params, failures, 1.0, None, failures == 0)
 
 
 def run_scan(config: ScanConfig) -> list[CheckReport]:

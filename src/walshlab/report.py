@@ -21,7 +21,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,7 @@ CSV_HEADER = (
 class CheckReport:
     """One check outcome: inputs, both sides, and the verdict.
 
+    ratio is lhs/rhs, or lhs when rhs is 0, derived from the two sides.
     fitted_constant is None for explicit-constant checks.  passed maps to
     the JSON/CSV field "pass".
     """
@@ -61,16 +62,17 @@ class CheckReport:
     params: dict
     lhs: float
     rhs: float
-    ratio: float
+    ratio: float = field(init=False)
     fitted_constant: float | None
     passed: bool
 
     def __post_init__(self):
         if self.lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma_id {self.lemma_id!r}")
-        object.__setattr__(self, "lhs", float(self.lhs))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        object.__setattr__(self, "ratio", float(self.ratio))
+        lhs, rhs = float(self.lhs), float(self.rhs)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ratio", lhs / rhs if rhs else lhs)
         if self.fitted_constant is not None:
             object.__setattr__(self, "fitted_constant", float(self.fitted_constant))
         object.__setattr__(self, "passed", bool(self.passed))
@@ -93,14 +95,9 @@ def report_from_dict(d: dict) -> CheckReport:
         params=d["params"],
         lhs=d["lhs"],
         rhs=d["rhs"],
-        ratio=d["ratio"],
         fitted_constant=d["fitted_constant"],
         passed=d["pass"],
     )
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    return lhs / rhs if rhs else float(lhs)
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,6 @@ def parse_csv(text: str) -> list[CheckReport]:
                 params=json.loads(row[2]),
                 lhs=float(row[3]),
                 rhs=float(row[4]),
-                ratio=float(row[5]),
                 fitted_constant=float(row[6]) if row[6] else None,
                 passed=row[7] == "true",
             )

@@ -42,7 +42,7 @@ PRIME_BYTES = 24
 _MAGIC = b"AWS1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ArithmeticSequence:
     """A value table of an arithmetic function on [0, 2^lam).
 

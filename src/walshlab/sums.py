@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import require_bytes
-from .report import CheckReport, _ratio
+from .report import CheckReport
 from .walsh import walsh_signs, walsh_table, WalshMask
 
 CARRY_BRACKET = 8.0   # measured rates stay below 0.53 * 2^(-eps*rho) on the grid
@@ -34,14 +34,11 @@ _MODE_BYTES = 24
 
 @dataclass(frozen=True)
 class BilinearConfig:
-    """Ranges, mask, coefficients, and shift structure for the sum objects.
+    """Ranges, mask, and shift structure for the sum objects.
 
     s_bits is read in the lam+2 = mu+nu+2 bit ambient width.  L = 2^rho
     shifts of scale 2^K must stay inside the inner range (L * 2^K < N).
     K is admissible when it is 0 or mu-rho <= K < lam-mu-rho (half-open).
-    The inner coefficient table beta (length N) is bounded by 1 in absolute
-    value; None means all-ones.  Outer coefficients need no table: they
-    enter every sum only through |alpha| <= 1.
     """
 
     s_bits: int
@@ -50,7 +47,6 @@ class BilinearConfig:
     rho: int = 1
     k_shift: int = 0
     epsilon: float = 0.5
-    beta: np.ndarray | None = None
 
     def __post_init__(self):
         if not 1 <= self.mu <= self.nu:
@@ -75,11 +71,6 @@ class BilinearConfig:
             )
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.beta is not None:
-            if len(self.beta) != self.n_count:
-                raise ValueError(f"beta must have length {self.n_count}")
-            if np.abs(np.asarray(self.beta, dtype=np.float64)).max() > 1.0 + 1e-12:
-                raise ValueError("beta entries must satisfy |.| <= 1")
 
     @property
     def lam(self) -> int:
@@ -112,11 +103,6 @@ class BilinearConfig:
             notes.append("eps*rho is not an integer; the digit window rounds up")
         return notes
 
-    def beta_table(self) -> np.ndarray:
-        if self.beta is None:
-            return np.ones(self.n_count, dtype=np.float64)
-        return np.asarray(self.beta, dtype=np.float64)
-
 
 def coefficient_table(kind: str, count: int, seed: int) -> np.ndarray | None:
     """Generator for beta tables: all-ones or seeded signs, charged before
@@ -144,7 +130,7 @@ def _product_dtype(config: BilinearConfig):
 
 def _require_sum_bytes(config: BilinearConfig, what: str, fixed: int, per_n: int) -> None:
     """Charge a sum object fixed bytes of blocks and tables, and per_n bytes
-    per n ~ N besides the config's 8-byte beta entries."""
+    per n ~ N besides the 8-byte beta entries."""
     require_bytes(fixed + (8 + per_n) * config.n_count + _SUM_SCRATCH,
                   f"{what} at mu={config.mu}, nu={config.nu}",
                   f"{fixed} of blocks and tables, {8 + per_n} per entry over N={config.n_count}")
@@ -161,17 +147,26 @@ def _ranges(config: BilinearConfig):
 # sum objects
 
 
-def bilinear_sum(config: BilinearConfig) -> float:
+def bilinear_sum(config: BilinearConfig, beta: np.ndarray | None = None) -> float:
     """sum over m ~ M of |sum over n ~ N of beta_n w_S(m n)|.
 
-    The outer coefficients enter the estimate only through |alpha| <= 1, so
-    the dominating absolute form is the computed quantity.
+    The inner coefficient table beta (length N) is bounded by 1 in absolute
+    value; None means all-ones.  The outer coefficients enter the estimate
+    only through |alpha| <= 1, so they need no table: the dominating
+    absolute form is the computed quantity.
     """
+    if beta is not None:
+        if len(beta) != config.n_count:
+            raise ValueError(f"beta must have length {config.n_count}")
+        beta = np.asarray(beta, dtype=np.float64)
+        if np.abs(beta).max() > 1.0 + 1e-12:
+            raise ValueError("beta entries must satisfy |.| <= 1")
     item = np.dtype(_product_dtype(config)).itemsize
     # a row's products and their masked copy, then its float64 signs
     _require_sum_bytes(config, "bilinear sum", 0, 2 * item + 8)
     m, n = _ranges(config)
-    beta = config.beta_table()
+    if beta is None:
+        beta = np.ones(config.n_count, dtype=np.float64)
     total = 0.0
     for mv in m:
         signs = walsh_signs(config.s_bits, mv * n)
@@ -370,7 +365,7 @@ class SplitConfig:
         return []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class SplitResult:
     frequencies: np.ndarray    # int64, sorted, mod 2^lam
     coefficients: np.ndarray   # complex, aligned with frequencies
@@ -427,22 +422,22 @@ def _bilinear_params(config: BilinearConfig, **extra) -> dict:
             "advisories": config.advisories, **extra}
 
 
-def cauchy_schwarz_chain(config: BilinearConfig) -> CheckReport:
-    """(bilinear sum)^2 against (MN/L) * (2L-1) * quadratic form.
+def cauchy_schwarz_chain(config: BilinearConfig, beta: np.ndarray | None = None) -> CheckReport:
+    """(bilinear sum with inner coefficients beta)^2 against
+    (MN/L) * (2L-1) * quadratic form.
 
     The testable shape of the range-splitting step: squaring the outer sum
     and shift-averaging the inner variable dominates the bilinear sum by the
-    shifted quadratic form times MN/L.
+    shifted quadratic form times MN/L.  The form's l = 0 diagonal alone
+    contributes N*M, so the right side is positive.
     """
-    bil = bilinear_sum(config)
+    bil = bilinear_sum(config, beta)
     quad = shifted_quadratic_form(config)
     lhs = bil * bil
     rhs = quad.prefactor * (2 * config.shift_count - 1) * quad.value
     params = _bilinear_params(config, bilinear=bil, quadform=quad.value,
                               prefactor=quad.prefactor, clipped_terms=quad.clipped_terms)
-    fitted = _ratio(lhs, rhs)
-    return CheckReport("BILIN", params, lhs, rhs, fitted, fitted,
-                       lhs <= rhs * (1.0 + 1e-12))
+    return CheckReport("BILIN", params, lhs, rhs, lhs / rhs, lhs <= rhs * (1.0 + 1e-12))
 
 
 def quadform_report(config: BilinearConfig) -> CheckReport:
@@ -451,9 +446,7 @@ def quadform_report(config: BilinearConfig) -> CheckReport:
     rhs = (2 * config.shift_count - 1) * config.n_count * config.m_count
     params = _bilinear_params(config, prefactor=quad.prefactor,
                               clipped_terms=quad.clipped_terms)
-    return CheckReport("QUAD", params, quad.value, float(rhs),
-                       _ratio(quad.value, rhs), None,
-                       quad.value <= rhs + 1e-9)
+    return CheckReport("QUAD", params, quad.value, rhs, None, quad.value <= rhs + 1e-9)
 
 
 def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
@@ -462,8 +455,7 @@ def type1_report(s_bits: int, mu: int, nu: int) -> CheckReport:
     value = bilinear_sum(BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, rho=0))
     rhs = float((1 << mu) * (1 << nu))
     params = {"lambda": mu + nu, "mask": s_bits, "mu": mu, "nu": nu}
-    return CheckReport("TYPE1", params, value, rhs, _ratio(value, rhs), None,
-                       value <= rhs + 1e-9)
+    return CheckReport("TYPE1", params, value, rhs, None, value <= rhs + 1e-9)
 
 
 def carry_report(config: BilinearConfig) -> CheckReport:
@@ -479,8 +471,7 @@ def carry_report(config: BilinearConfig) -> CheckReport:
                               first_checked_bit=res.first_checked_bit)
     fitted = res.rate / scale
     passed = res.rate <= rhs and res.low_rate == 0.0
-    return CheckReport("CARRY", params, res.rate, rhs, _ratio(res.rate, rhs),
-                       fitted, passed)
+    return CheckReport("CARRY", params, res.rate, rhs, fitted, passed)
 
 
 def split_report(config: SplitConfig) -> CheckReport:
@@ -501,5 +492,4 @@ def split_report(config: SplitConfig) -> CheckReport:
     }
     fitted = res.l1_error / scale
     passed = res.l1_error <= rhs and len(res.frequencies) <= res.size_cap
-    return CheckReport("SPLIT", params, res.l1_error, rhs,
-                       _ratio(res.l1_error, rhs), fitted, passed)
+    return CheckReport("SPLIT", params, res.l1_error, rhs, fitted, passed)

@@ -421,10 +421,9 @@ def per_mask_scan(config) -> list:
     return reports
 
 
-# the report fields an l1 sum feeds; the all-mask sum fold may move them in
-# the last bits against a row's own sum
-_L1_FED = {"L1": ("lhs", "ratio", "fitted_constant"), "L3": ("lhs", "ratio"),
-           "L5": ("lhs", "ratio", "fitted_constant")}
+# the report fields an l1 sum feeds (the ratio follows lhs); the all-mask sum
+# fold may move them in the last bits against a row's own sum
+_L1_FED = {"L1": ("lhs", "fitted_constant"), "L3": ("lhs",), "L5": ("lhs", "fitted_constant")}
 
 
 def assert_reports_match(got: list, want: list, rtol: float = 1e-15) -> None:

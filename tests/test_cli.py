@@ -166,6 +166,15 @@ def test_oversized_random_beta_exits_three(capsys, command):
     assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", ["bilinear --mask 0x6 --mu 4 --nu 40 --coef ones",
+                                  "type1 --mask 0x6 --mu 4 --nu 40"])
+def test_oversized_all_ones_beta_is_charged_before_it_is_built(capsys, argv):
+    # the bilinear sum builds its all-ones table only after its own charge
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: bilinear sum at mu=4, nu=40 requires ")
+
+
 @pytest.mark.parametrize("argv", [
     "scan --lambda-min 8 --lambda-max 8 --masks random --count 10000000000000 --lemmas 1",
     "lemma-check --lemma 1 --lambda 8 --masks random --count 10000000000000",
@@ -337,6 +346,14 @@ def test_bad_lemma_list_exits_two(capsys):
     code, _, _ = run_cli(capsys, "scan", "--lambda-min", "8", "--lambda-max", "8",
                          "--lemmas", "nope")
     assert code == 2
+
+
+def test_repeated_lemma_selector_exits_two(capsys):
+    # a repeat would write lemma 1's reports twice and count both in SUMMARY
+    code, out, err = run_cli(capsys, "scan", "--lambda-min", "8", "--lambda-max", "8",
+                             "--lemmas", "1,1,2")
+    assert code == 2 and out == ""
+    assert err == "error: repeated lemma selectors [1]\n"
 
 
 def test_lemma_check_without_checks_exits_two(capsys):
@@ -530,6 +547,17 @@ def test_von_mangoldt_stream_rejects_empty_tables(capsys, lam):
     assert f"lam must be a positive bit length, got {lam}" in err
 
 
+@pytest.mark.parametrize("lam", ["0", "-3"])
+@pytest.mark.parametrize("kind", ["moebius", "liouville"])
+def test_spectrum_names_a_nonpositive_lambda_as_sieve_does(capsys, kind, lam):
+    # the kernel's check runs before the prefix check, so no empty prefix
+    # range like 1..0 is named
+    for command in ("spectrum", "sieve"):
+        code, out, err = run_cli(capsys, command, "--kind", kind, "--lambda", lam)
+        assert code == 2 and out == ""
+        assert err == f"error: lam must be a positive bit length, got {lam}\n", command
+
+
 # ---------------------------------------------------------------------------
 # output routing
 
@@ -572,6 +600,20 @@ def test_format_flag_beats_extension(tmp_path, capsys):
                          "--format", "json")
     assert code == 0
     json.loads(path.read_text())  # despite the .csv name
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+def test_dumped_sieve_manifest_follows_the_format_flag(tmp_path, capsys, fmt):
+    # the AWS1 dump takes --out, and the stdout manifest keeps --format
+    path = tmp_path / "table.bin"
+    code, out, _ = run_cli(capsys, "sieve", "--lambda", "8", "--out", str(path),
+                           *(("--format", fmt) if fmt else ()))
+    assert code == 0
+    assert path.read_bytes()[:4] == b"AWS1"
+    if fmt == "csv":
+        assert [r.lemma_id for r in parse_csv(out)] == ["SIEVE"]
+    else:
+        assert manifest_from_json(out).reports[0].lemma_id == "SIEVE"
 
 
 def test_format_csv_to_stdout(capsys):

@@ -36,7 +36,7 @@ from walshlab.limits import ResourceLimitError
 
 def test_report_rejects_unknown_id():
     with pytest.raises(ValueError):
-        CheckReport("L9", {}, 1.0, 2.0, 0.5, None, True)
+        CheckReport("L9", {}, 1.0, 2.0, None, True)
 
 
 def test_report_dict_round_trip():
@@ -47,8 +47,9 @@ def test_report_dict_round_trip():
 
 
 def test_report_coerces_numeric_fields():
-    rep = CheckReport("L3", {}, np.float64(1.5), 2, np.float64(0.75), None, np.True_)
+    rep = CheckReport("L3", {}, np.float64(1.5), 2, None, np.True_)
     assert isinstance(rep.lhs, float) and isinstance(rep.rhs, float)
+    assert type(rep.ratio) is float and rep.ratio == 0.75
     assert isinstance(rep.passed, bool)
 
 
@@ -224,7 +225,7 @@ def test_run_scan_appends_summary_and_is_deterministic():
     ("random", 10, (1, 2, 3, 4, 5, 6)),
     ("structured", 10, (1, 2, 3, 4, 5, 6)),
     ("all", 7, (1, 2, 3, 4, 5, 6)),
-    ("random", 8, (6, 1, 4, 1, 2)),  # any order, repeats allowed
+    ("random", 8, (6, 1, 4, 2)),  # any order (a repeat is refused)
 ])
 def test_run_scan_matches_per_mask_oracle(seed, family, lam_max, lemmas):
     # count 64 at lam=6 repeats masks, and r=6 is skipped at lam=6
@@ -271,7 +272,7 @@ def test_scan_rejects_oversized_lambda_before_any_row(monkeypatch):
 
 def test_summarize_counts_failures():
     good = check_lemma3(6, WalshMask(0b11, 6))
-    bad = CheckReport("L1", {"lambda": 6}, 5.0, 1.0, 5.0, 99.0, False)
+    bad = CheckReport("L1", {"lambda": 6}, 5.0, 1.0, 99.0, False)
     summary = summarize([good, bad])
     assert not summary.passed
     assert summary.lhs == 1.0
@@ -293,6 +294,14 @@ def test_scan_config_validation():
             ScanConfig(8, 8, count=count)
     # no lambda cap: the scan's charge is the size guard
     ScanConfig(12, 17)
+
+
+def test_scan_config_refuses_repeated_selectors():
+    # a repeat would write its lemma's reports twice and count both in SUMMARY
+    for lemmas, named in [((1, 1, 2), r"\[1\]"), ((3, 5, 3, 5, 3), r"\[3, 5\]")]:
+        with pytest.raises(ValueError, match="repeated lemma selectors " + named):
+            ScanConfig(8, 8, lemmas=lemmas)
+    assert ScanConfig(8, 8, lemmas=(6, 1, 4, 2)).lemmas == (6, 1, 4, 2)
 
 
 def test_lemma5_scan_uses_shrunk_sigma_at_small_lambda():

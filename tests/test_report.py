@@ -1,5 +1,6 @@
 """Serialization: manifest JSON byte-identity and the CSV round trip."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -31,7 +32,6 @@ def _sample_reports():
             params={"lambda": 8, "mask": "0x3"},
             lhs=12.5,
             rhs=31.0,
-            ratio=12.5 / 31.0,
             fitted_constant=0.91,
             passed=True,
         ),
@@ -40,7 +40,6 @@ def _sample_reports():
             params={"lambda": 12, "sigma": 4, "t_grid": [3, 4, 5]},
             lhs=0.1 + 0.2,  # repr is the 17-digit 0.30000000000000004
             rhs=1.0,
-            ratio=0.1 + 0.2,
             fitted_constant=None,
             passed=False,
         ),
@@ -54,6 +53,33 @@ def _sample_manifest():
         seed=7,
         reports=_sample_reports(),
     )
+
+
+# ---------------------------------------------------------------------------
+# the record
+
+
+def test_ratio_is_derived_from_both_sides():
+    assert [f.name for f in dataclasses.fields(CheckReport) if f.init] == [
+        "lemma_id", "params", "lhs", "rhs", "fitted_constant", "passed"]
+    assert CheckReport("L3", {}, 3.0, 4.0, None, True).ratio == 0.75
+    assert CheckReport("L3", {}, 3.0, 0.0, None, True).ratio == 3.0  # rhs 0 gives the lhs
+    assert CheckReport("L3", {}, 3.0, -0.0, None, True).ratio == 3.0
+    rep = CheckReport("L3", {}, np.float32(0.1), np.int64(3), None, True)
+    assert type(rep.ratio) is float and rep.ratio == float(np.float32(0.1)) / 3.0
+    with pytest.raises(TypeError):
+        CheckReport("L3", {}, 3.0, 4.0, 0.75, None, True)
+
+
+def test_readers_rebuild_the_ratio_rather_than_read_it():
+    reports = _sample_reports()
+    stored = repr(reports[0].ratio)
+    text = emit_csv(reports)
+    assert parse_csv(text) == list(reports)
+    assert parse_csv(text.replace(stored, "7.0", 1))[0].ratio == reports[0].ratio
+    text = manifest_to_json(_sample_manifest())
+    assert manifest_from_json(text).reports == reports
+    assert manifest_from_json(text.replace(stored, "7.0", 1)).reports == reports
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +129,6 @@ def test_manifest_coerces_numpy_scalars():
         params={"lambda": np.int64(10), "peak": np.float64(0.5)},
         lhs=np.float64(3.0),
         rhs=np.float64(4.0),
-        ratio=np.float64(0.75),
         fitted_constant=None,
         passed=bool(np.bool_(True)),
     )
@@ -118,7 +143,7 @@ def test_manifest_coerces_numpy_scalars():
 def _numpy_manifest():
     rep = CheckReport("L4", {"lambda": np.int64(9), "sums": np.arange(3.0),
                              "ok": np.bool_(True), "rows": np.eye(2, dtype=np.int32)},
-                      np.float64(0.25), 1.0, 0.25, np.float32(0.5), True)
+                      np.float64(0.25), 1.0, np.float32(0.5), True)
     return RunManifest("scan", {"count": np.int32(3)}, 7, (rep,) + _sample_reports())
 
 
@@ -204,9 +229,10 @@ def _corpus(seed, count):
         keys, kinds = _SHAPES[rng.integers(len(_SHAPES))]
         kinds = [types[rng.integers(len(types))] if k == "any" else k for k in kinds]
         params = {k: _DRAW[t](rng) for k, t in zip(keys, kinds)}
-        lhs, rhs, ratio, fitted = (_DRAW[float](rng) for _ in range(4))
+        # the third draw once fed the ratio; it stays so each seed's corpus is unchanged
+        lhs, rhs, _, fitted = (_DRAW[float](rng) for _ in range(4))
         reports.append(CheckReport(LEMMA_IDS[rng.integers(len(LEMMA_IDS))], params, lhs, rhs,
-                                   ratio, None if rng.random() < 0.3 else fitted,
+                                   None if rng.random() < 0.3 else fitted,
                                    bool(rng.integers(2))))
     return reports
 
@@ -305,7 +331,6 @@ def test_csv_round_trip_many_random_reports(rng):
                 params={"lambda": int(rng.integers(2, 21)), "i": i},
                 lhs=lhs,
                 rhs=rhs,
-                ratio=lhs / rhs,
                 fitted_constant=None if i % 7 == 0 else float(rng.uniform(0, 10)),
                 passed=bool(i % 3),
             )
@@ -318,7 +343,7 @@ def test_csv_lambda_column():
     text = emit_csv(_sample_reports())
     rows = text.split("\r\n")
     assert rows[1].startswith("L1,8,")
-    no_lam = CheckReport("SPECTRUM", {"kind": "moebius"}, 1.0, 2.0, 0.5, None, True)
+    no_lam = CheckReport("SPECTRUM", {"kind": "moebius"}, 1.0, 2.0, None, True)
     assert emit_csv([no_lam]).split("\r\n")[1].startswith("SPECTRUM,,")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from walshlab import sums
 from walshlab import (
+    ApproximantConfig,
     BilinearConfig,
     ResourceLimitError,
     SplitConfig,
     bilinear_sum,
+    build_approximant,
     carry_report,
     carry_truncation_rate,
     cauchy_schwarz_chain,
@@ -61,10 +64,28 @@ def test_shift_span_must_stay_below_inner_range():
 
 
 def test_coefficient_bounds_enforced():
-    with pytest.raises(ValueError, match="length"):
-        BilinearConfig(s_bits=1, mu=2, nu=3, beta=np.ones(5))
+    cfg = BilinearConfig(s_bits=1, mu=2, nu=3)
+    for run in (bilinear_sum, cauchy_schwarz_chain):
+        with pytest.raises(ValueError, match="beta must have length 8"):
+            run(cfg, np.ones(5))
+        with pytest.raises(ValueError, match=r"beta entries must satisfy \|\.\| <= 1"):
+            run(cfg, 2.0 * np.ones(8))
+    beta = np.ones(8)
+    beta[3] = -1.0 - 1e-9
     with pytest.raises(ValueError, match="<= 1"):
-        BilinearConfig(s_bits=1, mu=2, nu=3, beta=2.0 * np.ones(8))
+        bilinear_sum(cfg, beta)
+    beta[3] = -1.0
+    assert bilinear_sum(cfg, beta) == oracles.naive_bilinear(1, 2, 3, beta)
+
+
+def test_equal_configs_compare_equal_and_hash_alike():
+    # the config holds only scalars, so its generated eq and hash work
+    a = BilinearConfig(s_bits=0x6, mu=3, nu=5, rho=1)
+    b = BilinearConfig(s_bits=0x6, mu=3, nu=5, rho=1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != BilinearConfig(s_bits=0x6, mu=3, nu=5, rho=2)
+    assert "beta" not in {f.name for f in dataclasses.fields(BilinearConfig)}
 
 
 def test_coefficient_table_kinds():
@@ -77,6 +98,19 @@ def test_coefficient_table_kinds():
     assert np.array_equal(tab, expect)
     with pytest.raises(ValueError):
         coefficient_table("gaussian", 8, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sequence("moebius", 6),
+    lambda: build_approximant(WalshMask(0b11 << 8, 10), ApproximantConfig(10, 2, 3)),
+    lambda: spectral_split(SplitConfig(s_bits=0x3000, lam=14, mu=1, h_param=2)),
+], ids=["ArithmeticSequence", "SampledApproximant", "SplitResult"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # each holds an ndarray, on whose elementwise == a generated eq would raise
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_advisories_are_reported_not_enforced():
@@ -111,8 +145,7 @@ def test_bilinear_matches_naive_loop():
         assert sums._ranges(cfg)[0].dtype == np.int32
         assert bilinear_sum(cfg) == oracles.naive_bilinear(s_bits, mu, nu)
         beta = coefficient_table("random", 1 << nu, 7)
-        cfg2 = BilinearConfig(s_bits=s_bits, mu=mu, nu=nu, beta=beta)
-        assert bilinear_sum(cfg2) == pytest.approx(
+        assert bilinear_sum(cfg, beta) == pytest.approx(
             oracles.naive_bilinear(s_bits, mu, nu, beta), abs=1e-9
         )
 

@@ -1,5 +1,4 @@
 import math
-import dataclasses
 import functools
 import tracemalloc
 
@@ -373,7 +372,7 @@ def _bilinear_chain(mu, nu):
     # as the bilinear command runs it: beta is drawn under its own charge
     cfg = sums.BilinearConfig(0x6, mu, nu, rho=3)
     beta = sums.coefficient_table("random", cfg.n_count, 0)
-    return sums.cauchy_schwarz_chain(dataclasses.replace(cfg, beta=beta))
+    return sums.cauchy_schwarz_chain(cfg, beta)
 
 
 # every path that charges the memory budget, as (name, sizes, make) with
