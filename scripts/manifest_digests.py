@@ -31,7 +31,9 @@ from walshlab.cli import dispatch  # noqa: E402
 PIN = Path(__file__).resolve().parent.parent / "tests" / "manifest_digests.json"
 
 # the README's commands as written, every tiny job at both reference seeds,
-# then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats
+# then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats, and
+# the smallest all-mask L1 and L2 checks whose floats a numpy power or log2
+# in place of Python's ** or math.log2 would change
 RUNS = readme_commands(README.read_text()) + [
     " ".join(job.args) + (f" --out {job.out}" if job.out else "")
     for seed in REFERENCE_SEEDS for workload in WORKLOADS
@@ -39,6 +41,8 @@ RUNS = readme_commands(README.read_text()) + [
 ] + [
     "scan --lambda-min 6 --lambda-max 9 --masks all",
     "scan --lambda-min 6 --lambda-max 9 --masks all --out all.csv",
+    "lemma-check --lemma 1 --lambda 12 --masks all",
+    "lemma-check --lemma 2 --lambda 13 --masks all --out l2.csv",
 ]
 
 

@@ -21,8 +21,9 @@ _EXPORTS = {
                "check_lemma4", "check_lemma5", "check_lemma6", "run_scan",
                "scan_lemma_at", "summarize"),
     "limits": ("ResourceLimitError", "resolve_max_mem_gib"),
-    "report": ("CSV_HEADER", "CheckReport", "RunManifest", "emit_csv",
-               "manifest_from_json", "manifest_to_json", "parse_csv", "report_from_dict"),
+    "report": ("CSV_HEADER", "CheckReport", "ReportColumns", "RunManifest", "emit_csv",
+               "expand", "manifest_from_json", "manifest_to_json", "parse_csv",
+               "report_from_dict"),
     "sieve": ("ArithmeticSequence", "dump_sequence", "load_sequence", "sequence",
               "sieve_liouville", "sieve_moebius", "sieve_von_mangoldt"),
     "sums": ("BilinearConfig", "CarryResult", "QuadFormResult", "SplitConfig",

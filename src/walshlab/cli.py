@@ -38,13 +38,11 @@ def _mask_int(text: str) -> int:
 
 
 def _lemma_list(text: str) -> tuple:
+    # every comma-separated item is a number: an empty one is refused too
     try:
-        items = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad lemma list {text!r}") from exc
-    if not items:
-        raise argparse.ArgumentTypeError("empty lemma list")
-    return items
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dumps(args) -> bool:
     """Whether the run writes the AWS1 dump to --out (the manifest then goes
     to stdout)."""
-    return args.command == "sieve" and args.out is not None and args.out.suffix == ".bin"
+    return args.command == "sieve" and args.out is not None and args.out.suffix.lower() == ".bin"
 
 
 def _sieve_reports(args, sieve):
@@ -211,7 +209,7 @@ def _run(args) -> RunManifest:
 def _write_output(args, manifest: RunManifest) -> None:
     out, fmt = (None if _dumps(args) else args.out), args.format
     if fmt is None:
-        fmt = "csv" if out is not None and out.suffix == ".csv" else "json"
+        fmt = "csv" if out is not None and out.suffix.lower() == ".csv" else "json"
     # sys.stdout is read here, so a caller's redirect_stdout applies; newline=""
     # so csv keeps its CRLF endings verbatim on every platform
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:

@@ -10,28 +10,25 @@ Two regimes, matching what each inequality actually pins down:
   confirmed against exhaustive sweeps before being frozen here.
 
 Each checker is a measurement (scalars taken from one mask's magnitude
-row) followed by a pure verdict that builds the CheckReport.  run_scan
-drives seeded grids: it builds each mask's row once per lam, hands every
-selected lemma its scalars, and appends one summary row.
+row) followed by its lemma's verdict, a pure function over columns of
+such scalars that the scans share.  run_scan drives seeded grids: it
+builds each mask's row once per lam (the all family reads the all-mask
+folds instead), judges each selected lemma's gathered scalars once, and
+appends one summary row.  The all family keeps each verdict's rows as
+report blocks (report.ReportColumns); the others expand them into
+CheckReports.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approximant import (
-    _AUDIT_BYTES,
-    _FFT_SCRATCH,
-    ApproximantConfig,
-    build_approximant,
-    band_profile,
-    l2_error,
-)
 from .limits import require_bytes
-from .report import CheckReport
+from .report import CheckReport, ReportColumns, expand
 from .walsh import (
     Interval,
     ResidueClass,
@@ -60,11 +57,18 @@ R_VALUES = (2, 4, 6)
 T_GRID = (3, 4, 5)
 INTERVALS_PER_MASK = 4
 
-# bytes a scan of any family holds per mask and per report it keeps,
+# bytes a random or structured scan holds per mask and per report it keeps,
 # rounded up from tracemalloc peaks of random-family run_scan at lam 8-16
 # and counts 1000-4000: about 65 B per mask with no report, 450-710 B per report
 _MASK_BYTES = 128
 _REPORT_BYTES = 768
+# bytes an all-family scan holds per mask (the mask column, the fold's
+# working set) and per row of each lemma's blocks (8 B per column the row
+# owns), covering tracemalloc peaks of all-family run_scan at lam 14-18:
+# 65-81 B per mask for lemma 3, 91-99 for lemma 1 or 2, 295 for lemma 4
+# and 345 for lemma 6
+_COLUMN_MASK_BYTES = 32
+_ROW_BYTES = {1: 48, 2: 48, 3: 24, 4: 80, 5: 0, 6: 80}
 # a scan's draws, lists and few reports beside its row and period tables
 # (tracemalloc: 84 KiB with 4 random masks, 41 reports, at lam 14-16)
 _SCAN_SCRATCH = 1 << 17
@@ -106,11 +110,11 @@ class ScanConfig:
             raise ValueError(f"repeated lemma selectors {repeated}")
 
 
-def mask_family(config: ScanConfig, lam: int) -> list[int]:
+def mask_family(config: ScanConfig, lam: int) -> Sequence[int]:
     """The mask bits a scan visits at one lam, in deterministic order."""
     n = 1 << lam
     if config.mask_family == "all":
-        return list(range(n))
+        return range(n)
     if config.mask_family == "random":
         rng = np.random.default_rng([config.seed, lam])
         return [int(b) for b in rng.integers(0, n, size=config.count)]
@@ -132,54 +136,99 @@ def mask_family(config: ScanConfig, lam: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# verdicts: pure functions of the measured scalars, shared by the per-mask
-# checkers and the scans (per-mask rows and exhaustive sweeps alike)
+# verdicts: pure functions over columns of measured scalars, one row per
+# check, shared by the per-mask checkers (one-element columns) and the scans.
+# Only + - * / and comparisons run as numpy ufuncs, whose results are the
+# IEEE results of Python's operators; powers and logarithms of a column
+# are Python's, mapped or tabulated per weight, since numpy's power and
+# log2 differ from them in the last bits.
 
 
-def _l1_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
-    w = bits.bit_count()
-    params = {"lambda": lam, "mask": bits, "weight": w}
-    if w == 0:
-        # l1 of the constant character is 1; the bound degenerates to 1^0
-        params["degenerate"] = True
-        return CheckReport("L1", params, lhs, 1.0, None, True)
-    fitted = lhs ** (1.0 / w) / lam
-    rhs = (DEFAULT_BRACKETS["L1"] * lam) ** w
-    return CheckReport("L1", params, lhs, rhs, fitted, fitted <= DEFAULT_BRACKETS["L1"])
+def _weights(bits: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(bits).astype(np.int64)
 
 
-def _l2_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
-    w = bits.bit_count()
-    params = {"lambda": lam, "mask": bits, "weight": w}
-    if bits in _CHARACTER_MASKS:
-        params["degenerate"] = True
-        fitted = None if w == 0 else -math.log2(lhs) / w
-        return CheckReport("L2", params, lhs, 1.0, fitted, True)
-    fitted = -math.log2(lhs) / w
-    rhs = 2.0 ** (-DEFAULT_BRACKETS["L2"] * w)
-    return CheckReport("L2", params, lhs, rhs, fitted, fitted >= DEFAULT_BRACKETS["L2"])
+def _table(fn, column: np.ndarray) -> np.ndarray:
+    """fn of each entry of a column of small non-negative ints, computed
+    once per value up to the largest."""
+    return np.array([fn(k) for k in range(int(column.max(initial=0)) + 1)])[column]
 
 
-def _l3_verdict(lam: int, bits: int, lhs: float) -> CheckReport:
+def _map(fn, *columns: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """fn of each row's Python scalars, as a column, mapped 4096 rows at a
+    time so that no column is held as Python objects."""
+    out, step = np.empty(len(columns[0]), dtype=dtype), 1 << 12
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = list(map(fn, *(c[lo:lo + step].tolist() for c in columns)))
+    return out
+
+
+def _columns(lemma_id: str, params: dict, lhs, rhs, fitted, passed, degenerate=None) -> list:
+    """The verdict's rows as blocks, but for each row i in degenerate a
+    report in its place, flagged degenerate: its bound degenerates to 1, it
+    passes by convention, and its fitted constant is degenerate[i]."""
+    degenerate, cols, parts, lo = degenerate or {}, (*params.values(), lhs, rhs, fitted), [], 0
+    for i in [*sorted(degenerate), len(passed)]:
+        cut = [v[lo:i] if np.ndim(v) else v for v in cols]
+        if lo < i:
+            parts.append(ReportColumns(lemma_id, dict(zip(params, cut)), *cut[-3:], passed[lo:i]))
+        if i in degenerate:
+            row = {k: v[i].item() if np.ndim(v) else v for k, v in params.items()}
+            parts.append(CheckReport(lemma_id, {**row, "degenerate": True}, lhs[i].item(), 1.0,
+                                     degenerate[i], True))
+        lo = i + 1
+    return parts
+
+
+def _l1_verdict(lam: int, bits: np.ndarray, lhs: np.ndarray) -> list:
+    w = _weights(bits)
+    fitted = _map(lambda x, k: x ** (1.0 / k) if k else 0.0, lhs, w) / lam
+    rhs = _table(lambda k: (DEFAULT_BRACKETS["L1"] * lam) ** k, w)
+    # l1 of the constant character is 1; the bound degenerates to 1^0
+    return _columns("L1", {"lambda": lam, "mask": bits, "weight": w}, lhs, rhs, fitted,
+                    fitted <= DEFAULT_BRACKETS["L1"], dict.fromkeys(np.flatnonzero(w == 0)))
+
+
+def _l2_verdict(lam: int, bits: np.ndarray, lhs: np.ndarray) -> list:
+    w = _weights(bits)
+    fitted = _map(lambda x: -math.log2(x), lhs)
+    np.divide(fitted, w, out=fitted, where=w > 0)
+    rhs = _table(lambda k: 2.0 ** (-DEFAULT_BRACKETS["L2"] * k), w)
+    characters = {i: fitted[i].item() if w[i] else None
+                  for i in np.flatnonzero(np.isin(bits, _CHARACTER_MASKS))}
+    return _columns("L2", {"lambda": lam, "mask": bits, "weight": w}, lhs, rhs, fitted,
+                    fitted >= DEFAULT_BRACKETS["L2"], characters)
+
+
+def _l3_verdict(lam: int, bits: np.ndarray, lhs: np.ndarray) -> list:
     rhs = EXPLICIT_BASE ** (lam / 4.0)
-    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count()}
-    return CheckReport("L3", params, lhs, rhs, None, lhs <= rhs + EXPLICIT_TOL)
+    return _columns("L3", {"lambda": lam, "mask": bits, "weight": _weights(bits)}, lhs, rhs,
+                    None, lhs <= rhs + EXPLICIT_TOL)
 
 
-def _l4_verdict(lam: int, r: int, a: int, bits: int, lhs: float) -> CheckReport:
-    scale = EXPLICIT_BASE ** ((lam - r) / 4.0)
+def _l4_verdict(lam: int, r: np.ndarray, a: np.ndarray, bits: np.ndarray,
+                lhs: np.ndarray) -> list:
+    scale = _table(lambda k: EXPLICIT_BASE ** ((lam - k) / 4.0), r)
     fitted = lhs / scale
-    rhs = DEFAULT_BRACKETS["L4"] * scale
-    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(), "r": r, "a": a}
-    return CheckReport("L4", params, lhs, rhs, fitted, fitted <= DEFAULT_BRACKETS["L4"])
+    params = {"lambda": lam, "mask": bits, "weight": _weights(bits), "r": r, "a": a}
+    return _columns("L4", params, lhs, DEFAULT_BRACKETS["L4"] * scale, fitted,
+                    fitted <= DEFAULT_BRACKETS["L4"])
 
 
-def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckReport:
-    m = max(0, (hi - lo - 1).bit_length())  # ceil(log2 |J|), 0 for singletons
-    rhs = EXPLICIT_BASE ** (m / 4.0)
-    params = {"lambda": lam, "mask": bits, "weight": bits.bit_count(),
+def _l6_verdict(lam: int, lo: np.ndarray, hi: np.ndarray, bits: np.ndarray,
+                lhs: np.ndarray) -> list:
+    # ceil(log2 |J|), 0 for singletons
+    m = _map(lambda j, h: (h - j - 1).bit_length(), lo, hi, dtype=np.int64)
+    rhs = _table(lambda k: EXPLICIT_BASE ** (k / 4.0), m)
+    params = {"lambda": lam, "mask": bits, "weight": _weights(bits),
               "j_lo": lo, "j_hi": hi, "m": m}
-    return CheckReport("L6", params, lhs, rhs, None, lhs <= rhs + EXPLICIT_TOL)
+    return _columns("L6", params, lhs, rhs, None, lhs <= rhs + EXPLICIT_TOL)
+
+
+def _one(verdict, lam: int, *scalars) -> CheckReport:
+    """One check's report: the verdict of one-element columns."""
+    [rep] = expand(verdict(lam, *(np.array([x]) for x in scalars)))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +238,7 @@ def _l6_verdict(lam: int, lo: int, hi: int, bits: int, lhs: float) -> CheckRepor
 def check_lemma1(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against (C*lam)^|A| with fitted C."""
     _require_mask_lam(lam, mask)
-    return _l1_verdict(lam, mask.bits, l1_accumulate(mask))
+    return _one(_l1_verdict, lam, mask.bits, l1_accumulate(mask))
 
 
 def check_lemma2(lam: int, mask: WalshMask) -> CheckReport:
@@ -200,20 +249,19 @@ def check_lemma2(lam: int, mask: WalshMask) -> CheckReport:
     by convention with a degenerate flag, mirroring the empty-mask skip.
     """
     _require_mask_lam(lam, mask)
-    return _l2_verdict(lam, mask.bits, sup_norm(mask))
+    return _one(_l2_verdict, lam, mask.bits, sup_norm(mask))
 
 
 def check_lemma3(lam: int, mask: WalshMask) -> CheckReport:
     """Full-range l1 norm against the explicit bound (2+sqrt(2))^(lam/4)."""
     _require_mask_lam(lam, mask)
-    return _l3_verdict(lam, mask.bits, l1_accumulate(mask))
+    return _one(_l3_verdict, lam, mask.bits, l1_accumulate(mask))
 
 
 def check_lemma4(lam: int, r: int, a: int, mask: WalshMask) -> CheckReport:
     """Residue-class l1 norm, implied constant against (2+sqrt(2))^((lam-r)/4)."""
     _require_mask_lam(lam, mask)
-    lhs = l1_accumulate(mask, ResidueClass(a, r))
-    return _l4_verdict(lam, r, a, mask.bits, lhs)
+    return _one(_l4_verdict, lam, r, a, mask.bits, l1_accumulate(mask, ResidueClass(a, r)))
 
 
 def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
@@ -233,6 +281,8 @@ def check_lemma5(config: ApproximantConfig, mask: WalshMask) -> CheckReport:
 def _lemma5_audit(config: ApproximantConfig, mask: WalshMask, lhs: float) -> CheckReport:
     """Lemma 5's report from the measured l1 norm; synthesizes the substitute
     once per t and audits config.t's (normally on the grid) before the next."""
+    from .approximant import band_profile, build_approximant, l2_error
+
     lam, sigma = config.lam, config.sigma
     scale = (2.0**sigma) ** 0.25
     log_sq = math.log(lam) ** 2
@@ -281,7 +331,7 @@ def check_lemma6(lam: int, lo: int, hi: int, mask: WalshMask) -> CheckReport:
     _require_mask_lam(lam, mask)
     if not 1 <= lo < hi <= (1 << lam):
         raise ValueError(f"interval [{lo}, {hi}) must be nonempty inside [1, 2^{lam})")
-    return _l6_verdict(lam, lo, hi, mask.bits, l1_accumulate(mask, Interval(lo, hi)))
+    return _one(_l6_verdict, lam, lo, hi, mask.bits, l1_accumulate(mask, Interval(lo, hi)))
 
 
 def _require_mask_lam(lam: int, mask: WalshMask):
@@ -313,110 +363,141 @@ def _draw_interval(rng, lam: int) -> tuple[int, int]:
     return lo, int(rng.integers(lo + 1, (1 << lam) + 1))
 
 
-def _scan_at(config: ScanConfig, lam: int) -> list[list[CheckReport]]:
-    """The reports of each lemma in config.lemmas at one lam, in that order.
+def _scan_at(config: ScanConfig, lam: int) -> list[list]:
+    """The reports of each lemma in config.lemmas at one lam, in that order:
+    blocks for the all family, CheckReports for the others.
 
     Measure once, judge many: each mask occurrence gets at most one row, and
     every lemma takes its scalars from it (full sum for L1, L3 and L5, max
     for L2, residue-class and interval slice sums for L4 and L6); only the
-    scalars outlive the mask.  The exhaustive family reads full sums and
-    maxima from the all-mask folds: the maxima are the rows' floats, the sums
-    add in another order and can differ from a row's sum in the last bits.
-    The L4 and L6 draws come first, one check per (lemma, mask).
+    scalars outlive the mask, and each lemma's verdict runs once over them.
+    The exhaustive family reads full sums and maxima from the all-mask
+    folds: the maxima are the rows' floats, the sums add in another order
+    and can differ from a row's sum in the last bits.  The L4 and L6 draws
+    come first, one check per (lemma, mask).
     """
     want = set(config.lemmas)
+    sweep = config.mask_family == "all"
     family = mask_family(config, lam)
+    n = len(family)
+    bits = np.arange(n) if sweep else np.array(family, dtype=np.int64)
     # generators only where drawn: importing numpy.random adds ~5 MiB of RSS
-    rs, residues, intervals = [], [], [()] * len(family)
+    rs, residues, intervals = [], None, None
     if 4 in want:
         rng = np.random.default_rng([config.seed, lam, 4])
         rs = [r for r in R_VALUES if r < lam]
-        residues = [[int(rng.integers(0, 1 << r)) for _ in family] for r in rs]
+        residues = np.fromiter((rng.integers(0, 1 << r) for r in rs for _ in family),
+                               np.int64, len(rs) * n).reshape(len(rs), n)
     if 6 in want:
         rng = np.random.default_rng([config.seed, lam, 6])
-        intervals = [[_draw_interval(rng, lam) for _ in range(INTERVALS_PER_MASK)]
-                     for _ in family]
-    acfg, tail, sigma = None, set(), min(4, lam - 6)
+        intervals = np.fromiter((x for _ in range(INTERVALS_PER_MASK * n)
+                                 for x in _draw_interval(rng, lam)),
+                                np.int64, 2 * INTERVALS_PER_MASK * n).reshape(-1, 2)
+    acfg, tail, sigma = None, [], min(4, lam - 6)
     if 5 in want and sigma >= 1:
+        from .approximant import ApproximantConfig
         acfg = ApproximantConfig(lam, sigma, T_GRID[len(T_GRID) // 2])
         # every tail mask in the exhaustive family, else a canonical quartet
         high = 1 << (lam - 1)
-        tail = ({sub << (lam - sigma) for sub in range(1 << sigma)} if config.mask_family == "all"
+        keep = ({sub << (lam - sigma) for sub in range(1 << sigma)} if sweep
                 else {0, high, high | (1 << (lam - sigma)), acfg.tail_window_mask})
+        # a mask's index in the all family is the mask itself
+        tail = sorted(keep) if sweep else [i for i, b in enumerate(family) if b in keep]
 
-    sweep, want_full, want_top = config.mask_family == "all", bool(want & {1, 3}), 2 in want
-    fulls = all_mask_l1(lam).tolist() if sweep and want_full else [None] * len(family)
-    tops = all_mask_sup(lam).tolist() if sweep and want_top else [None] * len(family)
-    l4 = [[] for _ in rs]
-    l6 = []
-    for i, bits in enumerate(family):
-        full = fulls[i] is None and (want_full or bits in tail)
-        top = tops[i] is None and want_top
-        if not (full or top or rs or intervals[i]):
+    want_full, want_top = bool(want & {1, 3}), 2 in want
+    # the folds' values, or each measured mask's at its index
+    fulls = all_mask_l1(lam) if sweep and want_full else np.empty(n if want_full or tail else 0)
+    tops = all_mask_sup(lam) if sweep and want_top else np.empty(n if want_top else 0)
+    slices = 6 in want
+    sums4 = np.empty((len(rs), n))
+    sums6 = np.empty(INTERVALS_PER_MASK * n if slices else 0)
+    row_full, top = not (sweep and want_full), not sweep and want_top
+    for i in range(n) if rs or slices or not sweep else tail:
+        full = row_full and (want_full or i in tail)
+        if not (full or top or rs or slices):
             continue
-        row = _row(lam, bits)
+        row = _row(lam, family[i])
         if full:
-            fulls[i] = float(row.sum())
+            fulls[i] = row.sum()
         if top:
-            tops[i] = float(row.max())
+            tops[i] = row.max()
         for k, r in enumerate(rs):
-            a = residues[k][i]
-            l4[k].append(_l4_verdict(lam, r, a, bits, float(row[a::1 << r].sum())))
-        for lo, hi in intervals[i]:
-            l6.append(_l6_verdict(lam, lo, hi, bits, float(row[lo:hi].sum())))
+            sums4[k, i] = row[residues[k, i]::1 << r].sum()
+        if slices:
+            at = INTERVALS_PER_MASK * i
+            for j, (lo, hi) in enumerate(intervals[at:at + INTERVALS_PER_MASK].tolist()):
+                sums6[at + j] = row[lo:hi].sum()
         del row  # before the next row is built
 
     judge = {
-        1: lambda: [_l1_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
-        2: lambda: [_l2_verdict(lam, b, tops[i]) for i, b in enumerate(family)],
-        3: lambda: [_l3_verdict(lam, b, fulls[i]) for i, b in enumerate(family)],
-        4: lambda: [rep for reps in l4 for rep in reps],
-        5: lambda: [_lemma5_audit(acfg, WalshMask(b, lam), fulls[i])
-                    for i, b in enumerate(family) if b in tail],
-        6: lambda: list(l6),
+        1: lambda: _l1_verdict(lam, bits, fulls),
+        2: lambda: _l2_verdict(lam, bits, tops),
+        3: lambda: _l3_verdict(lam, bits, fulls),
+        4: lambda: _l4_verdict(lam, np.repeat(np.array(rs, dtype=np.int64), n),
+                               residues.reshape(-1), np.tile(bits, len(rs)), sums4.reshape(-1)),
+        5: lambda: [_lemma5_audit(acfg, WalshMask(family[i], lam), float(fulls[i]))
+                    for i in tail],
+        6: lambda: _l6_verdict(lam, *intervals.T, np.repeat(bits, INTERVALS_PER_MASK), sums6),
     }
-    return [judge[lemma]() for lemma in config.lemmas]
+    return [judge[lemma]() if sweep else expand(judge[lemma]()) for lemma in config.lemmas]
 
 
 def _require_scan_bytes(config: ScanConfig) -> None:
     """Charge a scan, before any mask is drawn, everything it holds at once:
     at each lam its masks (count for the random family, 2^lam for the all
     family, mask_family's list for the structured one) and their kept
-    reports, and at the largest lam the period tables (one lam's are cached
-    at a time) and one row, or lemma 5's band audit, which runs after the
-    rows are gone.  Lemma 5 rows come from at most 2^sigma tail masks, so
-    they are not charged per mask."""
-    lams = range(config.lambda_min, config.lambda_max + 1)
+    reports, or the all family's block rows, and at the largest lam the
+    period tables (one lam's are cached at a time) and one row, or lemma
+    5's band audit, which runs after the rows are gone.  Lemma 5 rows come
+    from at most 2^sigma tail masks, so they are not charged per mask."""
+    sweep = config.mask_family == "all"
+    per_mask = _COLUMN_MASK_BYTES if sweep else _MASK_BYTES
     masks = need = 0
-    for lam in lams:
+    for lam in range(config.lambda_min, config.lambda_max + 1):
         at = {"random": config.count, "all": 1 << lam}.get(config.mask_family)
         at = at or len(mask_family(config, lam))
-        reports = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
-                      for k in config.lemmas)
-        masks, need = max(masks, at), need + at * (_MASK_BYTES + reports * _REPORT_BYTES)
+        rows = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
+                   * (_ROW_BYTES[k] if sweep else _REPORT_BYTES) for k in config.lemmas)
+        masks, need = max(masks, at), need + at * (per_mask + rows)
     top = config.lambda_max
-    work = (_AUDIT_BYTES << top) + _FFT_SCRATCH if 5 in config.lemmas else 8 << top
+    if 5 in config.lemmas:
+        from .approximant import _AUDIT_BYTES, _FFT_SCRATCH
+        work = (_AUDIT_BYTES << top) + _FFT_SCRATCH
+    else:
+        work = 8 << top
     need += _table_bytes(top) + work + _SCAN_SCRATCH
     require_bytes(need, what=f"{config.mask_family}-mask scan of {masks} masks",
-                  how=f"{_MASK_BYTES} B per mask and lambda, {_REPORT_BYTES} B per report, "
+                  how=f"{per_mask} B per mask and lambda, {rows} B per mask for its "
+                      f"{'block rows' if sweep else 'reports'} at lambda={top}, "
                       f"period tables and one {'band audit' if 5 in config.lemmas else 'row'} "
                       f"at lambda={top}")
 
 
-def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list[CheckReport]:
-    """One lemma's reports at one lam."""
+def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list:
+    """One lemma's reports at one lam: blocks and the degenerate masks'
+    CheckReports for the all family, CheckReports for the others."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
     _require_scan_bytes(config)
     return _scan_at(config, lam)[0]
 
 
-def summarize(reports: list[CheckReport]) -> CheckReport:
-    """One aggregate row: failure count, fitted-constant extremes."""
-    fitted = [r.fitted_constant for r in reports if r.fitted_constant is not None]
-    failures = sum(1 for r in reports if not r.passed)
+def summarize(reports) -> CheckReport:
+    """One aggregate row over reports and blocks: the row and failure
+    counts, and the fitted-constant extremes (of equal values, the first,
+    as min and max keep it)."""
+    rows = failures = 0
+    fitted = []
+    for r in reports:
+        f, block = r.fitted_constant, isinstance(r, ReportColumns)
+        rows += len(r) if block else 1
+        failures += len(r) - int(np.count_nonzero(r.passed)) if block else not r.passed
+        if isinstance(f, np.ndarray):
+            fitted += [f[f.argmin()].item(), f[f.argmax()].item()] if len(f) else []
+        elif f is not None:
+            fitted.append(f)
     params = {
         "summary": True,
-        "n_reports": len(reports),
+        "n_reports": rows,
         "n_failures": failures,
         "min_fitted": min(fitted) if fitted else None,
         "max_fitted": max(fitted) if fitted else None,
@@ -424,11 +505,12 @@ def summarize(reports: list[CheckReport]) -> CheckReport:
     return CheckReport("SUMMARY", params, failures, 1.0, None, failures == 0)
 
 
-def run_scan(config: ScanConfig) -> list[CheckReport]:
+def run_scan(config: ScanConfig) -> list:
     """Run every selected lemma over the grid; lam-major, then the order of
-    config.lemmas; a summary row is appended last."""
+    config.lemmas; a summary row is appended last.  The reports are as in
+    scan_lemma_at."""
     _require_scan_bytes(config)
-    reports: list[CheckReport] = []
+    reports = []
     for lam in range(config.lambda_min, config.lambda_max + 1):
         for part in _scan_at(config, lam):
             reports.extend(part)

@@ -8,7 +8,9 @@ projection for plotting: per-check params are flattened into one JSON
 string column (they differ across lemmas).  Both stream to files in
 batches of reports.  json writes every byte: each params shape is laid
 out once with a hole per scalar, and a batch's scalars come from one call
-of json's C encoder per column.
+of json's C encoder per column.  A ReportColumns block holds one lemma's
+rows as columns; the writers take blocks beside CheckReports and give
+each row the bytes of its CheckReport.
 
 Every manifest is stamped with the package version and null started /
 finished timestamps; wall-clock values would break the byte-identity
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -89,6 +92,57 @@ class CheckReport:
         }
 
 
+class ReportColumns:
+    """The outcomes of one lemma's checks over many rows, field by field,
+    read-only: each param (in a row's key order), lhs, rhs and
+    fitted_constant is a constant or an array, and passed a bool array.
+    ratio is derived as in CheckReport: numpy's division is the same IEEE
+    operation as Python's.  A plain class: a frozen dataclass would cost
+    every command's start its generated methods."""
+
+    __slots__ = ("lemma_id", "params", "lhs", "rhs", "ratio", "fitted_constant", "passed")
+
+    def __init__(self, lemma_id: str, params: dict, lhs, rhs, fitted_constant, passed):
+        if lemma_id not in LEMMA_IDS:
+            raise ValueError(f"unknown lemma_id {lemma_id!r}")
+        lhs, rhs, fitted = (v if v is None else np.asarray(v, np.float64) if np.ndim(v)
+                            else float(v) for v in (lhs, rhs, fitted_constant))
+        passed = np.asarray(passed, dtype=bool)
+        if any(isinstance(v, np.ndarray) and v.shape != passed.shape
+               for v in (*params.values(), lhs, rhs, fitted)):
+            raise ValueError(f"a column's shape is not {passed.shape}")
+        with np.errstate(all="ignore"):  # Python's float division does not warn
+            ratio = (np.where(rhs != 0, lhs / np.where(rhs != 0, rhs, 1.0), lhs) if np.ndim(rhs)
+                     else lhs / rhs if rhs else lhs)
+        for name, value in zip(self.__slots__, (lemma_id, params, lhs, rhs, ratio, fitted,
+                                                passed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ReportColumns is read-only: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def reports(self) -> list[CheckReport]:
+        """The rows as CheckReports, built _BATCH at a time."""
+        cols = (*self.params.values(), self.lhs, self.rhs, self.fitted_constant, self.passed)
+        return [CheckReport(self.lemma_id, dict(zip(self.params, row)), *row[-4:])
+                for lo in range(0, len(self), _BATCH)
+                for row in zip(*(_values(v, lo, lo + _BATCH) for v in cols))]
+
+
+def _values(value, lo: int, hi: int) -> list:
+    """A column's rows lo..hi as Python scalars; a constant repeats."""
+    return value[lo:hi].tolist() if isinstance(value, np.ndarray) else [value] * (hi - lo)
+
+
+def expand(reports) -> list[CheckReport]:
+    """The reports with every block expanded into its rows, in order."""
+    return [row for rep in reports
+            for row in (rep.reports() if isinstance(rep, ReportColumns) else [rep])]
+
+
 def report_from_dict(d: dict) -> CheckReport:
     return CheckReport(
         lemma_id=d["lemma_id"],
@@ -115,7 +169,8 @@ class RunManifest:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        return all(r.passed.all() if isinstance(r, ReportColumns) else r.passed
+                   for r in self.reports)
 
 
 def _jsonable(value):
@@ -205,6 +260,52 @@ def _texts(reports, csv_params: bool) -> list[str]:
     return out
 
 
+def _block_texts(block: ReportColumns, csv_params: bool):
+    """The texts of _texts for each _BATCH rows of a block in turn: its
+    layout and its constants' texts are made once, and each array is one
+    C-encoded column per batch."""
+    params, n = block.params, len(block)
+    layout = n and _layout((tuple(params), tuple(
+        type(v[0].item()) if isinstance(v, np.ndarray) else type(v) for v in params.values())))
+    if not layout:  # its rows are encoded as CheckReports
+        rows = block.reports()
+        for lo in range(0, n, _BATCH):
+            yield _texts(rows[lo:lo + _BATCH], csv_params)
+        return
+    keys, entry, csv_layout = layout
+    cols = [params[k] for k in keys]
+    if not csv_params:
+        cols = [block.fitted_constant, block.lemma_id, block.lhs, *cols, block.passed,
+                block.ratio, block.rhs]
+    constant = [None if isinstance(v, np.ndarray) else _column([v]) for v in cols]
+    for lo in range(0, n, _BATCH):
+        k = min(_BATCH, n - lo)
+        texts = [_column(v[lo:lo + k].tolist()) if c is None else c * k
+                 for v, c in zip(cols, constant)]
+        yield [(csv_layout if csv_params else entry) % row
+               for row in (zip(*texts) if texts else [()] * k)]
+
+
+def _batches(reports, csv_params: bool):
+    """(part, lo, texts) for each _BATCH rows of reports and blocks, in
+    order: part is a block or a run of CheckReports, and texts the manifest
+    entries or CSV params_json of its rows from lo on."""
+    for blocks, group in itertools.groupby(reports, lambda r: isinstance(r, ReportColumns)):
+        for part in group if blocks else [list(group)]:
+            starts = range(0, len(part), _BATCH)
+            texts = (_block_texts(part, csv_params) if blocks
+                     else (_texts(part[lo:lo + _BATCH], csv_params) for lo in starts))
+            yield from zip(itertools.repeat(part), starts, texts)
+
+
+def _field(part, name: str, lo: int, hi: int) -> list:
+    """The values of a field (of the lambda param, for "lambda") in rows
+    lo..hi of a block or a run of CheckReports."""
+    if isinstance(part, ReportColumns):
+        return _values(part.params.get(name) if name == "lambda" else getattr(part, name), lo, hi)
+    return [r.params.get(name) if name == "lambda" else getattr(r, name) for r in part[lo:hi]]
+
+
 def manifest_to_json(manifest: RunManifest) -> str:
     fh = io.StringIO()
     write_manifest_json(manifest, fh)
@@ -213,7 +314,8 @@ def manifest_to_json(manifest: RunManifest) -> str:
 
 def write_manifest_json(manifest: RunManifest, fh) -> None:
     """manifest_to_json(manifest) to a text file, _BATCH reports at a time,
-    never held whole: json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
+    never held whole: json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    a block's rows written as its CheckReports would be."""
     payload = {
         "command": manifest.command,
         "config": manifest.config,
@@ -224,18 +326,13 @@ def write_manifest_json(manifest: RunManifest, fh) -> None:
         "reports": [],
     }
     text = _manifest_encoder.encode(payload) + "\n"
-    reports = manifest.reports
-    if not reports:
-        fh.write(text)
-        return
     # only "seed" and "started" sort after "reports", so its list is the last []
     head, _, tail = text.rpartition('"reports": []')
-    fh.write(head + '"reports": [')
-    for start in range(0, len(reports), _BATCH):
-        sep = "," if start else ""
-        fh.write(sep + _ENTRY_INDENT + ("," + _ENTRY_INDENT).join(
-            _texts(reports[start:start + _BATCH], False)))
-    fh.write("\n  ]" + tail)
+    sep = head + '"reports": ['
+    for _, _, texts in _batches(manifest.reports, False):
+        fh.write(sep + _ENTRY_INDENT + ("," + _ENTRY_INDENT).join(texts))
+        sep = ","
+    fh.write("\n  ]" + tail if sep == "," else text)  # no rows: the empty list
 
 
 def manifest_from_json(text: str) -> RunManifest:
@@ -255,22 +352,20 @@ def emit_csv(reports) -> str:
 
 
 def write_csv(reports, fh) -> None:
-    """Flatten a sequence of reports to an RFC-4180 table on a text file,
-    _BATCH rows at a time; floats keep round-trip repr, and the params are
-    one compact JSON column."""
+    """Flatten a sequence of reports and blocks to an RFC-4180 table on a
+    text file, _BATCH rows at a time; floats keep round-trip repr, and the
+    params are one compact JSON column."""
     writer = csv.writer(fh, lineterminator="\r\n")
     writer.writerow(CSV_HEADER)
-    for start in range(0, len(reports), _BATCH):
-        batch = reports[start:start + _BATCH]
+    for part, lo, texts in _batches(reports, True):
+        hi = lo + len(texts)
+        ids, lams, lhs, rhs, ratio, fitted, passed = (_field(part, f, lo, hi) for f in (
+            "lemma_id", "lambda", "lhs", "rhs", "ratio", "fitted_constant", "passed"))
         writer.writerows(zip(
-            [r.lemma_id for r in batch],
-            ["" if (lam := r.params.get("lambda")) is None else int(lam) for r in batch],
-            _texts(batch, True),
-            map(repr, [r.lhs for r in batch]),
-            map(repr, [r.rhs for r in batch]),
-            map(repr, [r.ratio for r in batch]),
-            ["" if r.fitted_constant is None else repr(r.fitted_constant) for r in batch],
-            ["true" if r.passed else "false" for r in batch],
+            ids, ["" if lam is None else int(lam) for lam in lams], texts,
+            map(repr, lhs), map(repr, rhs), map(repr, ratio),
+            ["" if f is None else repr(f) for f in fitted],
+            ["true" if p else "false" for p in passed],
         ))
 
 

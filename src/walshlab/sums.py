@@ -54,9 +54,7 @@ class BilinearConfig:
         if self.rho < 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if not 0 <= self.s_bits < (1 << self.lam_prime):
-            raise ValueError(
-                f"mask {self.s_bits:#x} needs more than {self.lam_prime} bits"
-            )
+            raise ValueError(f"mask {self.s_bits:#x} out of range for {self.lam_prime} bits")
         if self.k_shift != 0 and not (
             self.mu - self.rho <= self.k_shift < self.lam - self.mu - self.rho
         ):

@@ -20,6 +20,7 @@ import numpy as np
 
 from walshlab import (
     ApproximantConfig,
+    CheckReport,
     WalshMask,
     check_lemma1,
     check_lemma2,
@@ -30,7 +31,7 @@ from walshlab import (
     summarize,
 )
 from walshlab.lemmas import INTERVALS_PER_MASK, R_VALUES, T_GRID, mask_family
-from walshlab.report import CSV_HEADER, _jsonable
+from walshlab.report import CSV_HEADER, _jsonable, expand
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +422,35 @@ def per_mask_scan(config) -> list:
     return reports
 
 
+def scalar_report(lemma: int, lam: int, bits: int, lhs: float) -> CheckReport:
+    """Lemma 1, 2 or 3's report of one mask from its measured scalar, in
+    Python floats and math's libm throughout, as the per-mask verdicts
+    computed it before they ran over columns."""
+    w = bits.bit_count()
+    params = {"lambda": lam, "mask": bits, "weight": w}
+    if lemma == 3:
+        rhs = (2.0 + math.sqrt(2.0)) ** (lam / 4.0)
+        return CheckReport("L3", params, lhs, rhs, None, lhs <= rhs + 1e-9)
+    if bits in ((0,) if lemma == 1 else (0, 1)):
+        fitted = None if w == 0 else -math.log2(lhs) / w
+        return CheckReport(f"L{lemma}", {**params, "degenerate": True}, lhs, 1.0, fitted, True)
+    if lemma == 1:
+        fitted = lhs ** (1.0 / w) / lam
+        return CheckReport("L1", params, lhs, (10.0 * lam) ** w, fitted, fitted <= 10.0)
+    fitted = -math.log2(lhs) / w
+    return CheckReport("L2", params, lhs, 2.0 ** (-0.2 * w), fitted, fitted >= 0.2)
+
+
 # the report fields an l1 sum feeds (the ratio follows lhs); the all-mask sum
 # fold may move them in the last bits against a row's own sum
 _L1_FED = {"L1": ("lhs", "fitted_constant"), "L3": ("lhs",), "L5": ("lhs", "fitted_constant")}
 
 
 def assert_reports_match(got: list, want: list, rtol: float = 1e-15) -> None:
-    """got == want field for field, except that the fields an l1 sum feeds
-    (and a summary's fitted extremes) need only agree to rtol."""
+    """got, its blocks expanded into their rows, == want field for field,
+    except that the fields an l1 sum feeds (and a summary's fitted extremes)
+    need only agree to rtol."""
+    got = expand(got)
     assert len(got) == len(want)
     extremes = ("min_fitted", "max_fitted")
     for i, (g, w) in enumerate(zip(got, want)):

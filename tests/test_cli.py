@@ -135,17 +135,18 @@ def test_nonpositive_count_exits_two(capsys, count):
 
 
 def test_oversized_all_mask_scan_exits_three(capsys):
-    # 2^22 masks' reports (3.5 GiB) exceed the default budget: the scan's
-    # charge refuses before any fold, row or report is allocated
+    # 2^25 masks' block rows and period tables (3.0 GiB) exceed the default
+    # budget: the scan's charge refuses before any fold, row or block is
+    # allocated
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "lemma-check", "--lemma", "3", "--lambda", "22",
+        code, out, err = run_cli(capsys, "lemma-check", "--lemma", "3", "--lambda", "25",
                                  "--masks", "all")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
-    assert err.startswith("resource limit: all-mask scan of 4194304 masks")
+    assert err.startswith("resource limit: all-mask scan of 33554432 masks")
     assert peak < 1 << 20
 
 
@@ -346,6 +347,20 @@ def test_bad_lemma_list_exits_two(capsys):
     code, _, _ = run_cli(capsys, "scan", "--lambda-min", "8", "--lambda-max", "8",
                          "--lemmas", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("lemmas", ["1,,2", "1,2,", ",1", ""])
+def test_lemma_list_with_an_empty_item_exits_two(capsys, lemmas):
+    code, out, err = run_cli(capsys, "scan", "--lambda-min", "6", "--lambda-max", "6",
+                             "--count", "2", "--lemmas", lemmas)
+    assert code == 2 and out == ""
+    assert f"bad lemma list {lemmas!r}" in err
+
+
+def test_negative_bilinear_mask_is_out_of_range(capsys):
+    code, out, err = run_cli(capsys, "bilinear", "--mask", "-1", "--mu", "2", "--nu", "3")
+    assert code == 2 and out == ""
+    assert err == "error: mask -0x1 out of range for 7 bits\n"
 
 
 def test_repeated_lemma_selector_exits_two(capsys):
@@ -614,6 +629,17 @@ def test_dumped_sieve_manifest_follows_the_format_flag(tmp_path, capsys, fmt):
         assert [r.lemma_id for r in parse_csv(out)] == ["SIEVE"]
     else:
         assert manifest_from_json(out).reports[0].lemma_id == "SIEVE"
+
+
+def test_output_suffixes_match_in_any_case(tmp_path, capsys):
+    # T.BIN takes the AWS1 dump and T.CSV the CSV table, as their lower-case names do
+    code, out, _ = run_cli(capsys, "sieve", "--lambda", "6", "--out", str(tmp_path / "T.BIN"))
+    assert code == 0
+    assert (tmp_path / "T.BIN").read_bytes()[:4] == b"AWS1"
+    assert manifest_from_json(out).reports[0].lemma_id == "SIEVE"
+    code, out, _ = run_cli(capsys, "sieve", "--lambda", "6", "--out", str(tmp_path / "T.CSV"))
+    assert code == 0 and out == ""
+    assert [r.lemma_id for r in parse_csv((tmp_path / "T.CSV").read_text())] == ["SIEVE"]
 
 
 def test_format_csv_to_stdout(capsys):

@@ -35,8 +35,8 @@ def _loaded(cwd, *argv) -> tuple:
 
 _BASE = {"_version", "cli", "limits", "report"}
 _TRANSFORM = _BASE | {"sieve", "fwht", "walsh"}
-_LEMMAS = _BASE | {"lemmas", "approximant", "walsh"}
-# only the split synthesizes, so only it loads approximant
+# only lemma 5's audit and the split synthesize, so only they load approximant
+_LEMMAS = _BASE | {"lemmas", "walsh"}
 _SUMS = _BASE | {"sums", "walsh"}
 
 COMMAND_MODULES = [
@@ -47,6 +47,8 @@ COMMAND_MODULES = [
     ("theorem-scan --lambda-min 6 --lambda-max 8", _TRANSFORM),
     ("lemma-check --lemma 3 --lambda 8 --masks structured", _LEMMAS),
     ("scan --lambda-min 8 --lambda-max 8 --count 4 --lemmas 1,2", _LEMMAS),
+    ("lemma-check --lemma 3 --lambda 8 --masks all", _LEMMAS),
+    ("lemma-check --lemma 5 --lambda 8 --masks structured", _LEMMAS | {"approximant"}),
     ("bilinear --mask 0x6 --mu 4 --nu 6", _SUMS),
     ("quadform --mask 0x6 --mu 4 --nu 6", _SUMS),
     ("carry-rate --mask 0x6 --mu 4 --nu 6", _SUMS),

@@ -27,6 +27,7 @@ from walshlab import (
     summarize,
 )
 from walshlab.lemmas import DEFAULT_BRACKETS, EXPLICIT_BASE, mask_family
+from walshlab.report import ReportColumns, expand
 from walshlab.limits import ResourceLimitError
 
 
@@ -194,14 +195,70 @@ def test_exhaustive_scan_matches_per_mask_checks():
             oracles.assert_reports_match(sweep, direct)
 
 
+@pytest.mark.parametrize("lam", range(1, 13))
+def test_all_mask_rows_equal_the_per_mask_checks_bit_for_bit(monkeypatch, lam):
+    # with the fold's l1 sums as the per-mask measurement, every row of the
+    # column verdicts is the one-mask check's report and the scalar oracle's
+    # (Python floats, math's libm), -0.0 and all
+    fulls, tops = all_mask_l1(lam), walshlab.walsh.all_mask_sup(lam)
+    monkeypatch.setattr(walshlab.lemmas, "l1_accumulate", lambda mask: float(fulls[mask.bits]))
+    rows = {}
+    for lemma, check, lhs in ((1, check_lemma1, fulls), (2, check_lemma2, tops),
+                              (3, check_lemma3, fulls)):
+        parts = scan_lemma_at(ScanConfig(lam, lam, mask_family="all"), lemma, lam)
+        rows[lemma] = [repr(r) for r in expand(parts)]
+        assert rows[lemma] == [repr(check(lam, WalshMask(b, lam))) for b in range(1 << lam)]
+        assert rows[lemma] == [repr(oracles.scalar_report(lemma, lam, b, x))
+                               for b, x in enumerate(lhs.tolist())]
+    # mask 1's fitted decay exponent is -log2(1.0) / 1
+    assert "'degenerate': True}, lhs=1.0, rhs=1.0, ratio=1.0, fitted_constant=-0.0" in rows[2][1]
+
+
+def test_all_mask_scan_keeps_its_rows_as_blocks():
+    # the degenerate masks are reports in their place, the rest one block
+    parts = scan_lemma_at(ScanConfig(10, 10, mask_family="all"), 2, 10)
+    assert [type(p) for p in parts] == [CheckReport, CheckReport, ReportColumns]
+    assert [p.params["mask"] for p in parts[:2]] == [0, 1]
+    assert parts[2].params["mask"].tolist() == list(range(2, 1 << 10))
+    assert parts[2].params["lambda"] == 10
+
+
+def test_summarize_reads_blocks_as_their_rows():
+    parts = scan_lemma_at(ScanConfig(8, 8, mask_family="all"), 2, 8)
+    summary = summarize(parts)
+    assert repr(summary) == repr(summarize(expand(parts)))
+    assert repr(summary.params["min_fitted"]) == "-0.0"
+    # of equal extremes the first is kept, as min and max keep it
+    block = ReportColumns("L1", {"mask": np.arange(4)}, np.ones(4), 1.0,
+                          np.array([0.0, -0.0, 2.0, 2.0 + 0.0]), np.array([1, 0, 1, 1], bool))
+    for reports in ([block], [block, check_lemma3(6, WalshMask(3, 6))],
+                    [CheckReport("L1", {}, 1.0, 1.0, -0.0, True), block]):
+        summary = summarize(reports)
+        assert repr(summary) == repr(summarize(expand(reports)))
+        assert summary.params["n_failures"] == 1
+
+
+def test_random_scan_keeps_character_masks_in_their_draw_order():
+    cfg = ScanConfig(3, 4, mask_family="random", count=16, seed=2, lemmas=(1, 2, 3))
+    for lam in (3, 4):
+        family = mask_family(cfg, lam)
+        assert {0, 1} <= set(family) and family[:2] != [0, 1]
+    reports = run_scan(cfg)
+    assert reports == oracles.per_mask_scan(cfg)
+    assert all(type(r) is CheckReport for r in reports)
+    masks = [r.params["mask"] for r in reports if r.lemma_id == "L2"]
+    assert masks == mask_family(cfg, 3) + mask_family(cfg, 4)
+
+
 def test_exhaustive_scan_is_refused_by_its_charge():
-    # no lambda cap: 2^15 masks construct, and 2^22 masks' reports (3.5 GiB)
-    # exceed the default budget before any fold or row is allocated
+    # no lambda cap: 2^15 masks construct, and 2^25 masks' block rows and
+    # period tables (3.0 GiB) exceed the default budget before any fold or
+    # row is allocated
     ScanConfig(15, 15, mask_family="all")
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="all-mask scan of 4194304 masks"):
-            run_scan(ScanConfig(22, 22, mask_family="all", lemmas=(3,)))
+        with pytest.raises(ResourceLimitError, match="all-mask scan of 33554432 masks"):
+            run_scan(ScanConfig(25, 25, mask_family="all", lemmas=(3,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

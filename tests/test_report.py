@@ -250,6 +250,62 @@ def test_writers_match_their_oracles(seed):
     assert emit_csv(reports) == oracles.csv_text(reports)
 
 
+def _block(n, seed, **params):
+    """A block of n rows with varying and constant columns, awkward floats
+    included."""
+    rng = np.random.default_rng(seed)
+    floats = np.array([_DRAW[float](rng) for _ in range(n)])
+    return report.ReportColumns(
+        "L2", {"lambda": 11, "mask": np.arange(n) * 3, "weight": rng.integers(0, 9, n),
+               "x": -floats, "ok": rng.integers(0, 2, n).astype(bool), **params},
+        floats, rng.standard_normal(n) if seed % 2 else 0.0,
+        None if seed % 3 else np.abs(floats), rng.integers(0, 2, n).astype(bool))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+@pytest.mark.parametrize("params", [{}, {"%s": "a%", "z": None}, {"grid": [1, 2]},
+                                    {"lambda": np.int64(11)}], ids=["plain", "text", "list",
+                                                                    "numpy"])
+def test_writers_give_a_block_the_bytes_of_its_rows(n, params):
+    for seed in range(3):
+        block = _block(n, seed, **params)
+        rows = block.reports()
+        assert len(rows) == len(block) == n
+        assert manifest_to_json(RunManifest("scan", {}, 0, [block])) == manifest_to_json(
+            RunManifest("scan", {}, 0, rows))
+        assert emit_csv([block]) == emit_csv(rows)
+
+
+def test_writers_mix_blocks_and_reports():
+    parts = [_block(300, 1), *_sample_reports(), _block(1, 2), _block(256, 3, s="t"),
+             _sample_reports()[0], _block(0, 4)]
+    rows = report.expand(parts)
+    assert len(rows) == 300 + 2 + 1 + 256 + 1
+    manifest = RunManifest("scan", {"k": 1}, 5, parts)
+    assert manifest_to_json(manifest) == manifest_to_json(RunManifest("scan", {"k": 1}, 5, rows))
+    assert emit_csv(parts) == emit_csv(rows)
+    assert manifest.all_passed is all(r.passed for r in rows) is False
+    passing = report.ReportColumns("L3", {"mask": np.arange(3)}, np.ones(3), 2.0, None,
+                                   np.ones(3, bool))
+    assert RunManifest("scan", {}, 0, [passing, _sample_reports()[0]]).all_passed
+
+
+def test_empty_blocks_write_an_empty_manifest():
+    empty = RunManifest("scan", {}, 0, [_block(0, 1)])
+    assert manifest_to_json(empty) == manifest_to_json(RunManifest("scan", {}, 0, ()))
+
+
+def test_block_ratio_is_derived_as_a_reports_and_the_block_is_read_only():
+    lhs = np.array([3.0, -0.0, 1e308, 2.0])
+    rhs = np.array([2.0, 0.0, 1e-10, -0.0])
+    block = report.ReportColumns("L1", {}, lhs, rhs, None, np.ones(4, bool))
+    assert [repr(x) for x in block.ratio.tolist()] == [repr(r.ratio) for r in block.reports()]
+    with pytest.raises(ValueError, match="shape"):
+        report.ReportColumns("L1", {"mask": np.arange(3)}, lhs, rhs, None, np.ones(4, bool))
+    with pytest.raises(AttributeError, match="read-only"):
+        block.lhs = lhs
+
+
 def test_layouts_only_for_string_keys_and_scalar_values():
     assert report._layout((("lambda", "mask"), (int, float))) is not None
     assert report._layout(((), ())) is not None
