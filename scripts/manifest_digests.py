@@ -31,9 +31,10 @@ from walshlab.cli import dispatch  # noqa: E402
 PIN = Path(__file__).resolve().parent.parent / "tests" / "manifest_digests.json"
 
 # the README's commands as written, every tiny job at both reference seeds,
-# then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats, and
-# the smallest all-mask L1 and L2 checks whose floats a numpy power or log2
-# in place of Python's ** or math.log2 would change
+# then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats, the
+# smallest all-mask L1 and L2 checks whose floats a numpy power or log2 in
+# place of Python's ** or math.log2 would change, and two-segment dumps of
+# the kinds no other run dumps, whose segments a forked run shares
 RUNS = readme_commands(README.read_text()) + [
     " ".join(job.args) + (f" --out {job.out}" if job.out else "")
     for seed in REFERENCE_SEEDS for workload in WORKLOADS
@@ -43,6 +44,8 @@ RUNS = readme_commands(README.read_text()) + [
     "scan --lambda-min 6 --lambda-max 9 --masks all --out all.csv",
     "lemma-check --lemma 1 --lambda 12 --masks all",
     "lemma-check --lemma 2 --lambda 13 --masks all --out l2.csv",
+    "sieve --lambda 21 --kind von_mangoldt --out vm.bin",
+    "sieve --lambda 21 --kind liouville --out l.bin",
 ]
 
 

@@ -11,7 +11,8 @@ size; _splits alone decides whether a forked child and the caller share
 them (SPLIT_MIN entries or more and two usable CPUs) or the caller runs
 them in order.  Sieve and transform tasks write an anonymous shared
 mapping (a table, or a transform buffer that the sign sieve may fill in
-its in-block tasks); they return small results such as peaks and nonzero
+its in-block tasks) or, streaming a sieve, a dump file at their own
+offsets; they return small results such as peaks, sums and nonzero
 counts.
 """
 
@@ -104,32 +105,42 @@ def _shared_empty(n: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype=dtype)
 
 
-def _claim(queue: int, fn, parent: int | None = None) -> dict:
-    """{i: fn(i)} for each task number i taken from the queue pipe until it
-    is empty; a 4-byte read takes one whole number, so no task runs twice.
+# the most task tokens the queue pipe holds at once: 4 KiB, one page, the
+# least a pipe buffers, so the caller's one write never waits for a reader
+_QUEUE_TOKENS = 1024
+
+
+def _claim(queue: int, fn, run: int, tasks: int, parent: int | None = None) -> dict:
+    """{i: fn(i)} for each task number i in the runs taken from the queue
+    pipe until it is empty: token r stands for tasks r*run up to (r+1)*run,
+    short of tasks, and a 4-byte read takes one whole token, so no task runs
+    twice.
 
     A child passes its parent's pid and leaves through os._exit before the
     next task once that parent is gone, so a killed caller strands at most
     the task its child is running."""
     done = {}
     while True:
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
         token = os.read(queue, 4)
         if not token:
             return done
-        i = int.from_bytes(token, "little")
-        done[i] = fn(i)
+        first = int.from_bytes(token, "little") * run
+        for i in range(first, min(first + run, tasks)):
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            done[i] = fn(i)
 
 
 def _two_way(fn, tasks: int, n: int) -> list:
     """[fn(0), ..., fn(tasks - 1)] for work of n entries, where fn(i) writes
-    only task i's part of a table made by _shared_empty(n, ...) and may
-    return a small result, which a child pickles back.
+    only task i's part of a table made by _shared_empty(n, ...) or of a
+    file, and may return a small result, which a child pickles back.
 
     When _splits(n), a forked child and the caller each take the next
-    untaken task number from one pipe until none is left, so when one of
-    them stalls on a busy CPU the other takes its share.  The child sends
+    untaken run of task numbers from one pipe until none is left, so when
+    one of them stalls on a busy CPU the other takes its share.  A run is
+    one task up to _QUEUE_TOKENS tasks and ceil(tasks / _QUEUE_TOKENS)
+    beyond, so the pipe never holds more tokens than that.  The child sends
     back its pickled results and leaves only through os._exit; the caller
     reaps it in every case, killing it first when its own tasks raised.  A
     child that fails or dies raises ChildProcessError.  Otherwise the tasks
@@ -137,10 +148,10 @@ def _two_way(fn, tasks: int, n: int) -> list:
     """
     if not _splits(n):
         return [fn(i) for i in range(tasks)]
+    run = -(-tasks // _QUEUE_TOKENS)
     queue, fill = os.pipe()
     try:
-        # a few KiB at most: the pipe holds it all before anyone reads
-        os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(tasks)))
+        os.write(fill, b"".join(r.to_bytes(4, "little") for r in range(-(-tasks // run))))
     finally:
         os.close(fill)
     rfd, wfd = os.pipe()
@@ -151,7 +162,7 @@ def _two_way(fn, tasks: int, n: int) -> list:
         try:
             os.close(rfd)
             try:
-                result, failed = _claim(queue, fn, parent), False
+                result, failed = _claim(queue, fn, run, tasks, parent), False
             except Exception as exc:
                 result, failed = f"{type(exc).__name__}: {exc}", True
             with os.fdopen(wfd, "wb") as fh:
@@ -162,7 +173,7 @@ def _two_way(fn, tasks: int, n: int) -> list:
     os.close(wfd)
     try:
         with os.fdopen(rfd, "rb") as fh:
-            done = _claim(queue, fn)
+            done = _claim(queue, fn, run, tasks)
             payload = fh.read()
     except BaseException:
         import signal  # only here: every CLI start would pay for it

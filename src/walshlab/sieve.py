@@ -9,16 +9,19 @@ small prime factors, seeded from one precomputed period of the p and p^2
 levels of 2, 3, 5 and 7; von Mangoldt's marks composites and stamps prime
 powers from one sorted list.  One factor pass builds every table, a segment
 per task of limits._two_way (two processes share a large table's segments);
-stream_sequence fills one reused von Mangoldt segment at a time; and
-fwht.sign_max_correlations sieves into transform buffer parts.  Each caller
-charges the output, its workspaces and the kernel's scratch before it makes
-the kernel.  A table on [0, 2^lam) holds every smaller table as its prefix.
+stream_sequence fills one reused segment per process in the same tasks and
+writes each to the dump; and fwht.sign_max_correlations sieves into
+transform buffer parts.  Each caller charges the output, its workspaces
+and the kernel's scratch before it makes the kernel.  A table on
+[0, 2^lam) holds every smaller table as its prefix.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +43,7 @@ STREAM_BYTES = 16
 PRIME_BYTES = 24
 
 _MAGIC = b"AWS1"
+_HEADER_BYTES = 6  # the magic, lam and the kind code
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -212,6 +216,8 @@ def _kernel(kind: str, lam: int) -> tuple:
     and returns their nonzero count; a process running it holds scratch
     bytes besides its view and a workspace of width bytes per entry.  Only
     make() allocates, so a caller charges first."""
+    if kind not in KINDS:
+        raise ValueError(f"no sieve for kind {kind!r}")
     if lam < 1:
         raise ValueError(f"lam must be a positive bit length, got {lam}")
     if kind in SIGN_KINDS:
@@ -223,13 +229,18 @@ def _kernel(kind: str, lam: int) -> tuple:
             (STREAM_BYTES - 9) * seg + (PRIME_BYTES << (lam + 1) // 2), 1)
 
 
+def _dtype(kind: str) -> np.dtype:
+    """The kind's table entries: int8 signs, or float64 von Mangoldt logs."""
+    return np.dtype(np.int8 if kind in SIGN_KINDS else np.float64)
+
+
 def _factor_pass(lam: int, kind: str) -> ArithmeticSequence:
     """The kind's table on [0, 2^lam), one kernel segment per task, each
     task's workspace in one buffer allocated before the tasks (a forked
     child writes its own copy of it)."""
     make, scratch, width = _kernel(kind, lam)
     n, seg = 1 << lam, min(1 << lam, DEFAULT_SEGMENT)
-    dtype = np.dtype(np.int8 if kind in SIGN_KINDS else np.float64)
+    dtype = _dtype(kind)
     require_table_bytes(lam, dtype.itemsize, f"{kind.replace('_', ' ')} table",
                         (scratch + width * seg) * (1 + _splits(n)))
     fill = make()
@@ -272,20 +283,56 @@ def _header(lam: int, kind: str) -> bytes:
     return _MAGIC + bytes([lam, KINDS.index(kind)])
 
 
+
 def _body(values: np.ndarray) -> memoryview:
-    """AWS1 entries of a table or a segment: int8 for the sign tables,
-    little-endian float64 otherwise, without a copy where they already are."""
+    """AWS1 entries of a table or a segment as bytes: int8 for the sign
+    tables, little-endian float64 otherwise, without a copy where they
+    already are."""
     dtype = np.int8 if values.dtype == np.int8 else "<f8"
-    return memoryview(np.ascontiguousarray(values, dtype=dtype))
+    return memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
+
+
+def _pwrite(fd: int, data, at: int) -> None:
+    """All of the bytes-like data into fd from byte at, whatever the file
+    offset (a memoryview is resumed without a copy)."""
+    while data:
+        done = os.pwrite(fd, data, at)
+        data, at = data[done:], at + done
+
+
+@contextlib.contextmanager
+def _dump_file(path, lam: int, kind: str):
+    """A write descriptor for path's AWS1 dump of the kind's table on
+    [0, 2^lam), whose body the caller writes with _pwrite past the header.
+
+    The file is overwritten in place, not truncated first (truncating a
+    large dump frees its blocks only for the body to claim them again):
+    a zero header goes first, then the body; on success a regular file is
+    cut to its exact size and the real header written last.  A run that
+    fails leaves the zero header, which load_sequence refuses."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        _pwrite(fd, bytes(_HEADER_BYTES), 0)
+        yield fd
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, _HEADER_BYTES + (_dtype(kind).itemsize << lam))
+        _pwrite(fd, _header(lam, kind), 0)
+    finally:
+        os.close(fd)
 
 
 def dump_sequence(seq: ArithmeticSequence, path) -> None:
     """Binary dump: magic 'AWS1', lam (uint8), kind code (uint8), then raw
     little-endian entries (int8 for the sign tables, float64 otherwise)."""
-    # header, then the table's own memory: no joined copy of the body
-    with open(path, "wb") as fh:
-        fh.write(_header(seq.lam, seq.kind))
-        fh.write(_body(seq.values))
+    # the table's own memory: no joined copy of the body
+    with _dump_file(path, seq.lam, seq.kind) as fd:
+        _pwrite(fd, _body(seq.values), _HEADER_BYTES)
+
+
+# what the caller holds per segment of a stream: its (sum, nonzero count)
+# result in the task list and, from a forked child, in the unpickled dict
+# (tracemalloc over 2^16 such results: 231 B each forked, 199 B in order)
+RESULT_BYTES = 256
 
 
 def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
@@ -293,47 +340,46 @@ def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
     segment at a time, writing the table's dump_sequence bytes to path when
     one is given.
 
-    Von Mangoldt fills one reused segment with its kernel and holds the
-    sieving primes up to sqrt(2^lam), never its table, and is charged for
-    those; the sign kinds stream slices of their finished int8 table.  The
-    segment sums add up as a balanced pairwise tree, the way numpy's
-    pairwise sum splits a 2^lam array, so the sum is float(values.sum())
-    bit for bit.
+    The segments are tasks of limits._two_way: each fills its process's one
+    reused segment with the kind's kernel and writes it at its offset in
+    the dump, so two processes share a large table's segments and neither
+    holds the table.  Each process is charged its segment, its workspace
+    and the kernel's scratch (the sieving primes up to sqrt(2^lam) among
+    it), the caller each segment's result.  The segment sums add up as a
+    balanced pairwise tree in task order, the way numpy's pairwise sum
+    splits a 2^lam array, so the sum is float(values.sum()) bit for bit.
     """
-    if kind == "von_mangoldt":
-        make, _, width = _kernel(kind, lam)
-        step, half = min(1 << lam, DEFAULT_SEGMENT), (lam + 1) // 2
-        require_bytes(STREAM_BYTES * step + (PRIME_BYTES << half),
-                      f"von mangoldt stream at lambda={lam}",
-                      f"{STREAM_BYTES} per entry over a {step}-entry segment, "
-                      f"{PRIME_BYTES} per entry over the 2^{half} sieving range")
-        fill, buf, work = make(), np.empty(step), np.empty(width * step, dtype=np.uint8)
-        segments = ((buf, fill(buf, lo, work)) for lo in range(0, 1 << lam, step))
-    else:
-        values = sequence(kind, lam).values
-        step = min(len(values), DEFAULT_SEGMENT)
-        segments = ((seg, int(np.count_nonzero(seg)))
-                    for seg in np.split(values, len(values) // step))
-    sums, nonzero = [], 0
-    with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
-        if fh is not None:
-            fh.write(_header(lam, kind))
-        for seg, count in segments:
-            if fh is not None:
-                fh.write(_body(seg))
-            sums.append(seg.sum())
-            nonzero += count
+    make, scratch, width = _kernel(kind, lam)
+    n, step, dtype = 1 << lam, min(1 << lam, DEFAULT_SEGMENT), _dtype(kind)
+    procs, half = 1 + _splits(n), (lam + 1) // 2
+    require_bytes(((dtype.itemsize + width) * step + scratch) * procs + RESULT_BYTES * (n // step),
+                  f"{kind.replace('_', ' ')} stream at lambda={lam}",
+                  f"in each of {procs} processes {dtype.itemsize + width} per entry over a "
+                  f"{step}-entry segment and {scratch} of kernel scratch, {PRIME_BYTES} per "
+                  f"entry over the 2^{half} sieving range among it; {RESULT_BYTES} per segment")
+    fill = make()
+    seg, work = np.empty(step, dtype), np.empty(width * step, dtype=np.uint8)
+    with _dump_file(path, lam, kind) if path is not None else contextlib.nullcontext() as fd:
+
+        def task(i: int) -> tuple:
+            count = fill(seg, i * step, work)
+            if fd is not None:
+                _pwrite(fd, _body(seg), _HEADER_BYTES + i * seg.nbytes)
+            return seg.sum().item(), count
+
+        sums, counts = zip(*_two_way(task, n // step, n))
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return float(sums[0]), nonzero
+    return float(sums[0]), sum(counts)
 
 
 def load_sequence(path) -> ArithmeticSequence:
     """Inverse of dump_sequence, validating header, length, and entries:
     signs in {-1, 0, 1}, von Mangoldt values finite and nonnegative."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC or len(raw) < 6:
-        raise ValueError(f"{path}: bad header {raw[:6]!r}, want magic {_MAGIC!r} + 2 bytes")
+    if raw[:4] != _MAGIC or len(raw) < _HEADER_BYTES:
+        raise ValueError(f"{path}: bad header {raw[:_HEADER_BYTES]!r}, "
+                         f"want magic {_MAGIC!r} + 2 bytes")
     lam = raw[4]
     if lam == 0:
         raise ValueError(f"{path}: header lambda is 0, tables need lambda >= 1")
@@ -341,8 +387,8 @@ def load_sequence(path) -> ArithmeticSequence:
     if code >= len(KINDS):
         raise ValueError(f"{path}: unknown kind code {code}")
     kind = KINDS[code]
-    dtype = np.dtype(np.int8) if kind in SIGN_KINDS else np.dtype("<f8")
-    body = raw[6:]
+    dtype = _dtype(kind).newbyteorder("<")
+    body = raw[_HEADER_BYTES:]
     expect = (1 << lam) * dtype.itemsize
     if len(body) != expect:
         raise ValueError(f"{path}: body holds {len(body)} bytes, expected {expect}")

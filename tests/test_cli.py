@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import oracles
 import pytest
 
@@ -197,9 +198,9 @@ def test_mask_count_charge_honours_max_mem_flag(capsys, count, want):
     assert ("resource limit: random-mask scan" in err) == (want == 3)
 
 
-# the charge that allowed each refused table, which the message names
+# the charge that allowed each refused allocation, which the message names
 _LAST_CHARGE = {"spectrum --lambda 10": "transform buffer at lambda=10",
-                "sieve --lambda 10": "moebius table at lambda=10"}
+                "sieve --lambda 10": "moebius stream at lambda=10"}
 
 
 @pytest.mark.parametrize("module, argv", [(fwht, "spectrum --lambda 10"),
@@ -212,10 +213,14 @@ _LAST_CHARGE = {"spectrum --lambda 10": "transform buffer at lambda=10",
 def test_memory_the_os_refuses_exits_three(capsys, monkeypatch, module, argv, refusal):
     # a table that fits the budget but not the machine (a ulimit, a full
     # box) is a resource limit too, not a usage error or a traceback
-    def refuse(n, dtype):
+    def refuse(*args, **kwargs):
         raise refusal()
 
-    monkeypatch.setattr(module, "_shared_empty", refuse)
+    if module is sieve:
+        # the stream's segment is the first np.empty after its charge
+        monkeypatch.setattr(np, "empty", refuse)
+    else:
+        monkeypatch.setattr(module, "_shared_empty", refuse)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and "Traceback" not in err
@@ -399,9 +404,9 @@ def test_scan_with_one_lemma_unchecked_exits_two(capsys):
 # its run meets first
 SUBCOMMAND_CONFIGS = [
     ("sieve --lambda 8 --kind liouville --seed 3",
-     {"kind": "liouville", "lam": 8, "seed": 3}, "liouville table at lambda=8"),
+     {"kind": "liouville", "lam": 8, "seed": 3}, "liouville stream at lambda=8"),
     ("sieve --lambda 8 --out table.bin",
-     {"kind": "moebius", "lam": 8, "seed": 0}, "moebius table at lambda=8"),
+     {"kind": "moebius", "lam": 8, "seed": 0}, "moebius stream at lambda=8"),
     ("spectrum --lambda 8",
      {"kind": "moebius", "lam": 8, "seed": 0}, "transform buffer at lambda=8"),
     ("theorem-scan --lambda-min 8 --lambda-max 10 --kind liouville",
@@ -526,20 +531,23 @@ def test_von_mangoldt_stream_is_charged_its_segment(capsys, tmp_path, monkeypatc
     code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
     assert code == 0, err
     assert tight == default
-    # a sign sieve holds its whole int8 table, 8 MiB, and in each process 4 B
-    # per entry of one 2^20-entry segment plus the wheel, chunk scratch and
-    # sieving primes: it fits 0.05 GiB as well, and is refused at 0.01 GiB
+    # a sign stream never holds its 8 MiB int8 table: in each process it
+    # holds 1 B per entry of one 2^20-entry segment and 4 B of its products,
+    # plus the wheel, chunk scratch and sieving primes, and the caller holds
+    # each of the 8 segments' results; it fits 0.05 GiB as well, and is
+    # refused at 0.005 GiB
     argv = ("sieve", "--kind", "moebius", "--lambda", "23")
     code, default, _ = run_cli(capsys, *argv)
     assert code == 0
     code, tight, err = run_cli(capsys, *argv, "--max-mem-gib", "0.05")
     assert code == 0, err
     assert tight == default
-    code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "0.01")
+    code, out, err = run_cli(capsys, *argv, "--max-mem-gib", "0.005")
     assert code == 3 and out == ""
-    products = 4 * sieve.DEFAULT_SEGMENT  # one segment's int32 workspace
-    need = (1 << 23) + (sieve._sign_scratch(23) + products) * (1 + limits._splits(1 << 23))
-    assert f"resource limit: moebius table at lambda=23 requires {need} bytes" in err
+    segment = 5 * sieve.DEFAULT_SEGMENT  # int8 signs and int32 products
+    need = ((segment + sieve._sign_scratch(23)) * (1 + limits._splits(1 << 23))
+            + 8 * sieve.RESULT_BYTES)
+    assert f"resource limit: moebius stream at lambda=23 requires {need} bytes" in err
 
 
 @pytest.mark.parametrize("lam", ["60", "99"])
@@ -553,6 +561,30 @@ def test_von_mangoldt_stream_guard_counts_its_sieving_primes(capsys, tmp_path, m
     assert code == 3 and out == ""
     assert err.startswith(f"resource limit: von mangoldt stream at lambda={lam} requires ")
     assert "sieving range" in err and not (tmp_path / "vm.bin").exists()
+
+
+@pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])
+def test_stream_guard_refuses_before_the_dump_exists(capsys, tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sieve", "--kind", kind, "--lambda", "22",
+                             "--out", "t.bin", "--max-mem-gib", "0.001")
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: {kind.replace('_', ' ')} stream at lambda=22 ")
+    assert not (tmp_path / "t.bin").exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="links to /dev/null")
+@pytest.mark.parametrize("kind", ["moebius", "von_mangoldt"])
+def test_dump_through_a_link_to_dev_null_exits_zero(capsys, tmp_path, kind):
+    # the dump is written in place and cut to size only when it is a
+    # regular file; a device takes the bytes and keeps no size
+    link = tmp_path / "null.bin"
+    link.symlink_to(os.devnull)
+    code, out, err = run_cli(capsys, "sieve", "--kind", kind, "--lambda", "21",
+                             "--out", str(link))
+    assert code == 0, err
+    assert manifest_from_json(out).reports[0].params["kind"] == kind
+    assert link.is_symlink() and link.resolve() == Path(os.devnull)
 
 
 @pytest.mark.parametrize("lam", ["0", "-3"])

@@ -1,4 +1,6 @@
 import functools
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from walshlab import (
     load_sequence,
     sequence,
 )
-from walshlab import sieve
+from walshlab import limits, sieve
 from walshlab.sieve import DEFAULT_SEGMENT, PRIME_BYTES, STREAM_BYTES, stream_sequence
 
 MERTENS_SMALL = [1, 0, -1, -1, -2, -1, -2, -2, -2, -1]  # M(1)..M(10)
@@ -263,6 +265,70 @@ def test_streamed_dump_sum_and_count_equal_the_table_path(tmp_path, kind, lam):
     assert total.hex() == float(seq.values.sum()).hex()
     assert nonzero == np.count_nonzero(seq.values)
     assert stream_sequence(kind, lam) == (total, nonzero)
+
+
+@pytest.mark.parametrize("scale", [2, 0.5], ids=["longer", "shorter"])
+@pytest.mark.parametrize("kind", ["moebius", "von_mangoldt"])
+def test_dump_over_an_existing_file_holds_exactly_the_new_bytes(tmp_path, kind, scale):
+    # both writers overwrite in place: a longer file is cut to the dump's
+    # size, a shorter one grows, and no old byte is left either way
+    seq = sequence(kind, 12)
+    dump_sequence(seq, tmp_path / "fresh.bin")
+    want = (tmp_path / "fresh.bin").read_bytes()
+    path = tmp_path / "over.bin"
+    for write in (lambda: stream_sequence(kind, 12, path), lambda: dump_sequence(seq, path)):
+        path.write_bytes(b"\xab" * int(scale * len(want)))
+        write()
+        assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+@pytest.mark.parametrize("kind", ["moebius", "von_mangoldt"])
+def test_failed_stream_leaves_a_dump_the_loader_refuses(tmp_path, monkeypatch, kind, where):
+    # a fill raising in a later segment, over a valid dump of the same
+    # table: the zero header written before any segment stays in place
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 1 << 11)  # 8 segments
+    path = tmp_path / "t.bin"
+    stream_sequence(kind, 14, path)
+    assert load_sequence(path).kind == kind
+    # the child case forks, and the caller's slow fills leave it the later segments
+    monkeypatch.setattr(limits, "SPLIT_MIN", 1 << 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if where == "child" else {0},
+                        raising=False)
+    caller, real = os.getpid(), sieve._kernel
+
+    def failing(kind, lam):
+        make, scratch, width = real(kind, lam)
+
+        def make_failing():
+            fill = make()
+
+            def fill_or_fail(view, lo, work):
+                if (os.getpid() == caller) == (where == "parent"):
+                    if lo:
+                        raise RuntimeError("fill failed")
+                else:
+                    time.sleep(0.1)
+                return fill(view, lo, work)
+
+            return fill_or_fail
+
+        return make_failing, scratch, width
+
+    monkeypatch.setattr(sieve, "_kernel", failing)
+    with pytest.raises(RuntimeError if where == "parent" else ChildProcessError,
+                       match="fill failed"):
+        stream_sequence(kind, 14, path)
+    with pytest.raises(ValueError, match="bad header"):
+        load_sequence(path)
+
+
+def test_unknown_kind_is_refused_before_the_dump_exists(tmp_path):
+    with pytest.raises(ValueError, match="no sieve for kind 'bogus'"):
+        sieve._kernel("bogus", 8)
+    with pytest.raises(ValueError, match="no sieve for kind 'bogus'"):
+        stream_sequence("bogus", 8, tmp_path / "t.bin")
+    assert not (tmp_path / "t.bin").exists()
 
 
 @pytest.mark.parametrize("kind", ["moebius", "liouville", "von_mangoldt"])

@@ -359,6 +359,25 @@ def test_two_way_runs_each_task_once_and_in_order(monkeypatch, cpus):
     _no_children()
 
 
+def test_two_way_queues_many_tasks_without_blocking(monkeypatch):
+    """More task numbers than a pipe buffers (16,384 at 64 KiB) once made
+    the caller's queue write wait forever for a reader that forks after it."""
+    _cpus(monkeypatch, {0, 1})
+
+    def hung(signum, frame):
+        raise TimeoutError("_two_way did not finish 100000 tasks in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        results = limits._two_way(lambda i: i, 100_000, limits.SPLIT_MIN)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == list(range(100_000))
+    _no_children()
+
+
 _STRANDED = """
 import os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}

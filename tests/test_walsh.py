@@ -1,6 +1,8 @@
 import math
 import functools
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +377,12 @@ def _bilinear_chain(mu, nu):
     return sums.cauchy_schwarz_chain(cfg, beta)
 
 
+def _streamed_dump(kind, lam):
+    # as the sieve command runs it with a .bin --out
+    with tempfile.TemporaryDirectory() as work:
+        return sieve.stream_sequence(kind, lam, Path(work) / "t.bin")
+
+
 # every path that charges the memory budget, as (name, sizes, make) with
 # make(size) giving the call to measure; its inputs are built beforehand
 CHARGED_PATHS = [
@@ -389,6 +397,9 @@ CHARGED_PATHS = [
     ("prefix peaks", (18, 21), lambda lam: functools.partial(
         fwht.prefix_max_correlations, sieve.sieve_moebius(lam).values, [lam - 4, lam])),
     ("von mangoldt table", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_von_mangoldt(lam)),
+    *((f"{kind.replace('_', ' ')} dump stream", (18, 19, 20, 21),
+       lambda lam, kind=kind: functools.partial(_streamed_dump, kind, lam))
+      for kind in ("moebius", "liouville", "von_mangoldt")),
     ("magnitude row", (14, 16, 18), lambda lam: functools.partial(
         magnitude_row, lam, 0b1011, np.arange(4))),
     ("per-mask rows", (14, 15, 16, 17, 18), lambda lam: lambda: lemmas.run_scan(
