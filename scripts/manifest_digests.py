@@ -33,8 +33,10 @@ PIN = Path(__file__).resolve().parent.parent / "tests" / "manifest_digests.json"
 # the README's commands as written, every tiny job at both reference seeds,
 # then the all-mask scan of lemmas 4-6 and its SUMMARY in both formats, the
 # smallest all-mask L1 and L2 checks whose floats a numpy power or log2 in
-# place of Python's ** or math.log2 would change, and two-segment dumps of
-# the kinds no other run dumps, whose segments a forked run shares
+# place of Python's ** or math.log2 would change, two-segment dumps of the
+# kinds no other run dumps, whose segments a forked run shares, and a
+# random scan, a structured scan (lemma 5's nested params and the
+# degenerate rows among the block rows) and a theorem scan in CSV
 RUNS = readme_commands(README.read_text()) + [
     " ".join(job.args) + (f" --out {job.out}" if job.out else "")
     for seed in REFERENCE_SEEDS for workload in WORKLOADS
@@ -46,6 +48,10 @@ RUNS = readme_commands(README.read_text()) + [
     "lemma-check --lemma 2 --lambda 13 --masks all --out l2.csv",
     "sieve --lambda 21 --kind von_mangoldt --out vm.bin",
     "sieve --lambda 21 --kind liouville --out l.bin",
+    "scan --lambda-min 6 --lambda-max 8 --masks random --count 8 --lemmas 1,2,3,4,6 --seed 3 "
+    "--out r.csv",
+    "scan --lambda-min 8 --lambda-max 9 --masks structured --out s.csv",
+    "theorem-scan --lambda-min 6 --lambda-max 8 --out t.csv",
 ]
 
 
