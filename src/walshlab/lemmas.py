@@ -14,14 +14,15 @@ row) followed by its lemma's verdict, a pure function over columns of
 such scalars that the scans share.  run_scan drives seeded grids: it
 builds each mask's row once per lam (the all family reads the all-mask
 folds instead), judges each selected lemma's gathered scalars once, and
-appends one summary row.  The all family keeps each verdict's rows as
-report blocks (report.ReportColumns); the others expand them into
-CheckReports.
+appends one summary row.  Every family keeps each verdict's rows as
+report blocks (report.ReportColumns), with a CheckReport in place of each
+degenerate row and of each lemma 5 audit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -57,20 +58,21 @@ R_VALUES = (2, 4, 6)
 T_GRID = (3, 4, 5)
 INTERVALS_PER_MASK = 4
 
-# bytes a random or structured scan holds per mask and per report it keeps,
-# rounded up from tracemalloc peaks of random-family run_scan at lam 8-16
-# and counts 1000-4000: about 65 B per mask with no report, 450-710 B per report
+# bytes a scan holds per mask: a random or structured scan's mask list
+# (about 65 B per mask), or the all family's mask column and fold working
+# set; and per row of each lemma's blocks (8 B per column the row owns).
+# They cover tracemalloc peaks of all-family run_scan at lam 14-18 (65-81 B
+# per mask for lemma 3, 91-99 for lemma 1 or 2, 295 for lemma 4 and 345 for
+# lemma 6), and random and structured run_scan peaks read 0.69-0.998 of
+# the charge at lam 8-18
 _MASK_BYTES = 128
-_REPORT_BYTES = 768
-# bytes an all-family scan holds per mask (the mask column, the fold's
-# working set) and per row of each lemma's blocks (8 B per column the row
-# owns), covering tracemalloc peaks of all-family run_scan at lam 14-18:
-# 65-81 B per mask for lemma 3, 91-99 for lemma 1 or 2, 295 for lemma 4
-# and 345 for lemma 6
 _COLUMN_MASK_BYTES = 32
 _ROW_BYTES = {1: 48, 2: 48, 3: 24, 4: 80, 5: 0, 6: 80}
+# numpy.random's modules, which a process's first drawing scan imports
+# (tracemalloc: a 0.93-1.04 MB peak, 0.66-0.77 MB of it kept)
+_GENERATOR_IMPORT_BYTES = 1 << 20
 # a scan's draws, lists and few reports beside its row and period tables
-# (tracemalloc: 84 KiB with 4 random masks, 41 reports, at lam 14-16)
+# (tracemalloc: 74 KiB with 4 random masks at lam 14-18, 109 KiB over 14..18)
 _SCAN_SCRATCH = 1 << 17
 
 # masks whose Walsh function is itself an additive character: the empty mask
@@ -364,8 +366,9 @@ def _draw_interval(rng, lam: int) -> tuple[int, int]:
 
 
 def _scan_at(config: ScanConfig, lam: int) -> list[list]:
-    """The reports of each lemma in config.lemmas at one lam, in that order:
-    blocks for the all family, CheckReports for the others.
+    """The parts of each lemma in config.lemmas at one lam, in that order:
+    its verdict's blocks and degenerate rows' CheckReports, or lemma 5's
+    audit reports, alike for every family.
 
     Measure once, judge many: each mask occurrence gets at most one row, and
     every lemma takes its scalars from it (full sum for L1, L3 and L5, max
@@ -439,17 +442,18 @@ def _scan_at(config: ScanConfig, lam: int) -> list[list]:
                     for i in tail],
         6: lambda: _l6_verdict(lam, *intervals.T, np.repeat(bits, INTERVALS_PER_MASK), sums6),
     }
-    return [judge[lemma]() if sweep else expand(judge[lemma]()) for lemma in config.lemmas]
+    return [judge[lemma]() for lemma in config.lemmas]
 
 
 def _require_scan_bytes(config: ScanConfig) -> None:
     """Charge a scan, before any mask is drawn, everything it holds at once:
     at each lam its masks (count for the random family, 2^lam for the all
-    family, mask_family's list for the structured one) and their kept
-    reports, or the all family's block rows, and at the largest lam the
-    period tables (one lam's are cached at a time) and one row, or lemma
-    5's band audit, which runs after the rows are gone.  Lemma 5 rows come
-    from at most 2^sigma tail masks, so they are not charged per mask."""
+    family, mask_family's list for the structured one) and their block
+    rows, at the largest lam the period tables (one lam's are cached at a
+    time) and one row, or lemma 5's band audit, which runs after the rows
+    are gone, and numpy.random where the scan draws and the process has
+    not imported it.  Lemma 5 rows come from at most 2^sigma tail masks,
+    so they are not charged per mask."""
     sweep = config.mask_family == "all"
     per_mask = _COLUMN_MASK_BYTES if sweep else _MASK_BYTES
     masks = need = 0
@@ -457,7 +461,7 @@ def _require_scan_bytes(config: ScanConfig) -> None:
         at = {"random": config.count, "all": 1 << lam}.get(config.mask_family)
         at = at or len(mask_family(config, lam))
         rows = sum({4: sum(r < lam for r in R_VALUES), 5: 0, 6: INTERVALS_PER_MASK}.get(k, 1)
-                   * (_ROW_BYTES[k] if sweep else _REPORT_BYTES) for k in config.lemmas)
+                   * _ROW_BYTES[k] for k in config.lemmas)
         masks, need = max(masks, at), need + at * (per_mask + rows)
     top = config.lambda_max
     if 5 in config.lemmas:
@@ -465,32 +469,34 @@ def _require_scan_bytes(config: ScanConfig) -> None:
         work = (_AUDIT_BYTES << top) + _FFT_SCRATCH
     else:
         work = 8 << top
-    need += _table_bytes(top) + work + _SCAN_SCRATCH
+    draws = config.mask_family == "random" or {4, 6} & set(config.lemmas)
+    imports = bool(draws) and "numpy.random" not in sys.modules
+    need += _table_bytes(top) + work + _SCAN_SCRATCH + imports * _GENERATOR_IMPORT_BYTES
     require_bytes(need, what=f"{config.mask_family}-mask scan of {masks} masks",
                   how=f"{per_mask} B per mask and lambda, {rows} B per mask for its "
-                      f"{'block rows' if sweep else 'reports'} at lambda={top}, "
+                      f"rows at lambda={top}, "
                       f"period tables and one {'band audit' if 5 in config.lemmas else 'row'} "
-                      f"at lambda={top}")
+                      f"at lambda={top}" + ", numpy.random's import" * imports)
 
 
 def scan_lemma_at(config: ScanConfig, lemma: int, lam: int) -> list:
-    """One lemma's reports at one lam: blocks and the degenerate masks'
-    CheckReports for the all family, CheckReports for the others."""
+    """One lemma's parts at one lam, as _scan_at gives them: blocks and
+    the degenerate masks' CheckReports, or lemma 5's audit reports."""
     config = replace(config, lambda_min=lam, lambda_max=lam, lemmas=(lemma,))
     _require_scan_bytes(config)
     return _scan_at(config, lam)[0]
 
 
 def summarize(reports) -> CheckReport:
-    """One aggregate row over reports and blocks: the row and failure
-    counts, and the fitted-constant extremes (of equal values, the first,
-    as min and max keep it)."""
+    """One aggregate row over reports and blocks, a report's passed read
+    as one row's and a block's as its rows': the row and failure counts,
+    and the fitted-constant extremes (of equal values, the first, as min
+    and max keep it)."""
     rows = failures = 0
     fitted = []
     for r in reports:
-        f, block = r.fitted_constant, isinstance(r, ReportColumns)
-        rows += len(r) if block else 1
-        failures += len(r) - int(np.count_nonzero(r.passed)) if block else not r.passed
+        f, n = r.fitted_constant, np.size(r.passed)
+        rows, failures = rows + n, failures + n - int(np.count_nonzero(r.passed))
         if isinstance(f, np.ndarray):
             fitted += [f[f.argmin()].item(), f[f.argmax()].item()] if len(f) else []
         elif f is not None:
@@ -507,8 +513,8 @@ def summarize(reports) -> CheckReport:
 
 def run_scan(config: ScanConfig) -> list:
     """Run every selected lemma over the grid; lam-major, then the order of
-    config.lemmas; a summary row is appended last.  The reports are as in
-    scan_lemma_at."""
+    config.lemmas; a summary row is appended last.  The parts are as in
+    scan_lemma_at, for every family; report.expand gives their rows."""
     _require_scan_bytes(config)
     reports = []
     for lam in range(config.lambda_min, config.lambda_max + 1):

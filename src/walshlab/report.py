@@ -5,12 +5,14 @@ the canonical format: a RunManifest captures the command, its config, the
 seed, and every CheckReport, and serializes with sorted keys
 so identical runs produce byte-identical output.  CSV is a lossy tabular
 projection for plotting: per-check params are flattened into one JSON
-string column (they differ across lemmas).  Both stream to files in
-batches of reports.  json writes every byte: each params shape is laid
-out once with a hole per scalar, and a batch's scalars come from one call
-of json's C encoder per column.  A ReportColumns block holds one lemma's
-rows as columns; the writers take blocks beside CheckReports and give
-each row the bytes of its CheckReport.
+string column (they differ across lemmas).  A ReportColumns block holds
+one lemma's rows as columns, and blocks are all the writers see: a
+CheckReport among them becomes a one-row block, its params kept whole.
+Both writers stream a block's rows in batches, each row with the bytes of
+its CheckReport.  json writes every byte: each params shape is laid out
+once with a hole per scalar, and a batch's scalars come from one call of
+json's C encoder per column; a block whose params shape has no layout
+has each row encoded whole.
 
 Every manifest is stamped with the package version and null started /
 finished timestamps; wall-clock values would break the byte-identity
@@ -95,7 +97,8 @@ class CheckReport:
 class ReportColumns:
     """The outcomes of one lemma's checks over many rows, field by field,
     read-only: each param (in a row's key order), lhs, rhs and
-    fitted_constant is a constant or an array, and passed a bool array.
+    fitted_constant is a constant or an array, and passed a one-dimensional
+    bool array.
     ratio is derived as in CheckReport: numpy's division is the same IEEE
     operation as Python's.  A plain class: a frozen dataclass would cost
     every command's start its generated methods."""
@@ -108,6 +111,8 @@ class ReportColumns:
         lhs, rhs, fitted = (v if v is None else np.asarray(v, np.float64) if np.ndim(v)
                             else float(v) for v in (lhs, rhs, fitted_constant))
         passed = np.asarray(passed, dtype=bool)
+        if passed.ndim != 1:
+            raise ValueError(f"passed must be one-dimensional, not of shape {passed.shape}")
         if any(isinstance(v, np.ndarray) and v.shape != passed.shape
                for v in (*params.values(), lhs, rhs, fitted)):
             raise ValueError(f"a column's shape is not {passed.shape}")
@@ -169,8 +174,7 @@ class RunManifest:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed.all() if isinstance(r, ReportColumns) else r.passed
-                   for r in self.reports)
+        return all(np.all(r.passed) for r in self.reports)
 
 
 def _jsonable(value):
@@ -230,47 +234,35 @@ def _layout(shape: tuple) -> tuple | None:
     return tuple(sorted(keys)), entry.replace("\n", _ENTRY_INDENT), csv_params
 
 
-def _texts(reports, csv_params: bool) -> list[str]:
-    """Each report's manifest entry, or its CSV params_json: a report with
-    a cached layout takes its scalars from one C-encoded column per hole
-    across the reports of its shape, any other is encoded whole."""
-    out = [None] * len(reports)
-    groups = {}
-    for i, rep in enumerate(reports):
-        params = rep.params
-        layout = _layout((tuple(params), tuple(map(type, params.values()))))
-        if layout is not None:
-            groups.setdefault(layout, []).append(i)
-        elif csv_params:
-            out[i] = _compact_encoder.encode(params)
-        else:
-            out[i] = _manifest_encoder.encode(rep.as_dict()).replace("\n", _ENTRY_INDENT)
-    for (keys, entry, csv_layout), idx in groups.items():
-        group = [reports[i] for i in idx]
-        cols = [[rep.params[k] for rep in group] for k in keys]
-        if not csv_params:
-            head = ([r.fitted_constant for r in group], [r.lemma_id for r in group],
-                    [r.lhs for r in group])
-            cols = [*head, *cols, [r.passed for r in group], [r.ratio for r in group],
-                    [r.rhs for r in group]]
-        layout = csv_layout if csv_params else entry
-        rows = zip(*map(_column, cols)) if cols else [()] * len(idx)
-        for i, row in zip(idx, rows):
-            out[i] = layout % row
-    return out
+def _as_block(part) -> ReportColumns:
+    """part as a block: a CheckReport is one row, each param a one-element
+    object column holding the value whole, so that an array param stays
+    one value."""
+    if isinstance(part, ReportColumns):
+        return part
+    params = {}
+    for key, value in part.params.items():
+        params[key] = np.empty(1, object)
+        params[key][0] = value
+    return ReportColumns(part.lemma_id, params, part.lhs, part.rhs, part.fitted_constant,
+                         [part.passed])
 
 
 def _block_texts(block: ReportColumns, csv_params: bool):
-    """The texts of _texts for each _BATCH rows of a block in turn: its
-    layout and its constants' texts are made once, and each array is one
-    C-encoded column per batch."""
+    """The manifest entries, or CSV params_json, of each _BATCH rows of a
+    block in turn.  With a cached layout for its params shape, the layout
+    and the constants' texts are made once, and each array is one
+    C-encoded column per batch; without one, each row is encoded whole."""
     params, n = block.params, len(block)
     layout = n and _layout((tuple(params), tuple(
-        type(v[0].item()) if isinstance(v, np.ndarray) else type(v) for v in params.values())))
-    if not layout:  # its rows are encoded as CheckReports
+        type(v[:1].tolist()[0]) if isinstance(v, np.ndarray) else type(v)
+        for v in params.values())))
+    if not layout:
         rows = block.reports()
         for lo in range(0, n, _BATCH):
-            yield _texts(rows[lo:lo + _BATCH], csv_params)
+            yield [_compact_encoder.encode(r.params) if csv_params else
+                   _manifest_encoder.encode(r.as_dict()).replace("\n", _ENTRY_INDENT)
+                   for r in rows[lo:lo + _BATCH]]
         return
     keys, entry, csv_layout = layout
     cols = [params[k] for k in keys]
@@ -287,23 +279,18 @@ def _block_texts(block: ReportColumns, csv_params: bool):
 
 
 def _batches(reports, csv_params: bool):
-    """(part, lo, texts) for each _BATCH rows of reports and blocks, in
-    order: part is a block or a run of CheckReports, and texts the manifest
-    entries or CSV params_json of its rows from lo on."""
-    for blocks, group in itertools.groupby(reports, lambda r: isinstance(r, ReportColumns)):
-        for part in group if blocks else [list(group)]:
-            starts = range(0, len(part), _BATCH)
-            texts = (_block_texts(part, csv_params) if blocks
-                     else (_texts(part[lo:lo + _BATCH], csv_params) for lo in starts))
-            yield from zip(itertools.repeat(part), starts, texts)
+    """(block, lo, texts) for each _BATCH rows of reports and blocks, in
+    order, each as a block: texts are the manifest entries or CSV
+    params_json of the block's rows from lo on."""
+    for block in map(_as_block, reports):
+        yield from zip(itertools.repeat(block), range(0, len(block), _BATCH),
+                       _block_texts(block, csv_params))
 
 
-def _field(part, name: str, lo: int, hi: int) -> list:
+def _field(block: ReportColumns, name: str, lo: int, hi: int) -> list:
     """The values of a field (of the lambda param, for "lambda") in rows
-    lo..hi of a block or a run of CheckReports."""
-    if isinstance(part, ReportColumns):
-        return _values(part.params.get(name) if name == "lambda" else getattr(part, name), lo, hi)
-    return [r.params.get(name) if name == "lambda" else getattr(r, name) for r in part[lo:hi]]
+    lo..hi of a block."""
+    return _values(block.params.get(name) if name == "lambda" else getattr(block, name), lo, hi)
 
 
 def manifest_to_json(manifest: RunManifest) -> str:

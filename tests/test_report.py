@@ -141,8 +141,10 @@ def test_manifest_coerces_numpy_scalars():
 
 
 def _numpy_manifest():
+    # array params stay one value each, whatever their shape
     rep = CheckReport("L4", {"lambda": np.int64(9), "sums": np.arange(3.0),
-                             "ok": np.bool_(True), "rows": np.eye(2, dtype=np.int32)},
+                             "ok": np.bool_(True), "rows": np.eye(2, dtype=np.int32),
+                             "one": np.array([7]), "zero_d": np.array(7)},
                       np.float64(0.25), 1.0, np.float32(0.5), True)
     return RunManifest("scan", {"count": np.int32(3)}, 7, (rep,) + _sample_reports())
 
@@ -302,6 +304,9 @@ def test_block_ratio_is_derived_as_a_reports_and_the_block_is_read_only():
     assert [repr(x) for x in block.ratio.tolist()] == [repr(r.ratio) for r in block.reports()]
     with pytest.raises(ValueError, match="shape"):
         report.ReportColumns("L1", {"mask": np.arange(3)}, lhs, rhs, None, np.ones(4, bool))
+    for passed in (True, np.ones((2, 2), bool)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            report.ReportColumns("L1", {"lambda": 5}, 1.0, 2.0, None, passed)
     with pytest.raises(AttributeError, match="read-only"):
         block.lhs = lhs
 
