@@ -24,15 +24,14 @@ _EXPORTS = {
     "report": ("CSV_HEADER", "CheckReport", "ReportColumns", "RunManifest", "emit_csv",
                "expand", "manifest_from_json", "manifest_to_json", "parse_csv",
                "report_from_dict"),
-    "sieve": ("ArithmeticSequence", "dump_sequence", "load_sequence", "sequence",
-              "sieve_liouville", "sieve_moebius", "sieve_von_mangoldt"),
+    "sieve": ("ArithmeticSequence", "dump_sequence", "load_sequence", "sequence"),
     "sums": ("BilinearConfig", "CarryResult", "QuadFormResult", "SplitConfig",
              "SplitResult", "bilinear_sum", "carry_report", "carry_truncation_rate",
              "cauchy_schwarz_chain", "coefficient_table", "quadform_report",
              "shifted_quadratic_form", "spectral_split", "split_report", "type1_report"),
     "walsh": ("FullRange", "Interval", "ResidueClass", "WalshMask", "all_mask_l1",
               "all_mask_sup", "coefficient_values", "l1_accumulate", "magnitude_row",
-              "mask_sweep", "sup_norm", "walsh_signs", "walsh_table"),
+              "sup_norm", "walsh_signs", "walsh_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

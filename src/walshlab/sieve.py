@@ -7,13 +7,14 @@ and in any order, keeping its per-segment state in work's bytes.  Moebius
 and Liouville share a sign kernel that tracks the product of each entry's
 small prime factors, seeded from one precomputed period of the p and p^2
 levels of 2, 3, 5 and 7; von Mangoldt's marks composites and stamps prime
-powers from one sorted list.  One factor pass builds every table, a segment
-per task of limits._two_way (two processes share a large table's segments);
-stream_sequence fills one reused segment per process in the same tasks and
-writes each to the dump; and fwht.sign_max_correlations sieves into
-transform buffer parts.  Each caller charges the output, its workspaces
-and the kernel's scratch before it makes the kernel.  A table on
-[0, 2^lam) holds every smaller table as its prefix.
+powers from one sorted list.  One segment driver runs every sieved table,
+a segment per task of limits._two_way (two processes share a large
+table's segments): sequence fills each segment of one table in place, and
+stream_sequence fills one reused segment per process and writes each to
+the dump.  fwht.sign_max_correlations sieves into transform buffer parts.
+Each caller charges the output, its workspaces and the kernel's scratch
+before it makes the kernel.  A table on [0, 2^lam) holds every smaller
+table as its prefix.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .limits import _shared_empty, _splits, _two_way, require_bytes, require_table_bytes
+from .limits import _shared_empty, _splits, _two_way, require_bytes
 from .report import KINDS, SIGN_KINDS
 
 DEFAULT_SEGMENT = 1 << 20
@@ -234,51 +234,6 @@ def _dtype(kind: str) -> np.dtype:
     return np.dtype(np.int8 if kind in SIGN_KINDS else np.float64)
 
 
-def _factor_pass(lam: int, kind: str) -> ArithmeticSequence:
-    """The kind's table on [0, 2^lam), one kernel segment per task, each
-    task's workspace in one buffer allocated before the tasks (a forked
-    child writes its own copy of it)."""
-    make, scratch, width = _kernel(kind, lam)
-    n, seg = 1 << lam, min(1 << lam, DEFAULT_SEGMENT)
-    dtype = _dtype(kind)
-    require_table_bytes(lam, dtype.itemsize, f"{kind.replace('_', ' ')} table",
-                        (scratch + width * seg) * (1 + _splits(n)))
-    fill = make()
-    out = _shared_empty(n, dtype)
-    work = np.empty(width * seg, dtype=np.uint8)
-    _two_way(lambda i: fill(out[i * seg : (i + 1) * seg], i * seg, work), n // seg, n)
-    return ArithmeticSequence(lam, kind, out)
-
-
-def sieve_moebius(lam: int) -> ArithmeticSequence:
-    """Moebius table on [0, 2^lam): mu(n), 0 unless n is squarefree."""
-    return _factor_pass(lam, "moebius")
-
-
-def sieve_liouville(lam: int) -> ArithmeticSequence:
-    """Liouville table: (-1)^Omega(n), prime factors with multiplicity."""
-    return _factor_pass(lam, "liouville")
-
-
-def sieve_von_mangoldt(lam: int) -> ArithmeticSequence:
-    """Von Mangoldt table: log p at prime powers p^k, 0 elsewhere."""
-    return _factor_pass(lam, "von_mangoldt")
-
-
-_SIEVES = {
-    "moebius": sieve_moebius,
-    "liouville": sieve_liouville,
-    "von_mangoldt": sieve_von_mangoldt,
-}
-
-
-def sequence(kind: str, lam: int) -> ArithmeticSequence:
-    """Dispatch to the named sieve."""
-    if kind not in _SIEVES:
-        raise ValueError(f"no sieve for kind {kind!r}")
-    return _SIEVES[kind](lam)
-
-
 def _header(lam: int, kind: str) -> bytes:
     return _MAGIC + bytes([lam, KINDS.index(kind)])
 
@@ -329,10 +284,59 @@ def dump_sequence(seq: ArithmeticSequence, path) -> None:
         _pwrite(fd, _body(seq.values), _HEADER_BYTES)
 
 
-# what the caller holds per segment of a stream: its (sum, nonzero count)
-# result in the task list and, from a forked child, in the unpickled dict
-# (tracemalloc over 2^16 such results: 231 B each forked, 199 B in order)
+# what the caller holds per segment: its result in the task list and, from
+# a forked child, in the unpickled dict (tracemalloc over 2^16 stream
+# results: 231 B each forked, 199 B in order)
 RESULT_BYTES = 256
+
+
+def _segments(kind: str, lam: int, table: bool, path=None):
+    """The kind's fill over [0, 2^lam), one segment per task of
+    limits._two_way, from one charge and one kernel.
+
+    With table, each task fills its own segment of one table made by
+    _shared_empty, and the table is returned.  Otherwise each task fills
+    its process's one reused segment, writes it at its offset in path's
+    dump when path is given and returns the segment's (sum, nonzero
+    count), and the list of those is returned: no process holds the
+    table.  The workspace and the reused segment are allocated before the
+    tasks, so a forked child writes its own copy of them.  Each process is
+    charged its workspace, the kernel's scratch (the sieving primes up to
+    sqrt(2^lam) among it) and, streaming, its segment; the caller the
+    table, if any, and RESULT_BYTES per segment."""
+    make, scratch, width = _kernel(kind, lam)
+    n, step, dtype = 1 << lam, min(1 << lam, DEFAULT_SEGMENT), _dtype(kind)
+    procs, half = 1 + _splits(n), (lam + 1) // 2
+    held, entry = (dtype.itemsize << lam, width) if table else (0, dtype.itemsize + width)
+    require_bytes(held + (entry * step + scratch) * procs + RESULT_BYTES * (n // step),
+                  f"{kind.replace('_', ' ')} {'table' if table else 'stream'} at lambda={lam}",
+                  f"{held} for the table; in each of {procs} processes {entry} per entry over a "
+                  f"{step}-entry segment and {scratch} of kernel scratch, {PRIME_BYTES} per "
+                  f"entry over the 2^{half} sieving range among it; {RESULT_BYTES} per segment")
+    fill = make()
+    out = _shared_empty(n, dtype) if table else np.empty(step, dtype)
+    work = np.empty(width * step, dtype=np.uint8)
+    with _dump_file(path, lam, kind) if path is not None else contextlib.nullcontext() as fd:
+
+        def task(i: int):
+            seg = out[i * step : (i + 1) * step] if table else out
+            count = fill(seg, i * step, work)
+            if table:
+                return count
+            if fd is not None:
+                _pwrite(fd, _body(seg), _HEADER_BYTES + i * seg.nbytes)
+            return seg.sum().item(), count
+
+        done = _two_way(task, n // step, n)
+    return out if table else done
+
+
+def sequence(kind: str, lam: int) -> ArithmeticSequence:
+    """The kind's table on [0, 2^lam): Moebius mu(n), 0 unless n is
+    squarefree; Liouville (-1)^Omega(n), prime factors with multiplicity;
+    or von Mangoldt log p at the prime powers p^k, 0 elsewhere.  Two
+    processes share a large table's segments."""
+    return ArithmeticSequence(lam, kind, _segments(kind, lam, True))
 
 
 def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
@@ -340,43 +344,34 @@ def stream_sequence(kind: str, lam: int, path=None) -> tuple[float, int]:
     segment at a time, writing the table's dump_sequence bytes to path when
     one is given.
 
-    The segments are tasks of limits._two_way: each fills its process's one
-    reused segment with the kind's kernel and writes it at its offset in
-    the dump, so two processes share a large table's segments and neither
-    holds the table.  Each process is charged its segment, its workspace
-    and the kernel's scratch (the sieving primes up to sqrt(2^lam) among
-    it), the caller each segment's result.  The segment sums add up as a
-    balanced pairwise tree in task order, the way numpy's pairwise sum
-    splits a 2^lam array, so the sum is float(values.sum()) bit for bit.
+    The segments are sequence's tasks, but each fills its process's one
+    reused segment and writes it at its offset in the dump, so two
+    processes share a large table's segments and neither holds the table.
+    The segment sums add up as a balanced pairwise tree in task order, the
+    way numpy's pairwise sum splits a 2^lam array, so the sum is
+    float(values.sum()) bit for bit.
     """
-    make, scratch, width = _kernel(kind, lam)
-    n, step, dtype = 1 << lam, min(1 << lam, DEFAULT_SEGMENT), _dtype(kind)
-    procs, half = 1 + _splits(n), (lam + 1) // 2
-    require_bytes(((dtype.itemsize + width) * step + scratch) * procs + RESULT_BYTES * (n // step),
-                  f"{kind.replace('_', ' ')} stream at lambda={lam}",
-                  f"in each of {procs} processes {dtype.itemsize + width} per entry over a "
-                  f"{step}-entry segment and {scratch} of kernel scratch, {PRIME_BYTES} per "
-                  f"entry over the 2^{half} sieving range among it; {RESULT_BYTES} per segment")
-    fill = make()
-    seg, work = np.empty(step, dtype), np.empty(width * step, dtype=np.uint8)
-    with _dump_file(path, lam, kind) if path is not None else contextlib.nullcontext() as fd:
-
-        def task(i: int) -> tuple:
-            count = fill(seg, i * step, work)
-            if fd is not None:
-                _pwrite(fd, _body(seg), _HEADER_BYTES + i * seg.nbytes)
-            return seg.sum().item(), count
-
-        sums, counts = zip(*_two_way(task, n // step, n))
+    sums, counts = zip(*_segments(kind, lam, False, path))
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return float(sums[0]), sum(counts)
 
 
+# a load holds the file's bytes and the table read from them, plus the file
+# object and array headers (tracemalloc: 0.9-1.7 KiB over twice the file
+# at lam 18-21, every kind)
+_LOAD_SCRATCH = 1 << 13
+
+
 def load_sequence(path) -> ArithmeticSequence:
     """Inverse of dump_sequence, validating header, length, and entries:
     signs in {-1, 0, 1}, von Mangoldt values finite and nonnegative."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        require_bytes(2 * size + _LOAD_SCRATCH, f"loading {path}",
+                      f"2 per byte of its {size} bytes, the bytes and the table, "
+                      f"plus {_LOAD_SCRATCH} of scratch")
+        raw = fh.read()
     if raw[:4] != _MAGIC or len(raw) < _HEADER_BYTES:
         raise ValueError(f"{path}: bad header {raw[:_HEADER_BYTES]!r}, "
                          f"want magic {_MAGIC!r} + 2 bytes")
@@ -388,14 +383,13 @@ def load_sequence(path) -> ArithmeticSequence:
         raise ValueError(f"{path}: unknown kind code {code}")
     kind = KINDS[code]
     dtype = _dtype(kind).newbyteorder("<")
-    body = raw[_HEADER_BYTES:]
-    expect = (1 << lam) * dtype.itemsize
-    if len(body) != expect:
-        raise ValueError(f"{path}: body holds {len(body)} bytes, expected {expect}")
-    values = np.frombuffer(body, dtype=dtype)
+    body, expect = len(raw) - _HEADER_BYTES, (1 << lam) * dtype.itemsize
+    if body != expect:
+        raise ValueError(f"{path}: body holds {body} bytes, expected {expect}")
+    values = np.frombuffer(raw, dtype=dtype, offset=_HEADER_BYTES)
     if dtype != np.int8:
         values = values.astype(np.float64)
-        if not (np.isfinite(values).all() and values.min() >= 0):
+        if not (values.min() >= 0 and np.isfinite(values.max())):  # a NaN fails both
             raise ValueError(f"{path}: {kind} table holds a non-finite or negative entry")
     elif values.min() < -1 or values.max() > 1:
         raise ValueError(f"{path}: {kind} sign table holds a byte outside {{-1, 0, 1}}")

@@ -232,16 +232,11 @@ def _fold(lam: int, selector, reduce) -> np.ndarray:
     return acc
 
 
-def mask_sweep(lam: int, selector) -> np.ndarray:
-    """l1 norm of every mask's row by the sum fold; its float additions pair
-    up frequencies by bit, so a mask's value can differ from
-    l1_accumulate's in the last bits."""
-    return _fold(lam, selector, np.add)
-
-
 def all_mask_l1(lam: int, selector=None) -> np.ndarray:
-    """l1 norm of the coefficient table for every mask at once."""
-    return mask_sweep(lam, selector or FullRange())
+    """l1 norm of the coefficient table for every mask at once, by the sum
+    fold: its float additions pair up frequencies by bit, so a mask's value
+    can differ from l1_accumulate's in the last bits."""
+    return _fold(lam, selector or FullRange(), np.add)
 
 
 def all_mask_sup(lam: int, selector=None) -> np.ndarray:

@@ -80,10 +80,15 @@ def test_usage_error_exits_two(capsys):
 @pytest.mark.parametrize("argv", ["spectrum --lambda 22",
                                   "theorem-scan --lambda-min 2 --lambda-max 22"])
 def test_sign_commands_refuse_von_mangoldt_before_sieving(capsys, monkeypatch, argv):
-    def never(*args, **kwargs):
-        raise AssertionError("a von Mangoldt table was sieved")
+    real = sieve._kernel
 
-    monkeypatch.setitem(sieve._SIEVES, "von_mangoldt", never)
+    def guarded(kind, lam):
+        if kind == "von_mangoldt":
+            raise AssertionError("a von Mangoldt kernel was made")
+        return real(kind, lam)
+
+    for module in (sieve, fwht):  # fwht binds the kernel map as its own name
+        monkeypatch.setattr(module, "_kernel", guarded)
     code, out, err = run_cli(capsys, *argv.split(), "--kind", "von_mangoldt")
     assert code == 2 and not out
     assert "argument --kind: invalid choice: 'von_mangoldt'" in err

@@ -431,7 +431,8 @@ def test_public_names_resolve_once_without_removed_surface():
     for name in names:
         assert getattr(walshlab, name) is not None, name
     for gone in ("Spectrum", "custom_sequence", "correlation_report", "fwht_in_place",
-                 "walsh_eval"):
+                 "walsh_eval", "sieve_moebius", "sieve_liouville", "sieve_von_mangoldt",
+                 "mask_sweep"):
         assert gone not in names and not hasattr(walshlab, gone)
 
 

@@ -24,7 +24,7 @@ from walshlab import (
     walsh_table,
 )
 from walshlab import approximant, fwht, lemmas, limits, sieve, sums, walsh
-from walshlab.walsh import _selector_slice, coefficient_values, magnitude_row, mask_sweep
+from walshlab.walsh import _selector_slice, coefficient_values, magnitude_row
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_sweep_matches_per_mask_rows_bit_identical():
 
 def test_sweep_with_selector():
     lam = 6
-    out = mask_sweep(lam, FullRange())
+    out = all_mask_l1(lam, FullRange())
     for bits in (0, 1, 0b111, 0b101010):
         assert out[bits] == _near(l1_accumulate(WalshMask(bits, lam)))
 
@@ -383,22 +383,33 @@ def _streamed_dump(kind, lam):
         return sieve.stream_sequence(kind, lam, Path(work) / "t.bin")
 
 
+def _loaded_dump(kind, lam):
+    # the dump is written beforehand; its directory goes with the returned call
+    work = tempfile.TemporaryDirectory()
+    sieve.stream_sequence(kind, lam, Path(work.name) / "t.bin")
+    return lambda: sieve.load_sequence(Path(work.name) / "t.bin")
+
+
 # every path that charges the memory budget, as (name, sizes, make) with
 # make(size) giving the call to measure; its inputs are built beforehand
 CHARGED_PATHS = [
-    ("moebius sieve", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_moebius(lam)),
-    ("liouville sieve", (18, 21), lambda lam: lambda: sieve.sieve_liouville(lam)),
+    ("moebius table", (18, 19, 20, 21), lambda lam: lambda: sieve.sequence("moebius", lam)),
+    ("liouville table", (18, 21), lambda lam: lambda: sieve.sequence("liouville", lam)),
     ("sign transform", (18, 19, 20, 21),
      lambda lam: lambda: fwht.sign_max_correlations("moebius", [lam])),
     ("plain spectrum", (18, 19, 20, 21),
-     lambda lam: functools.partial(fwht.spectrum, sieve.sieve_liouville(lam).values)),
+     lambda lam: functools.partial(fwht.spectrum, sieve.sequence("liouville", lam).values)),
     ("float spectrum", (18, 21), lambda lam: functools.partial(
-        fwht.spectrum, sieve.sieve_moebius(lam).values.astype(np.float64))),
+        fwht.spectrum, sieve.sequence("moebius", lam).values.astype(np.float64))),
     ("prefix peaks", (18, 21), lambda lam: functools.partial(
-        fwht.prefix_max_correlations, sieve.sieve_moebius(lam).values, [lam - 4, lam])),
-    ("von mangoldt table", (18, 19, 20, 21), lambda lam: lambda: sieve.sieve_von_mangoldt(lam)),
+        fwht.prefix_max_correlations, sieve.sequence("moebius", lam).values, [lam - 4, lam])),
+    ("von mangoldt table", (18, 19, 20, 21),
+     lambda lam: lambda: sieve.sequence("von_mangoldt", lam)),
     *((f"{kind.replace('_', ' ')} dump stream", (18, 19, 20, 21),
        lambda lam, kind=kind: functools.partial(_streamed_dump, kind, lam))
+      for kind in ("moebius", "liouville", "von_mangoldt")),
+    *((f"{kind.replace('_', ' ')} loaded dump", (18, 19, 20, 21),
+       lambda lam, kind=kind: _loaded_dump(kind, lam))
       for kind in ("moebius", "liouville", "von_mangoldt")),
     ("magnitude row", (14, 16, 18), lambda lam: functools.partial(
         magnitude_row, lam, 0b1011, np.arange(4))),
