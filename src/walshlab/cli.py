@@ -14,7 +14,6 @@ memory the OS refuses.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import gc
 import importlib
@@ -25,7 +24,7 @@ from pathlib import Path
 from ._version import __version__
 from . import limits
 from .limits import ResourceLimitError
-from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, write_csv,
+from .report import (KINDS, SIGN_KINDS, CheckReport, RunManifest, _overwrite, write_csv,
                      write_manifest_json)
 
 # Rosser-Schoenfeld: psi(x) < 1.04 x for all x > 0, so the Lambda prefix
@@ -210,13 +209,14 @@ def _write_output(args, manifest: RunManifest) -> None:
     out, fmt = (None if _dumps(args) else args.out), args.format
     if fmt is None:
         fmt = "csv" if out is not None and out.suffix.lower() == ".csv" else "json"
-    # sys.stdout is read here, so a caller's redirect_stdout applies; newline=""
-    # so csv keeps its CRLF endings verbatim on every platform
-    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
-        if fmt == "csv":
-            write_csv(manifest.reports, fh)
-        else:
-            write_manifest_json(manifest, fh)
+    write, what = (write_csv, manifest.reports) if fmt == "csv" else (write_manifest_json, manifest)
+    if out is None:
+        write(what, sys.stdout)  # read here, so a caller's redirect_stdout applies
+        return
+    # the text file is closed, its last bytes written, before _overwrite cuts
+    # the file to them; newline="" so csv keeps its CRLF endings verbatim
+    with _overwrite(out) as fd, open(fd, "w", newline="", closefd=False) as fh:
+        write(what, fh)
 
 
 def dispatch(argv) -> int:

@@ -6,13 +6,17 @@ seed, and every CheckReport, and serializes with sorted keys
 so identical runs produce byte-identical output.  CSV is a lossy tabular
 projection for plotting: per-check params are flattened into one JSON
 string column (they differ across lemmas).  A ReportColumns block holds
-one lemma's rows as columns, and blocks are all the writers see: a
-CheckReport among them becomes a one-row block, its params kept whole.
+one lemma's rows as columns, and blocks are all the writers see: each run
+of consecutive CheckReports with one lemma id and params shape becomes
+one block, its params kept whole.
 Both writers stream a block's rows in batches, each row with the bytes of
 its CheckReport.  json writes every byte: each params shape is laid out
 once with a hole per scalar, and a batch's scalars come from one call of
 json's C encoder per column; a block whose params shape has no layout
-has each row encoded whole.
+has each row encoded whole.  CSV rows are laid out the same way when no
+param is a string, their params cell quoted in the layout; the others go
+through csv.writer.  Every output file, a manifest, a CSV table or an AWS1
+dump, is opened by _overwrite, which writes over it in place.
 
 Every manifest is stamped with the package version and null started /
 finished timestamps; wall-clock values would break the byte-identity
@@ -21,11 +25,14 @@ guarantee that the determinism tests pin.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +215,16 @@ def _column(values: list) -> list[str]:
     return _column_encoder.encode(values)[1:-1].split("\n")
 
 
+def _reprs(values: list) -> list[str]:
+    """CSV float cells: round-trip repr, empty for None."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def _ints(values: list) -> list[str]:
+    """CSV lambda cells: the value as an int, empty for None."""
+    return ["" if v is None else str(int(v)) for v in values]
+
+
 def _holes(encoder, skeleton: dict, count: int) -> str | None:
     """skeleton's text with each hole a %s, or None when a key holds a hole too."""
     text = encoder.encode(skeleton)
@@ -218,10 +235,15 @@ def _holes(encoder, skeleton: dict, count: int) -> str | None:
 
 @functools.lru_cache(maxsize=256)
 def _layout(shape: tuple) -> tuple | None:
-    """(sorted keys, manifest entry layout, CSV params layout) of a params
-    shape whose keys are strings and values scalars, else None.  The entry's
-    holes are fitted_constant, lemma_id, lhs, the params in sorted key
-    order, pass, ratio and rhs, json's sorted order."""
+    """(sorted keys, manifest entry layout, CSV params layout, CSV row
+    layout) of a params shape whose keys are strings and values scalars,
+    else None.  The entry's holes are fitted_constant, lemma_id, lhs, the
+    params in sorted key order, pass, ratio and rhs, json's sorted order.
+    The row's are CSV_HEADER's, the params in sorted key order in place of
+    params_json, whose cell is quoted and its quotes doubled once, as
+    csv.writer would: no number, bool or null that json writes holds a
+    comma, quote or line break.  A string param can, so with one the row
+    layout is None."""
     keys, types = shape
     if not (all(type(k) is str for k in keys) and _SCALARS.issuperset(types)):
         return None
@@ -231,60 +253,102 @@ def _layout(shape: tuple) -> tuple | None:
     csv_params = _holes(_compact_encoder, params, len(keys))
     if entry is None or csv_params is None:
         return None
-    return tuple(sorted(keys)), entry.replace("\n", _ENTRY_INDENT), csv_params
+    row = None
+    if str not in types:
+        cell = '"%s"' % csv_params.replace('"', '""') if keys else csv_params
+        row = "%s,%s," + cell + ",%s,%s,%s,%s,%s\r\n"
+    return tuple(sorted(keys)), entry.replace("\n", _ENTRY_INDENT), csv_params, row
 
 
-def _as_block(part) -> ReportColumns:
-    """part as a block: a CheckReport is one row, each param a one-element
-    object column holding the value whole, so that an array param stays
-    one value."""
+def _run_key(part) -> tuple | None:
+    """What a report shares with the reports it is merged with: its lemma
+    id, params shape and whether it has a fitted constant; None for a block."""
     if isinstance(part, ReportColumns):
-        return part
-    params = {}
-    for key, value in part.params.items():
-        params[key] = np.empty(1, object)
-        params[key][0] = value
-    return ReportColumns(part.lemma_id, params, part.lhs, part.rhs, part.fitted_constant,
-                         [part.passed])
+        return None
+    return (part.lemma_id, tuple(part.params), tuple(map(type, part.params.values())),
+            part.fitted_constant is None)
 
 
-def _block_texts(block: ReportColumns, csv_params: bool):
-    """The manifest entries, or CSV params_json, of each _BATCH rows of a
-    block in turn.  With a cached layout for its params shape, the layout
-    and the constants' texts are made once, and each array is one
-    C-encoded column per batch; without one, each row is encoded whole."""
+def _blocks(reports):
+    """reports and blocks as blocks, in order: a block as it is, and each
+    run of consecutive reports with one _run_key as one block, each param an
+    object column holding its values whole, so that an array param stays
+    one value."""
+    for key, run in itertools.groupby(reports, _run_key):
+        if key is None:
+            yield from run
+            continue
+        run = list(run)
+        params = {k: np.fromiter((r.params[k] for r in run), object, len(run))
+                  for k in run[0].params}
+        yield ReportColumns(key[0], params, [r.lhs for r in run], [r.rhs for r in run],
+                            None if key[-1] else [r.fitted_constant for r in run],
+                            [r.passed for r in run])
+
+
+def _formatted(layout: str, cols: list, n: int):
+    """layout % (one text per column) for each of n rows, _BATCH rows at a
+    time.  cols are (value, texts): texts maps a list of values to their
+    texts, once for a constant value and once per batch for an array."""
+    constant = [None if isinstance(v, np.ndarray) else texts([v]) for v, texts in cols]
+    for lo in range(0, n, _BATCH):
+        k = min(_BATCH, n - lo)
+        row_texts = [texts(v[lo:lo + k].tolist()) if c is None else c * k
+                     for (v, texts), c in zip(cols, constant)]
+        yield [layout % row for row in (zip(*row_texts) if row_texts else [()] * k)]
+
+
+def _block_texts(block: ReportColumns, csv_rows: bool):
+    """The manifest entries, or CSV lines, of each _BATCH rows of a block in
+    turn.  With a cached layout for its params shape, the layout and the
+    constants' texts are made once, and each array is one column of texts
+    per batch, C-encoded where json writes them; without one, each row is
+    encoded whole.  A CSV line whose shape has a row layout is laid out
+    whole; the others' params_json cells go through csv.writer."""
     params, n = block.params, len(block)
     layout = n and _layout((tuple(params), tuple(
         type(v[:1].tolist()[0]) if isinstance(v, np.ndarray) else type(v)
         for v in params.values())))
     if not layout:
         rows = block.reports()
-        for lo in range(0, n, _BATCH):
-            yield [_compact_encoder.encode(r.params) if csv_params else
-                   _manifest_encoder.encode(r.as_dict()).replace("\n", _ENTRY_INDENT)
-                   for r in rows[lo:lo + _BATCH]]
-        return
-    keys, entry, csv_layout = layout
-    cols = [params[k] for k in keys]
-    if not csv_params:
-        cols = [block.fitted_constant, block.lemma_id, block.lhs, *cols, block.passed,
-                block.ratio, block.rhs]
-    constant = [None if isinstance(v, np.ndarray) else _column([v]) for v in cols]
-    for lo in range(0, n, _BATCH):
-        k = min(_BATCH, n - lo)
-        texts = [_column(v[lo:lo + k].tolist()) if c is None else c * k
-                 for v, c in zip(cols, constant)]
-        yield [(csv_layout if csv_params else entry) % row
-               for row in (zip(*texts) if texts else [()] * k)]
+        texts = ([_compact_encoder.encode(r.params) if csv_rows else
+                  _manifest_encoder.encode(r.as_dict()).replace("\n", _ENTRY_INDENT)
+                  for r in rows[lo:lo + _BATCH]] for lo in range(0, n, _BATCH))
+        return _written(block, texts) if csv_rows else texts
+    keys, entry, csv_params, csv_row = layout
+    cols = [(params[k], _column) for k in keys]
+    if not csv_rows:
+        return _formatted(entry, [(block.fitted_constant, _column), (block.lemma_id, _column),
+                                  (block.lhs, _column), *cols, (block.passed, _column),
+                                  (block.ratio, _column), (block.rhs, _column)], n)
+    if csv_row is None:
+        return _written(block, _formatted(csv_params, cols, n))
+    return _formatted(csv_row, [(block.lemma_id, list), (params.get("lambda"), _ints), *cols,
+                                (block.lhs, _reprs), (block.rhs, _reprs), (block.ratio, _reprs),
+                                (block.fitted_constant, _reprs), (block.passed, _column)], n)
 
 
-def _batches(reports, csv_params: bool):
-    """(block, lo, texts) for each _BATCH rows of reports and blocks, in
-    order, each as a block: texts are the manifest entries or CSV
-    params_json of the block's rows from lo on."""
-    for block in map(_as_block, reports):
-        yield from zip(itertools.repeat(block), range(0, len(block), _BATCH),
-                       _block_texts(block, csv_params))
+def _written(block: ReportColumns, params_texts):
+    """A block's CSV lines, _BATCH rows at a time, from their params_json
+    cells in params_texts, as csv.writer quotes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for lo, texts in zip(itertools.count(0, _BATCH), params_texts):
+        hi = lo + len(texts)
+        ids, lams, lhs, rhs, ratio, fitted, passed = (_field(block, f, lo, hi) for f in (
+            "lemma_id", "lambda", "lhs", "rhs", "ratio", "fitted_constant", "passed"))
+        writer.writerows(zip(ids, _ints(lams), texts, _reprs(lhs), _reprs(rhs), _reprs(ratio),
+                             _reprs(fitted), _column(passed)))
+        yield [buf.getvalue()]
+        buf.seek(0)
+        buf.truncate()
+
+
+def _batches(reports, csv_rows: bool):
+    """The manifest entries, or CSV lines, of reports and blocks, _BATCH
+    rows of a block at a time, in order."""
+    for block in _blocks(reports):
+        yield from _block_texts(block, csv_rows)
 
 
 def _field(block: ReportColumns, name: str, lo: int, hi: int) -> list:
@@ -316,7 +380,7 @@ def write_manifest_json(manifest: RunManifest, fh) -> None:
     # only "seed" and "started" sort after "reports", so its list is the last []
     head, _, tail = text.rpartition('"reports": []')
     sep = head + '"reports": ['
-    for _, _, texts in _batches(manifest.reports, False):
+    for texts in _batches(manifest.reports, False):
         fh.write(sep + _ENTRY_INDENT + ("," + _ENTRY_INDENT).join(texts))
         sep = ","
     fh.write("\n  ]" + tail if sep == "," else text)  # no rows: the empty list
@@ -342,18 +406,9 @@ def write_csv(reports, fh) -> None:
     """Flatten a sequence of reports and blocks to an RFC-4180 table on a
     text file, _BATCH rows at a time; floats keep round-trip repr, and the
     params are one compact JSON column."""
-    writer = csv.writer(fh, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    for part, lo, texts in _batches(reports, True):
-        hi = lo + len(texts)
-        ids, lams, lhs, rhs, ratio, fitted, passed = (_field(part, f, lo, hi) for f in (
-            "lemma_id", "lambda", "lhs", "rhs", "ratio", "fitted_constant", "passed"))
-        writer.writerows(zip(
-            ids, ["" if lam is None else int(lam) for lam in lams], texts,
-            map(repr, lhs), map(repr, rhs), map(repr, ratio),
-            ["" if f is None else repr(f) for f in fitted],
-            ["true" if p else "false" for p in passed],
-        ))
+    fh.write(",".join(CSV_HEADER) + "\r\n")
+    for lines in _batches(reports, True):
+        fh.write("".join(lines))
 
 
 def parse_csv(text: str) -> list[CheckReport]:
@@ -376,3 +431,23 @@ def parse_csv(text: str) -> list[CheckReport]:
             )
         )
     return out
+
+
+@contextlib.contextmanager
+def _overwrite(path):
+    """A write descriptor for path, created if missing, whose old bytes are
+    written over in place rather than truncated first: on ext4 a file cut
+    to zero and written again starts its writeback at close, and the next
+    run's truncation waits for that I/O.  However the block ends, a regular
+    file (only: a device such as /dev/null keeps no size) is then cut to
+    the descriptor's offset, the end of what was written, so no tail of a
+    longer old file stays."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        yield fd
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)

@@ -22,13 +22,12 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 from .limits import _shared_empty, _splits, _two_way, require_bytes
-from .report import KINDS, SIGN_KINDS
+from .report import KINDS, SIGN_KINDS, _overwrite
 
 DEFAULT_SEGMENT = 1 << 20
 
@@ -260,20 +259,17 @@ def _dump_file(path, lam: int, kind: str):
     """A write descriptor for path's AWS1 dump of the kind's table on
     [0, 2^lam), whose body the caller writes with _pwrite past the header.
 
-    The file is overwritten in place, not truncated first (truncating a
-    large dump frees its blocks only for the body to claim them again):
-    a zero header goes first, then the body; on success a regular file is
-    cut to its exact size and the real header written last.  A run that
-    fails leaves the zero header, which load_sequence refuses."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
+    The file is written over in place by report._overwrite: a zero header
+    goes first, then the body, then the real header, and last the offset
+    is set to the dump's end, where _overwrite cuts a regular file.  A run
+    that fails is cut to nothing (_pwrite leaves the offset at 0); one
+    killed midway leaves the zero header, or before the cut an old file's
+    tail; load_sequence refuses each."""
+    with _overwrite(path) as fd:
         _pwrite(fd, bytes(_HEADER_BYTES), 0)
         yield fd
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, _HEADER_BYTES + (_dtype(kind).itemsize << lam))
         _pwrite(fd, _header(lam, kind), 0)
-    finally:
-        os.close(fd)
+        os.lseek(fd, _HEADER_BYTES + (_dtype(kind).itemsize << lam), os.SEEK_SET)
 
 
 def dump_sequence(seq: ArithmeticSequence, path) -> None:

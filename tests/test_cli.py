@@ -1,8 +1,11 @@
 """CLI: exit codes, output formats, binary dumps, and determinism."""
 
+import ast
+import builtins
 import errno
 import gc
 import inspect
+import io
 import json
 import os
 import re
@@ -16,7 +19,8 @@ import oracles
 import pytest
 
 import walshlab
-from walshlab import fwht, limits, load_sequence, manifest_from_json, parse_csv, sieve
+from walshlab import (cli, fwht, limits, load_sequence, manifest_from_json, parse_csv, report,
+                      sieve)
 from walshlab.cli import dispatch
 
 
@@ -699,6 +703,112 @@ def test_sieve_binary_dump_round_trip(tmp_path, capsys):
     seq = load_sequence(path)
     assert seq.kind == "liouville"
     assert len(seq.values) == 1 << 10
+
+
+# 256 rows, so a manifest streams in many batches; --out is appended
+_ROWS = ("lemma-check", "--lemma", "2", "--lambda", "8", "--masks", "all")
+
+
+def _out_run(capsys, via, argv, cwd) -> int:
+    """argv's exit code, run through dispatch or a `python -m walshlab` process."""
+    if via == "dispatch":
+        return run_cli(capsys, *argv)[0]
+    return subprocess.run([sys.executable, "-m", "walshlab", *argv], cwd=cwd, env=_child_env(),
+                          capture_output=True, timeout=120).returncode
+
+
+@pytest.mark.parametrize("via", ["dispatch", "python -m"])
+@pytest.mark.parametrize("name", ["run.json", "run.csv"])
+def test_out_is_written_over_in_place_and_cut_to_size(capsys, tmp_path, via, name):
+    fresh, path = tmp_path / f"fresh-{name}", tmp_path / name
+    assert run_cli(capsys, *_ROWS, "--out", str(fresh))[0] == 0
+    want = fresh.read_bytes()
+    for old in (b"\xff" * (len(want) + 4096), b"\xff" * 7):
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+        assert _out_run(capsys, via, [*_ROWS, "--out", str(path)], tmp_path) == 0
+        assert path.read_bytes() == want
+        assert path.stat().st_ino == inode  # the same file, not a new one
+
+
+@pytest.mark.skipif(os.name != "posix", reason="links to /dev/null")
+@pytest.mark.parametrize("via", ["dispatch", "python -m"])
+@pytest.mark.parametrize("name", ["null.json", "null.csv"])
+def test_manifest_through_a_link_to_dev_null_exits_zero(capsys, tmp_path, via, name):
+    # a device takes the bytes and is never cut to size
+    link = tmp_path / name
+    link.symlink_to(os.devnull)
+    assert _out_run(capsys, via, [*_ROWS, "--out", str(link)], tmp_path) == 0
+    assert link.is_symlink() and link.resolve() == Path(os.devnull)
+
+
+@pytest.mark.parametrize("name", ["run.json", "run.csv"])
+def test_a_writer_failing_midway_leaves_only_what_it_wrote(capsys, tmp_path, monkeypatch, name):
+    batches = report._batches
+
+    def first_batch_then_fail(reports, csv_rows):
+        yield next(batches(reports, csv_rows))
+        raise OSError(errno.EIO, "device gone")
+
+    monkeypatch.setattr(report, "_batches", first_batch_then_fail)
+    manifest, wrote = cli._run(cli.build_parser().parse_args(_ROWS)), io.StringIO()
+    with pytest.raises(OSError):
+        if name.endswith(".csv"):
+            report.write_csv(manifest.reports, wrote)
+        else:
+            report.write_manifest_json(manifest, wrote)
+    path = tmp_path / name
+    path.write_bytes(b"\xff" * (1 << 20))
+    code, out, err = run_cli(capsys, *_ROWS, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 5] device gone\n"
+    assert 0 < len(wrote.getvalue()) < 1 << 20
+    assert path.read_bytes() == wrote.getvalue().encode()
+
+
+# runs main() as `python -m walshlab` does, and prints every path opened
+# through os.open or open, with its flags or mode, as its last stderr line
+_RECORD_OPENS = """
+import atexit, builtins, os, sys
+opened, os_open, text_open = [], os.open, builtins.open
+def record(fn, file, how, *args, **kwargs):
+    if not isinstance(file, int):
+        opened.append((os.fspath(file), how))
+    return fn(file, how, *args, **kwargs)
+os.open = lambda file, flags, *a, **k: record(os_open, file, flags, *a, **k)
+builtins.open = lambda file, mode="r", *a, **k: record(text_open, file, mode, *a, **k)
+atexit.register(lambda: print(repr(opened), file=sys.stderr))
+from walshlab.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("via", ["dispatch", "python -c"])
+@pytest.mark.parametrize("argv", [(*_ROWS, "--out", "run.json"), (*_ROWS, "--out", "run.csv"),
+                                  ("sieve", "--lambda", "16", "--kind", "von_mangoldt",
+                                   "--out", "run.bin")], ids=["json", "csv", "dump"])
+def test_no_out_file_is_opened_truncating(capsys, tmp_path, monkeypatch, via, argv):
+    # O_TRUNC on a file just written makes ext4 wait for its writeback
+    # first: every --out file is opened once, and written over in place
+    (tmp_path / argv[-1]).write_bytes(b"\xff" * (1 << 20))
+    if via == "dispatch":
+        opened = []
+        for module in (os, builtins):
+            def record(file, how="r", *args, _open=module.open, **kwargs):
+                if not isinstance(file, int):
+                    opened.append((os.fspath(file), how))
+                return _open(file, how, *args, **kwargs)
+            monkeypatch.setattr(module, "open", record)
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(list(argv))
+        monkeypatch.undo()
+        capsys.readouterr()
+    else:
+        proc = subprocess.run([sys.executable, "-c", _RECORD_OPENS, *argv], cwd=tmp_path,
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        code, opened = proc.returncode, ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert code == 0
+    assert [how for path, how in opened if path == argv[-1]] == [os.O_WRONLY | os.O_CREAT]
 
 
 # ---------------------------------------------------------------------------

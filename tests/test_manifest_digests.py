@@ -5,11 +5,15 @@ run list.  Each run executes twice through dispatch: with two CPUs reported
 and limits.SPLIT_MIN lowered to 2^15, so tables from 2^15 entries up share
 their sieve and transform tasks with a forked child, and with one CPU
 reported, so every task runs in order in-process.  Both must give the
-pinned exit code and bytes.
+pinned exit code and bytes.  In order, a run that writes a JSON or CSV
+--out runs once more over its own output grown 4 KiB longer, and must
+give the same pinned bytes: --out is written over in place and cut to
+size.
 """
 
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -39,3 +43,8 @@ def test_outputs_match_the_pin(monkeypatch, tmp_path, command, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
     monkeypatch.chdir(tmp_path)
     assert digest(command) == PINNED["runs"][command]
+    argv = shlex.split(command)
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if cpus == {0} and out and out.suffix.lower() in (".json", ".csv") and out.exists():
+        out.write_bytes(b"\xff" * (out.stat().st_size + 4096))
+        assert digest(command) == PINNED["runs"][command]

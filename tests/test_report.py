@@ -149,17 +149,20 @@ def _numpy_manifest():
     return RunManifest("scan", {"count": np.int32(3)}, 7, (rep,) + _sample_reports())
 
 
+def _manifest_oracle(manifest) -> str:
+    """json.dumps of the manifest's payload, its reports as dicts."""
+    payload = {"command": manifest.command, "config": manifest.config, "seed": manifest.seed,
+               "artifact_version": __version__, "started": None, "finished": None,
+               "reports": [r.as_dict() for r in manifest.reports]}
+    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+
+
 @pytest.mark.parametrize("manifest", [_numpy_manifest(), RunManifest("x", {}, 0, ())],
                          ids=["numpy", "empty"])
 def test_streamed_manifest_equals_one_shot_text(manifest):
     out = io.StringIO()
     write_manifest_json(manifest, out)
-    assert out.getvalue() == manifest_to_json(manifest)
-    payload = {"command": manifest.command, "config": manifest.config,
-               "seed": manifest.seed, "artifact_version": __version__, "started": None,
-               "finished": None, "reports": [r.as_dict() for r in manifest.reports]}
-    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2,
-                                        default=_jsonable) + "\n"
+    assert out.getvalue() == manifest_to_json(manifest) == _manifest_oracle(manifest)
 
 
 def test_streamed_manifest_holds_neither_text_nor_payload():
@@ -244,11 +247,25 @@ def test_writers_match_their_oracles(seed):
     reports = _corpus(seed, 2 * report._BATCH + 77)
     config = {"reports": [], "a": {"%s": [1, None]}, "count": np.int32(3)}
     manifest = RunManifest("scan", config, seed, reports)
-    payload = {"command": "scan", "config": config, "seed": seed,
-               "artifact_version": __version__, "started": None, "finished": None,
-               "reports": [r.as_dict() for r in reports]}
-    assert manifest_to_json(manifest) == json.dumps(payload, sort_keys=True, indent=2,
-                                                    default=_jsonable) + "\n"
+    assert manifest_to_json(manifest) == _manifest_oracle(manifest)
+    assert emit_csv(reports) == oracles.csv_text(reports)
+
+
+def test_runs_of_like_reports_are_written_as_one_block():
+    # a run shares its lemma id, params shape (keys in order, value types)
+    # and whether a fitted constant is set; array params stay whole
+    def rep(i, lemma="THM1", fitted=None, **extra):
+        return CheckReport(lemma, {"lambda": 6 + i % 3, "kind": "moebius", "value": -i,
+                                   "exponent": 0.5 + i / 7, **extra}, i / 3, 7.0, fitted, i % 5)
+
+    reports = ([rep(i) for i in range(600)] + [rep(0, fitted=0.25), rep(1, fitted=-0.0)]
+               + [rep(i, lemma="L1") for i in range(3)] + [rep(9, rows=np.arange(3.0))]
+               + [rep(i, rows=np.array([[i, 2]])) for i in range(2)]
+               + [CheckReport("THM1", {"lambda": 6, "kind": "moebius", "value": 0,
+                                       "exponent": None}, 0.0, 7.0, None, True)])
+    assert [len(b) for b in report._blocks(reports)] == [600, 2, 3, 3, 1]
+    manifest = RunManifest("theorem-scan", {}, 0, reports)
+    assert manifest_to_json(manifest) == _manifest_oracle(manifest)
     assert emit_csv(reports) == oracles.csv_text(reports)
 
 
@@ -266,16 +283,17 @@ def _block(n, seed, **params):
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257])
 @pytest.mark.parametrize("params", [{}, {"%s": "a%", "z": None}, {"grid": [1, 2]},
-                                    {"lambda": np.int64(11)}], ids=["plain", "text", "list",
-                                                                    "numpy"])
+                                    {"lambda": np.int64(11)},
+                                    {'q"k,100%': 2.5, "line\nbreak": None, "%s": True}],
+                         ids=["plain", "text", "list", "numpy", "quoted keys"])
 def test_writers_give_a_block_the_bytes_of_its_rows(n, params):
     for seed in range(3):
         block = _block(n, seed, **params)
         rows = block.reports()
         assert len(rows) == len(block) == n
-        assert manifest_to_json(RunManifest("scan", {}, 0, [block])) == manifest_to_json(
-            RunManifest("scan", {}, 0, rows))
-        assert emit_csv([block]) == emit_csv(rows)
+        manifest = RunManifest("scan", {}, 0, [block])
+        assert manifest_to_json(manifest) == _manifest_oracle(RunManifest("scan", {}, 0, rows))
+        assert emit_csv([block]) == oracles.csv_text(rows)
 
 
 def test_writers_mix_blocks_and_reports():

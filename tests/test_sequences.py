@@ -286,7 +286,7 @@ def test_dump_over_an_existing_file_holds_exactly_the_new_bytes(tmp_path, kind, 
 @pytest.mark.parametrize("kind", ["moebius", "von_mangoldt"])
 def test_failed_stream_leaves_a_dump_the_loader_refuses(tmp_path, monkeypatch, kind, where):
     # a fill raising in a later segment, over a valid dump of the same
-    # table: the zero header written before any segment stays in place
+    # table: the file is cut to nothing, none of the old dump left
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 1 << 11)  # 8 segments
     path = tmp_path / "t.bin"
     stream_sequence(kind, 14, path)
@@ -319,6 +319,7 @@ def test_failed_stream_leaves_a_dump_the_loader_refuses(tmp_path, monkeypatch, k
     with pytest.raises(RuntimeError if where == "parent" else ChildProcessError,
                        match="fill failed"):
         stream_sequence(kind, 14, path)
+    assert path.stat().st_size == 0
     with pytest.raises(ValueError, match="bad header"):
         load_sequence(path)
 
