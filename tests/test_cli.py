@@ -744,11 +744,11 @@ def test_manifest_through_a_link_to_dev_null_exits_zero(capsys, tmp_path, via, n
 
 @pytest.mark.parametrize("name", ["run.json", "run.csv"])
 def test_a_writer_failing_midway_leaves_only_what_it_wrote(capsys, tmp_path, monkeypatch, name):
-    batches = report._batches
+    batches, failure = report._batches, OSError(errno.EIO, "device gone")
 
     def first_batch_then_fail(reports, csv_rows):
         yield next(batches(reports, csv_rows))
-        raise OSError(errno.EIO, "device gone")
+        raise failure
 
     monkeypatch.setattr(report, "_batches", first_batch_then_fail)
     manifest, wrote = cli._run(cli.build_parser().parse_args(_ROWS)), io.StringIO()
@@ -761,7 +761,7 @@ def test_a_writer_failing_midway_leaves_only_what_it_wrote(capsys, tmp_path, mon
     path.write_bytes(b"\xff" * (1 << 20))
     code, out, err = run_cli(capsys, *_ROWS, "--out", str(path))
     assert code == 2 and out == ""
-    assert err == "error: [Errno 5] device gone\n"
+    assert err == f"error: {failure}\n"
     assert 0 < len(wrote.getvalue()) < 1 << 20
     assert path.read_bytes() == wrote.getvalue().encode()
 
